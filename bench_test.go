@@ -23,6 +23,7 @@ import (
 	"wayplace/internal/engine"
 	"wayplace/internal/experiment"
 	"wayplace/internal/layout"
+	"wayplace/internal/obj"
 	"wayplace/internal/sim"
 )
 
@@ -75,7 +76,7 @@ func runScheme(b *testing.B, icfg cache.Config, scheme energy.Scheme, wp uint32)
 	var last *sim.RunStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last, err = sim.Run(prog, cfg)
+		last, err = sim.RunContext(context.Background(), prog, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func ablationScheme(b *testing.B, mutate func(*sim.Config), placed bool) {
 	var last *sim.RunStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last, err = sim.Run(prog, cfg)
+		last, err = sim.RunContext(context.Background(), prog, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,6 +286,106 @@ func BenchmarkCacheFetchEngines(b *testing.B) {
 			e.Fetch(addrs[i%len(addrs)], false)
 		}
 	})
+}
+
+// --- Fetch-stream layers ---------------------------------------------
+
+// streamBase is the producer-side machine of the figure runs.
+func streamBase() sim.Config {
+	cfg := sim.Default()
+	cfg.MaxInstrs = experiment.MaxInstrs
+	return cfg
+}
+
+// recordTrace records one complete pass of prog's fetch stream.
+func recordTrace(tb testing.TB, prog *obj.Program) *sim.FetchTrace {
+	tb.Helper()
+	cfg := streamBase()
+	_, tr, err := sim.RecordMulti(context.Background(), prog, cfg, []sim.ModelSpec{sim.ModelSpecOf(cfg)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if tr == nil {
+		tb.Fatal("complete pass recorded no trace")
+	}
+	return tr
+}
+
+// drain pulls every chunk from a stream source and returns the event
+// count.
+func drain(b *testing.B, src interface {
+	NextChunk(context.Context) (*sim.FetchChunk, error)
+}) int {
+	n := 0
+	for {
+		ch, err := src.NextChunk(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ch == nil {
+			return n
+		}
+		n += len(ch.Events)
+	}
+}
+
+// BenchmarkFetchSource is live fetch-stream production: the CPU, memory
+// image, D-cache and D-TLB executing the figure workload.
+func BenchmarkFetchSource(b *testing.B) {
+	w := suite(b).Workloads[0]
+	instrs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := sim.NewFetchSource(w.Original, streamBase(), 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += drain(b, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+}
+
+// BenchmarkFetchTraceReplay is the same stream replayed from its
+// recording, plus the recording's compressed size.
+func BenchmarkFetchTraceReplay(b *testing.B) {
+	tr := recordTrace(b, suite(b).Workloads[0].Original)
+	instrs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := sim.NewTraceSource(tr, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += drain(b, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+	b.ReportMetric(float64(tr.Bytes())/float64(tr.Instrs()), "bytes/instr")
+}
+
+// TestFetchTracesFitBudget records the reference-input stream of every
+// benchmark, original and placed layout — every stream the paper grid
+// and the serving sweeps simulate — and requires the recordings to
+// stay under 1 MiB together, so an engine can hold them all.
+func TestFetchTracesFitBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records all 46 reference streams")
+	}
+	total, instrs := 0, uint64(0)
+	for _, name := range bench.Names() {
+		w, err := experiment.Prepare(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prog := range []*obj.Program{w.Original, w.Placed} {
+			tr := recordTrace(t, prog)
+			total += tr.Bytes()
+			instrs += tr.Instrs()
+		}
+	}
+	t.Logf("%d instructions in %d trace bytes (%.4f bytes/instr)", instrs, total, float64(total)/float64(instrs))
+	if total >= 1<<20 {
+		t.Errorf("the 46 reference traces take %d bytes, want < 1 MiB", total)
+	}
 }
 
 // --- helpers ---------------------------------------------------------

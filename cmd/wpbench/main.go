@@ -353,9 +353,10 @@ func writeCSV(dir, name string, emit func(io.Writer) error) error {
 
 // runSelfCheck prepares the named benchmarks and pushes each one, on
 // its Large (reference) input, through the differential harness: all
-// five scheme variants must agree architecturally and every runtime
-// invariant must hold. Returns the process exit code: 0 only if every
-// benchmark passes.
+// five scheme variants must agree architecturally, every runtime
+// invariant must hold, and every variant replayed from its binary's
+// recorded fetch trace must match the live pass bit for bit. Returns
+// the process exit code: 0 only if every benchmark passes.
 func runSelfCheck(ctx context.Context, names []string, jobs int) int {
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "preparing %d benchmarks (build, profile, relink)...\n", len(names))
@@ -397,7 +398,7 @@ func runSelfCheck(ctx context.Context, names []string, jobs int) int {
 			fmt.Printf("FAIL %-12s %v\n", r.name, r.err)
 			code = 1
 		} else {
-			fmt.Printf("ok   %s\n", r.name)
+			fmt.Printf("ok   %s (coupled, single-pass and replayed agree)\n", r.name)
 		}
 	}
 

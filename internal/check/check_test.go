@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,9 +29,9 @@ func runProgen(t *testing.T, seed uint64, scheme energy.Scheme, mutate func(*sim
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	rs, err := sim.Run(p, cfg)
+	rs, err := sim.RunContext(context.Background(), p, cfg)
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("sim.RunContext: %v", err)
 	}
 	return cfg, rs
 }
@@ -191,7 +192,7 @@ func TestVerifyCellOnRelaidBinary(t *testing.T) {
 	cfg.MaxInstrs = 10_000_000
 	cfg.Scheme = energy.WayPlacement
 	cfg.WPSize = 1 << 10
-	rs, err := sim.Run(placed, cfg)
+	rs, err := sim.RunContext(context.Background(), placed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

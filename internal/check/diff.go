@@ -16,8 +16,11 @@ package check
 // variant executes twice — once through the coupled reference loop
 // (sim.RunCoupled / sim.RunAdaptive) and once through the single-pass
 // machinery (sim.RunMulti) — and the two statistics must match field
-// for field, bit for bit. A defect in either implementation surfaces
-// as a divergence here instead of a silently wrong figure.
+// for field, bit for bit. The single-pass leg records its fetch
+// streams (sim.RecordMulti), and a third leg replays every variant
+// from the recording (sim.ReplayMulti), which must match the live
+// pass just as exactly. A defect in any implementation surfaces as a
+// divergence here instead of a silently wrong figure.
 
 import (
 	"context"
@@ -91,8 +94,23 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 	}
 
 	// Single-pass leg. Coalesced mode batches the variants sharing a
-	// binary into one RunMulti pass each.
+	// binary into one RunMulti pass each. Every pass records its
+	// stream; the first recording per binary feeds the replay leg. A
+	// pass records nothing when none of its models succeeded (every
+	// spec invalid, or every model failed mid-stream); the per-model
+	// errors are then reported by the coupled comparison below.
 	single := make([]*sim.ModelResult, len(specs))
+	traces := make(map[*obj.Program]*sim.FetchTrace, 2)
+	record := func(prog *obj.Program, models []sim.ModelSpec) ([]*sim.ModelResult, error) {
+		res, tr, err := sim.RecordMulti(ctx, prog, base, models)
+		if err == nil && tr == nil && anySucceeded(res) {
+			err = errors.New("pass completed but recorded no fetch trace")
+		}
+		if tr != nil && traces[prog] == nil {
+			traces[prog] = tr
+		}
+		return res, err
+	}
 	if coalesce {
 		for _, prog := range []*obj.Program{original, placed} {
 			var idx []int
@@ -103,7 +121,7 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 					models = append(models, s.model)
 				}
 			}
-			res, err := sim.RunMulti(ctx, prog, base, models)
+			res, err := record(prog, models)
 			if err != nil {
 				return nil, fmt.Errorf("check: differential single-pass: %w", err)
 			}
@@ -113,7 +131,7 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		}
 	} else {
 		for i, s := range specs {
-			res, err := sim.RunMulti(ctx, s.prog, base, []sim.ModelSpec{s.model})
+			res, err := record(s.prog, []sim.ModelSpec{s.model})
 			if err != nil {
 				return nil, fmt.Errorf("check: differential single-pass %s: %w", s.name, err)
 			}
@@ -121,7 +139,21 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		}
 	}
 
+	// Replay leg: every variant evaluated against its binary's
+	// recording must match the live pass bit for bit. A binary none of
+	// whose passes recorded a trace has nothing to replay.
 	var errs []error
+	for i, s := range specs {
+		if traces[s.prog] == nil {
+			continue
+		}
+		res, err := sim.ReplayMulti(ctx, traces[s.prog], s.prog, base, []sim.ModelSpec{s.model})
+		if err != nil {
+			return nil, fmt.Errorf("check: differential replay %s: %w", s.name, err)
+		}
+		errs = append(errs, ReplayDiffs(s.name, res[0], single[i])...)
+	}
+
 	variants := make([]Variant, 0, len(specs))
 	for i, s := range specs {
 		// Coupled reference leg.
@@ -171,6 +203,42 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		return variants, fmt.Errorf("check: differential: %w", errors.Join(errs...))
 	}
 	return variants, nil
+}
+
+// anySucceeded reports whether some model of a pass produced stats:
+// the producer then ran to completion, so the pass must have recorded
+// its stream.
+func anySucceeded(res []*sim.ModelResult) bool {
+	for _, r := range res {
+		if r.Err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// ReplayDiffs compares one model's replayed result against the live
+// pass it was recorded from: the same per-model error, or the same
+// statistics in every field and the same area trace.
+func ReplayDiffs(name string, replayed, live *sim.ModelResult) []error {
+	switch {
+	case (replayed.Err == nil) != (live.Err == nil):
+		return []error{fmt.Errorf("%s: replay error %v, live error %v", name, replayed.Err, live.Err)}
+	case live.Err != nil:
+		if replayed.Err.Error() != live.Err.Error() {
+			return []error{fmt.Errorf("%s: replay error %q, live error %q", name, replayed.Err, live.Err)}
+		}
+		return nil
+	}
+	var errs []error
+	for _, d := range StatDiffs(replayed.Stats, live.Stats) {
+		errs = append(errs, fmt.Errorf("%s: replay diverges from live pass: %s", name, d))
+	}
+	if !reflect.DeepEqual(replayed.AreaChanges, live.AreaChanges) {
+		errs = append(errs, fmt.Errorf("%s: replayed area trace %v diverges from live %v",
+			name, replayed.AreaChanges, live.AreaChanges))
+	}
+	return errs
 }
 
 // StatDiffs compares two run-statistic records field by field and

@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"wayplace/internal/bench"
@@ -33,24 +34,9 @@ func TestDifferentialAllBenchmarks(t *testing.T) {
 		}
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			u, err := b.Build(bench.Small)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			original, err := layout.LinkOriginal(u, textBase)
-			if err != nil {
-				t.Fatalf("link original: %v", err)
-			}
 			cfg := sim.Default()
 			cfg.MaxInstrs = 200_000_000
-			prof, _, err := sim.ProfileRun(original, cfg.MaxInstrs)
-			if err != nil {
-				t.Fatalf("profile: %v", err)
-			}
-			placed, err := layout.Link(u, prof, textBase)
-			if err != nil {
-				t.Fatalf("link placed: %v", err)
-			}
+			original, placed := buildPair(t, b, cfg.MaxInstrs)
 			vs, err := Differential(context.Background(), original, placed, cfg, 2<<10)
 			if err != nil {
 				t.Fatalf("differential: %v", err)
@@ -59,6 +45,31 @@ func TestDifferentialAllBenchmarks(t *testing.T) {
 				t.Fatalf("got %d variants, want 5", len(vs))
 			}
 		})
+	}
+}
+
+// An invalid way-placement area is a per-model error in the single-pass
+// leg, where it records no trace (per-cell mode) or rides in a pass
+// that records one (coalesced). Either way the harness must report the
+// reference leg's own error with the variants that completed before it,
+// not a missing recording.
+func TestDifferentialInvalidAreaReportsModelError(t *testing.T) {
+	b, err := bench.ByName("crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Default()
+	cfg.MaxInstrs = 200_000_000
+	original, placed := buildPair(t, b, cfg.MaxInstrs)
+	for _, coalesce := range []bool{false, true} {
+		vs, err := DifferentialMode(context.Background(), original, placed, cfg, 1500, coalesce)
+		if err == nil || !strings.Contains(err.Error(), "check: differential wayplace:") ||
+			strings.Contains(err.Error(), "recorded no fetch trace") {
+			t.Errorf("coalesce=%v: err = %v, want the wayplace variant's own error", coalesce, err)
+		}
+		if len(vs) != 2 {
+			t.Errorf("coalesce=%v: got %d variants, want baseline and waymem", coalesce, len(vs))
+		}
 	}
 }
 
@@ -76,7 +87,7 @@ func TestDifferentialCatchesDivergence(t *testing.T) {
 	}
 	cfg := sim.Default()
 	cfg.MaxInstrs = 200_000_000
-	rs, err := sim.Run(original, cfg)
+	rs, err := sim.RunContext(context.Background(), original, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

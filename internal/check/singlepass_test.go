@@ -7,7 +7,6 @@ import (
 	"wayplace/internal/bench"
 	"wayplace/internal/cache"
 	"wayplace/internal/energy"
-	"wayplace/internal/layout"
 	"wayplace/internal/sim"
 )
 
@@ -57,22 +56,7 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 		}
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			u, err := b.Build(bench.Small)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			original, err := layout.LinkOriginal(u, textBase)
-			if err != nil {
-				t.Fatalf("link original: %v", err)
-			}
-			prof, _, err := sim.ProfileRun(original, base.MaxInstrs)
-			if err != nil {
-				t.Fatalf("profile: %v", err)
-			}
-			placed, err := layout.Link(u, prof, textBase)
-			if err != nil {
-				t.Fatalf("link placed: %v", err)
-			}
+			original, placed := buildPair(t, b, base.MaxInstrs)
 
 			ctx := context.Background()
 			legs := []struct {

@@ -55,6 +55,13 @@ const (
 	// and the cells that rode in them.
 	MetricGroups         = "engine_groups_total"
 	MetricCoalescedCells = "engine_coalesced_cells_total"
+	// MetricTraceHits / MetricTraceMisses count single-pass groups
+	// that replayed a recorded fetch trace (Engine.TraceHits) and
+	// groups that executed the program live; MetricTraceBytes is the
+	// compressed size of the engine's trace table.
+	MetricTraceHits   = "engine_trace_hits_total"
+	MetricTraceMisses = "engine_trace_misses_total"
+	MetricTraceBytes  = "engine_trace_bytes"
 	// MetricInflight: cells currently inside a simulator.
 	MetricInflight = "engine_inflight_cells"
 	// MetricInstructions: instructions simulated (fresh cells only),
@@ -78,8 +85,11 @@ type instruments struct {
 	misses    *obs.Counter
 	groups    *obs.Counter
 	coalesced *obs.Counter
+	traceHits *obs.Counter
+	traceMiss *obs.Counter
 	instrs    *obs.Counter
 	inflight  *obs.Gauge
+	traceSize *obs.Gauge
 	energy    [3]*obs.Gauge // indexed by energy.Scheme
 }
 
@@ -96,8 +106,11 @@ func newInstruments(r *obs.Registry) instruments {
 		misses:    r.Counter(MetricCacheMisses),
 		groups:    r.Counter(MetricGroups),
 		coalesced: r.Counter(MetricCoalescedCells),
+		traceHits: r.Counter(MetricTraceHits),
+		traceMiss: r.Counter(MetricTraceMisses),
 		instrs:    r.Counter(MetricInstructions),
 		inflight:  r.Gauge(MetricInflight),
+		traceSize: r.Gauge(MetricTraceBytes),
 	}
 	for s := range ins.energy {
 		ins.energy[s] = r.Gauge(MetricEnergyPrefix + energy.Scheme(s).String())
@@ -329,11 +342,13 @@ type Engine struct {
 	mu        sync.Mutex
 	workloads map[string]*workloadEntry
 	runs      map[runKey]*runEntry
+	traces    traceTable
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	groups    atomic.Uint64
 	coalesced atomic.Uint64
+	traceHits atomic.Uint64
 }
 
 // workloadEntry memoises one provider call; done is closed when w/err
@@ -383,6 +398,12 @@ func (e *Engine) Hits() uint64 { return e.hits.Load() }
 
 // Misses returns how many cells were actually simulated.
 func (e *Engine) Misses() uint64 { return e.misses.Load() }
+
+// TraceHits returns how many single-pass groups replayed a fetch
+// trace recorded by an earlier group of the same stream instead of
+// executing the program. Their cells still count as Misses: they were
+// simulated, only without re-running the CPU and data side.
+func (e *Engine) TraceHits() uint64 { return e.traceHits.Load() }
 
 // Groups returns how many multi-cell single-pass groups the engine
 // has executed: batches of cells sharing one fetch stream that were
@@ -643,7 +664,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 		ins.inflight.Add(float64(len(g.members)))
 		start := time.Now()
-		res, err := sim.RunMulti(ctx, prog, opt.base, models)
+		res, err := e.runStream(ctx, g.workload, g.placed, prog, opt.base, models, ins)
 		wall := time.Since(start)
 		ins.inflight.Add(-float64(len(g.members)))
 		if err != nil {
@@ -781,6 +802,25 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		return results, &merr
 	}
 	return results, nil
+}
+
+// runStream executes one group's pass: a replay when the engine holds
+// a trace of the stream, otherwise a live pass that records one. Only
+// complete, successful passes are recorded, so a fault, an exhausted
+// budget or a cancellation re-executes (and re-raises) next time.
+func (e *Engine) runStream(ctx context.Context, workload string, placed bool, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
+	key := traceKey{workload: workload, placed: placed, stream: sim.StreamConfigOf(base)}
+	if tr := e.traces.get(key); tr != nil {
+		e.traceHits.Add(1)
+		ins.traceHits.Inc()
+		return sim.ReplayMulti(ctx, tr, prog, base, models)
+	}
+	ins.traceMiss.Inc()
+	res, tr, err := sim.RecordMulti(ctx, prog, base, models)
+	if tr != nil {
+		ins.traceSize.Set(float64(e.traces.put(key, tr)))
+	}
+	return res, err
 }
 
 // groupKey identifies one fetch stream within a batch: cells with the

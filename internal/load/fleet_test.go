@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wayplace/internal/api"
+	"wayplace/internal/fleet"
 	"wayplace/internal/load"
 	"wayplace/internal/serve"
 )
@@ -82,12 +83,38 @@ func TestFleetOncePerFleetUnderLoad(t *testing.T) {
 		t.Errorf("generator load re-simulated cells: %d total for a %d-cell pool", sim, len(pool))
 	}
 
-	// The ring must actually spread the pool: with 12 cells on 3
-	// backends every backend should have simulated something.
+	// The ring must actually spread the pool: every backend simulated
+	// exactly the cells the ring assigns it, and more than one backend
+	// owns cells. Backends listen on random ports and the ring hashes
+	// their URLs, so the shares differ from run to run (a backend may
+	// own none of the 12 cells) and are computed here from the ring.
+	urls := make([]string, len(f.Backends))
 	for i, lb := range f.Backends {
-		if lb.Engine.Misses() == 0 {
-			t.Errorf("backend %d simulated nothing — the ring is not spreading the pool", i)
+		urls[i] = lb.URL
+	}
+	ring, err := fleet.NewRing(urls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := api.ToSpecs(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make([]uint64, len(urls))
+	for _, s := range specs {
+		owned[ring.Owner(s.Key())]++
+	}
+	owners := 0
+	for i, lb := range f.Backends {
+		if got := lb.Engine.Misses(); got != owned[i] {
+			t.Errorf("backend %d simulated %d cells, the ring assigns it %d", i, got, owned[i])
 		}
+		if owned[i] > 0 {
+			owners++
+		}
+	}
+	if owners < 2 {
+		t.Errorf("the ring put all %d pool cells on one backend", len(specs))
 	}
 }
 

@@ -152,7 +152,13 @@ func (c *Client) post(ctx context.Context, body io.Reader) (*api.BatchResponse, 
 	if err != nil {
 		return nil, 0, false, err
 	}
-	defer httpResp.Body.Close()
+	// Drain the residual body (trailing newline, chunk terminator) on
+	// every status so the transport sees EOF and pools the connection:
+	// a 429 retry must not pay for a new one while backpressure is live.
+	defer func() {
+		io.Copy(io.Discard, httpResp.Body)
+		httpResp.Body.Close()
+	}()
 	if httpResp.StatusCode == http.StatusTooManyRequests {
 		msg := "server busy"
 		var eresp api.ErrorResponse
@@ -183,11 +189,7 @@ func (c *Client) post(ctx context.Context, body io.Reader) (*api.BatchResponse, 
 		return nil, 0, false, fmt.Errorf("serve: unexpected status %d", httpResp.StatusCode)
 	}
 	var resp api.BatchResponse
-	err = json.NewDecoder(httpResp.Body).Decode(&resp)
-	// Drain the residual body (trailing newline, chunk terminator) so
-	// the transport sees EOF and pools the connection for reuse.
-	io.Copy(io.Discard, httpResp.Body)
-	if err != nil {
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		return nil, 0, false, fmt.Errorf("serve: decoding response: %w", err)
 	}
 	if resp.APIVersion != api.Version {

@@ -1,10 +1,13 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,5 +100,44 @@ func TestClientDoesNotRetryWithoutRetryAfter(t *testing.T) {
 	}
 	if rs.seen != 1 {
 		t.Fatalf("server saw %d requests, want 1 (no retries without a hint)", rs.seen)
+	}
+}
+
+// paddedHandler follows every answer with 64 KB of JSON whitespace, as
+// a large error body would: a client that stops reading at the end of
+// the JSON value leaves the body unfinished.
+type paddedHandler struct{ http.Handler }
+
+func (h paddedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.Handler.ServeHTTP(w, r)
+	w.Write(bytes.Repeat([]byte(" "), 64<<10))
+}
+
+// A 429 answer must leave its keep-alive connection reusable: the
+// retry travels on the same TCP connection. Before the fix the client
+// drained the body only on 200, so a 429 retry dialled anew whenever
+// the error body outgrew the decoder's first read.
+func TestClientRetryReusesConnection(t *testing.T) {
+	rs := &retryServer{retryAfter: func(int) string { return "0" }, after: 1}
+	srv := httptest.NewUnstartedServer(paddedHandler{rs})
+	var accepted atomic.Int32
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	c := serve.NewClient(srv.URL)
+	c.HTTP = &http.Client{Transport: &http.Transport{}}
+	if _, err := c.Run(context.Background(), nil); err != nil {
+		t.Fatalf("Run after one 429: %v", err)
+	}
+	if rs.seen != 2 {
+		t.Fatalf("server saw %d requests, want 2 (one 429, one retry)", rs.seen)
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: the 429 dropped its keep-alive connection", n)
 	}
 }

@@ -85,12 +85,12 @@ type waiter struct {
 // tenantState is one tenant's accounting: held slots, parked waiters
 // and the DRR deficit. All fields are guarded by sched.mu.
 type tenantState struct {
-	name      string
-	weight    int
-	deficit   int // DRR credit, in cells
-	held      int // queue slots currently held
-	asyncHeld int // the async subset of held
-	waiting   []*waiter
+	name       string
+	weight     int
+	deficit    int // DRR credit, in cells
+	held       int // queue slots currently held
+	asyncHeld  int // the async subset of held
+	waiting    []*waiter
 	inRotation bool
 	lastSeen   time.Time
 }
@@ -104,14 +104,18 @@ type sched struct {
 	capacity int // total queue slots (Options.QueueDepth)
 	asyncCap int // global async reservation (Options.AsyncSlots)
 
-	slots       int // per-tenant slot quota (normalized)
-	asyncSlots  int // per-tenant async quota (normalized)
-	backlog     int // per-tenant parked-waiter bound (normalized)
-	admitWait   time.Duration
-	idleTTL     time.Duration
-	quantum     int
-	weights     map[string]int
-	gauge       *obs.Gauge // live tenant count (may be nil)
+	slots      int // per-tenant slot quota (normalized)
+	asyncSlots int // per-tenant async quota (normalized)
+	backlog    int // per-tenant parked-waiter bound (normalized)
+	admitWait  time.Duration
+	idleTTL    time.Duration
+	quantum    int
+	weights    map[string]int
+	gauge      *obs.Gauge // live tenant count (may be nil)
+	// grants, when set, is added to under mu for every granted slot,
+	// so a drain that has set draining waits for every grant made
+	// before it (the holder calls Done when it releases the slot).
+	grants *sync.WaitGroup
 
 	mu           sync.Mutex
 	draining     bool
@@ -270,6 +274,9 @@ func (s *sched) grantLocked(t *tenantState, async bool) {
 		s.asyncHeld++
 	}
 	s.running++
+	if s.grants != nil {
+		s.grants.Add(1)
+	}
 }
 
 // dispatchLocked is the deficit-round-robin dequeue: visit tenants

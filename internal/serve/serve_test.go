@@ -990,8 +990,10 @@ func TestShutdownRacesAsyncSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			// Distinct areas, each a multiple of the 1 KB I-TLB page so
+			// every accepted job can succeed.
 			reqs := []api.RunRequest{{Workload: "tiny1", ICache: xscale8(),
-				Scheme: api.SchemeWayPlacement, WPSizeBytes: uint32(i+1) << 9}}
+				Scheme: api.SchemeWayPlacement, WPSizeBytes: uint32(i+1) << 10}}
 			body, _ := json.Marshal(api.BatchRequest{Async: true, Requests: reqs})
 			resp, err := http.Post(env.http.URL+"/v1/runs", "application/json", bytes.NewReader(body))
 			if err != nil {

@@ -217,6 +217,7 @@ func New(opt Options) (*Server, error) {
 		tenantRejected:  opt.Registry.CounterVec(MetricTenantRejected, "tenant", keyCardinalityCap),
 	}
 	s.sched = newSched(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy, opt.Registry.Gauge(MetricTenants))
+	s.sched.grants = &s.wg
 	if opt.Journal != nil {
 		if err := s.replayJournal(); err != nil {
 			return nil, err
@@ -327,8 +328,8 @@ func (s *Server) acquire(ctx context.Context, tenant api.Tenant, async bool, cel
 	start := time.Now()
 	v := s.sched.admit(ctx, string(tenant), async, cells)
 	if v == admitOK {
+		// The scheduler already counted the slot in s.wg.
 		s.admitWait.ObserveSince(start)
-		s.wg.Add(1)
 		s.inflight.Add(1)
 	}
 	return v

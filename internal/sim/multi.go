@@ -37,8 +37,7 @@ import (
 
 // ModelSpec describes one instruction-side model evaluated against a
 // shared fetch stream: the I-cache geometry, the fetch scheme and its
-// knobs. It replaces the Config.WithScheme copy-and-mutate idiom as
-// the way to say "the same machine, under scheme X".
+// knobs: the way to say "the same machine, under scheme X".
 type ModelSpec struct {
 	// Geometry is the I-cache configuration.
 	Geometry cache.Config
@@ -126,8 +125,8 @@ type FetchSource struct {
 // blockBytes (a power of two ≥ 4) is the run-segmentation granule; it
 // must not exceed any consuming model's line size or the I-TLB page.
 func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSource, error) {
-	if blockBytes < 4 || blockBytes&(blockBytes-1) != 0 {
-		return nil, fmt.Errorf("sim: fetch-run block size must be a power of two ≥ 4, got %d", blockBytes)
+	if err := checkBlockBytes(blockBytes); err != nil {
+		return nil, err
 	}
 	m := mem.New(base.Mem)
 	c := cpu.New(prog, m)
@@ -158,6 +157,13 @@ func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSourc
 	}, nil
 }
 
+func checkBlockBytes(blockBytes int) error {
+	if blockBytes < 4 || blockBytes&(blockBytes-1) != 0 {
+		return fmt.Errorf("sim: fetch-run block size must be a power of two ≥ 4, got %d", blockBytes)
+	}
+	return nil
+}
+
 // NextChunk produces the next batch of fetch events, or (nil, nil)
 // once the program has halted. The returned chunk's slices are only
 // valid until the next call.
@@ -176,20 +182,46 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Segment into same-block runs. blockNeg ≥ 3, so masking it off
-	// also clears the indirect flag bit.
 	ev := s.events[:n]
-	runs := s.runs[:0]
-	start, block := 0, ev[0]&^s.blockNeg
-	for i := 1; i < n; i++ {
-		if b := ev[i] &^ s.blockNeg; b != block {
+	s.runs = segmentRuns(ev, s.blockNeg, s.runs[:0])
+	return &FetchChunk{Events: ev, Runs: s.runs}, nil
+}
+
+// segmentRuns splits a non-empty chunk into same-block runs, appending
+// them to runs. blockNeg ≥ 3, so masking it off also clears the
+// indirect flag bit.
+func segmentRuns(ev []uint32, blockNeg uint32, runs []FetchRun) []FetchRun {
+	start, block := 0, ev[0]&^blockNeg
+	for i := 1; i < len(ev); i++ {
+		if b := ev[i] &^ blockNeg; b != block {
 			runs = append(runs, FetchRun{Start: uint32(start), N: uint32(i - start)})
 			start, block = i, b
 		}
 	}
-	runs = append(runs, FetchRun{Start: uint32(start), N: uint32(n - start)})
-	s.runs = runs
-	return &FetchChunk{Events: ev, Runs: runs}, nil
+	return append(runs, FetchRun{Start: uint32(start), N: uint32(len(ev) - start)})
+}
+
+// outcome is the producer's share of every RunStats; valid once
+// NextChunk has reported the end of the stream.
+func (s *FetchSource) outcome() producerOutcome {
+	return producerOutcome{
+		instrs:    s.cpu.Instrs,
+		cycles:    s.cpu.Cycles,
+		dstats:    s.dcache.Cache().Stats,
+		dtlbStats: s.dtlb.Stats,
+		memStats:  s.mem.Stats,
+		checksum:  s.cpu.Regs[0],
+		memHash:   s.mem.Hash(cpu.StackRegionBase),
+	}
+}
+
+// streamSource is the seam between runMulti and where its fetch
+// stream comes from: a live FetchSource, a recording wrapped around
+// one, or the replay of a recorded trace (TraceSource). outcome is
+// read once, after NextChunk has reported the end of the stream.
+type streamSource interface {
+	NextChunk(ctx context.Context) (*FetchChunk, error)
+	outcome() producerOutcome
 }
 
 // CacheModel is one instruction-side model consuming a fetch-event
@@ -466,6 +498,15 @@ func validateShared(base Config) error {
 // differential harness and check.TestSinglePassMatchesPerCell enforce
 // this.
 func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, error) {
+	return runMulti(ctx, prog, base, models, func(block int) (streamSource, error) {
+		return NewFetchSource(prog, base, block)
+	})
+}
+
+// runMulti is RunMulti over the stream source open returns for the
+// pass's run-segmentation block size. open is called at most once,
+// and only when some model is live.
+func runMulti(ctx context.Context, prog *obj.Program, base Config, models []ModelSpec, open func(block int) (streamSource, error)) ([]*ModelResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -551,7 +592,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		shared = t
 	}
 
-	src, err := NewFetchSource(prog, base, block)
+	src, err := open(block)
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +632,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		}
 	}
 
-	memHash := src.mem.Hash(cpu.StackRegionBase)
+	out := src.outcome()
 	var sharedStats tlb.Stats
 	if shared != nil {
 		sharedStats = shared.Stats
@@ -602,7 +643,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		}
 		c := m.core()
 		results[i] = &ModelResult{
-			Stats:       c.finalize(base, src, sharedStats, memHash),
+			Stats:       c.finalize(base, &out, sharedStats),
 			AreaChanges: c.changes,
 		}
 	}
@@ -617,7 +658,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			continue
 		}
 		results[i] = &ModelResult{
-			Stats: built[p].core().finalizeAs(models[i], base, src, sharedStats, memHash),
+			Stats: built[p].core().finalizeAs(models[i], base, &out, sharedStats),
 		}
 	}
 	return results, nil
@@ -633,8 +674,8 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 //	       + TLBWalkPenalty × I-TLB misses
 //	       + LineFillCycles(line) × I-cache line fills
 //	       + HintExtraPenalty × way-hint extra accesses
-func (m *modelCore) finalize(base Config, src *FetchSource, shared tlb.Stats, memHash uint64) *RunStats {
-	return m.finalizeAs(m.spec, base, src, shared, memHash)
+func (m *modelCore) finalize(base Config, out *producerOutcome, shared tlb.Stats) *RunStats {
+	return m.finalizeAs(m.spec, base, out, shared)
 }
 
 // finalizeAs assembles RunStats for spec from m's consumed state. spec
@@ -642,33 +683,33 @@ func (m *modelCore) finalize(base Config, src *FetchSource, shared tlb.Stats, me
 // effective WP area); it may differ in array style and in the exact WP
 // size when both areas cover the text image, neither of which affects
 // the counted events — only the energy model reads them.
-func (m *modelCore) finalizeAs(spec ModelSpec, base Config, src *FetchSource, shared tlb.Stats, memHash uint64) *RunStats {
+func (m *modelCore) finalizeAs(spec ModelSpec, base Config, out *producerOutcome, shared tlb.Stats) *RunStats {
 	istats := m.fe.Cache().Stats
 	itlbStats := shared
 	if m.ownITLB != nil {
 		itlbStats = m.ownITLB.Stats
 	}
 	lineBytes := spec.Geometry.LineBytes
-	cycles := src.cpu.Cycles +
+	cycles := out.cycles +
 		uint64(base.Timing.TLBWalkPenalty)*itlbStats.Misses +
 		uint64(base.Mem.LineFillCycles(lineBytes))*istats.LineFills +
 		uint64(base.Timing.HintExtraPenalty)*istats.HintExtraAccess
 
-	memStats := src.mem.Stats
+	memStats := out.memStats
 	memStats.Reads += istats.LineFills
 	memStats.BytesRead += istats.LineFills * uint64(lineBytes)
 
 	rs := &RunStats{
 		Scheme:    spec.Scheme,
-		Instrs:    src.cpu.Instrs,
+		Instrs:    out.instrs,
 		Cycles:    cycles,
 		IStats:    istats,
-		DStats:    src.dcache.Cache().Stats,
+		DStats:    out.dstats,
 		ITLBStats: itlbStats,
-		DTLBStats: src.dtlb.Stats,
+		DTLBStats: out.dtlbStats,
 		MemStats:  memStats,
-		Checksum:  src.cpu.Regs[0],
-		MemHash:   memHash,
+		Checksum:  out.checksum,
+		MemHash:   out.memHash,
 	}
 	rs.Energy = energy.Compute(base.Energy, energy.SystemStats{
 		Scheme: spec.Scheme,

@@ -90,9 +90,9 @@ func WithStyle(st energy.ArrayStyle) Option {
 }
 
 // Validate checks the whole machine configuration, returning a
-// descriptive error for the first problem found. Run and RunContext
-// call it on entry so misconfigurations fail fast instead of deep
-// inside the machine construction or the instruction loop.
+// descriptive error for the first problem found. RunContext and
+// RunCoupled call it on entry so misconfigurations fail fast instead
+// of deep inside the machine construction or the instruction loop.
 func (c Config) Validate() error {
 	if err := c.ICache.Validate(); err != nil {
 		return fmt.Errorf("sim: i-cache: %w", err)

@@ -65,18 +65,6 @@ func Default() Config {
 	}
 }
 
-// WithScheme returns a copy configured for the given scheme and
-// way-placement area size.
-//
-// Deprecated: build configurations with New and the functional
-// options (WithScheme, WithWPSize, ...) instead, which validate
-// eagerly. This copy-and-mutate form remains for one release.
-func (c Config) WithScheme(s energy.Scheme, wpSize uint32) Config {
-	c.Scheme = s
-	c.WPSize = wpSize
-	return c
-}
-
 // RunStats is the complete outcome of one detailed run.
 type RunStats struct {
 	Scheme energy.Scheme
@@ -109,15 +97,6 @@ func (r *RunStats) CPI() float64 {
 		return 0
 	}
 	return float64(r.Cycles) / float64(r.Instrs)
-}
-
-// Run executes prog on the configured machine.
-//
-// Deprecated: Run is RunContext with context.Background(); call
-// RunContext so cancellation and deadlines propagate into the
-// instruction loop. This wrapper remains for one release.
-func Run(prog *obj.Program, cfg Config) (*RunStats, error) {
-	return RunContext(context.Background(), prog, cfg)
 }
 
 // RunContext executes prog on the configured machine under ctx: the

@@ -11,6 +11,20 @@ import (
 	"wayplace/internal/obj"
 )
 
+// mustRun builds a configuration with New and runs prog on it.
+func mustRun(t *testing.T, prog *obj.Program, opts ...Option) *RunStats {
+	t.Helper()
+	cfg, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := RunContext(context.Background(), prog, cfg)
+	if err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	return rs
+}
+
 // buildTestBench constructs a small but realistic benchmark: a table-
 // driven checksum loop (hot), a setup function (cold) and an error
 // path (never executed), with the cold code first so the original
@@ -100,19 +114,9 @@ func TestProfileThenLayoutThenRun(t *testing.T) {
 		t.Errorf("1KB coverage after layout = %.3f, want > 0.9", cov)
 	}
 
-	cfg := Default()
-	base, err := Run(opt, cfg)
-	if err != nil {
-		t.Fatalf("baseline Run: %v", err)
-	}
-	wp, err := Run(opt, cfg.WithScheme(energy.WayPlacement, 4<<10))
-	if err != nil {
-		t.Fatalf("wayplace Run: %v", err)
-	}
-	wm, err := Run(opt, cfg.WithScheme(energy.WayMemoization, 0))
-	if err != nil {
-		t.Fatalf("waymem Run: %v", err)
-	}
+	base := mustRun(t, opt)
+	wp := mustRun(t, opt, WithScheme(energy.WayPlacement), WithWPSize(4<<10))
+	wm := mustRun(t, opt, WithScheme(energy.WayMemoization))
 
 	// Architectural equivalence.
 	if base.Checksum != wp.Checksum || base.Checksum != wm.Checksum || base.Checksum != sum {
@@ -167,11 +171,7 @@ func TestWPAccessesTrackCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := Run(opt, Default().WithScheme(energy.WayPlacement, 4<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := wp.IStats
+	s := mustRun(t, opt, WithScheme(energy.WayPlacement), WithWPSize(4<<10)).IStats
 	if s.WPAreaFetches == 0 {
 		t.Fatal("no fetches hit the WP area")
 	}
@@ -194,14 +194,8 @@ func TestSchemesOnUnplacedBinaryStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(p, Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, err := Run(p, Default().WithScheme(energy.WayPlacement, 2<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, p)
+	wp := mustRun(t, p, WithScheme(energy.WayPlacement), WithWPSize(2<<10))
 	if base.Checksum != wp.Checksum {
 		t.Errorf("checksums diverge on unplaced binary: %#x vs %#x", base.Checksum, wp.Checksum)
 	}
@@ -215,14 +209,8 @@ func TestZeroWPAreaEqualsBaselineEnergyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(p, Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp0, err := Run(p, Default().WithScheme(energy.WayPlacement, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, p)
+	wp0 := mustRun(t, p, WithScheme(energy.WayPlacement))
 	if wp0.IStats.WPAccesses != 0 {
 		t.Errorf("WP accesses with empty area = %d", wp0.IStats.WPAccesses)
 	}
@@ -265,19 +253,16 @@ func TestRunAdaptiveConvergesAndPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := Default()
-	base, err := Run(opt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := Run(opt, cfg.WithScheme(energy.WayPlacement, 16<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, opt)
+	static := mustRun(t, opt, WithScheme(energy.WayPlacement), WithWPSize(16<<10))
 
+	cfg, err := New(WithScheme(energy.WayPlacement))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pol := DefaultAdaptivePolicy(cfg.ICache, cfg.ITLB.PageBytes)
 	pol.IntervalInstrs = 10_000
-	adaptive, changes, err := RunAdaptive(context.Background(), opt, cfg.WithScheme(energy.WayPlacement, 0), pol)
+	adaptive, changes, err := RunAdaptive(context.Background(), opt, cfg, pol)
 	if err != nil {
 		t.Fatalf("RunAdaptive: %v", err)
 	}
@@ -332,18 +317,11 @@ func TestRAMTagStyleSavesMore(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := func(style energy.ArrayStyle) float64 {
-		cfg := Default()
-		cfg.ICache.Ways = 8
-		cfg.DCache.Ways = 8
-		cfg.Style = style
-		base, err := Run(opt, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp, err := Run(opt, cfg.WithScheme(energy.WayPlacement, 4<<10))
-		if err != nil {
-			t.Fatal(err)
-		}
+		geo := Default().ICache
+		geo.Ways = 8
+		machine := []Option{WithICache(geo), WithDCache(geo), WithStyle(style)}
+		base := mustRun(t, opt, machine...)
+		wp := mustRun(t, opt, append(machine, WithScheme(energy.WayPlacement), WithWPSize(4<<10))...)
 		if wp.Checksum != base.Checksum {
 			t.Fatal("style changed semantics?!")
 		}
