@@ -286,52 +286,15 @@ func fleetSimulated(backs []*load.Loopback) uint64 {
 // runAsync submits the batch with "async": true and polls the
 // coordinator until the job finishes.
 func runAsync(ctx context.Context, url string, reqs []api.RunRequest) (*api.BatchResponse, error) {
-	body, err := json.Marshal(api.BatchRequest{APIVersion: api.Version, Requests: reqs, Async: true})
+	client := serve.NewClient(url)
+	shell, err := client.Submit(ctx, reqs)
 	if err != nil {
 		return nil, err
-	}
-	httpResp, err := http.Post(url+"/v1/runs", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	var shell api.BatchResponse
-	derr := json.NewDecoder(httpResp.Body).Decode(&shell)
-	httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("async submit answered %d", httpResp.StatusCode)
-	}
-	if derr != nil {
-		return nil, derr
 	}
 	if want := api.BatchKey(reqs); shell.JobID != want {
 		return nil, fmt.Errorf("async job id %q, want deterministic %q", shell.JobID, want)
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pr, err := http.Get(url + "/v1/runs/" + shell.JobID)
-		if err != nil {
-			return nil, err
-		}
-		var resp api.BatchResponse
-		derr := json.NewDecoder(pr.Body).Decode(&resp)
-		pr.Body.Close()
-		if pr.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("poll answered %d", pr.StatusCode)
-		}
-		if derr != nil {
-			return nil, derr
-		}
-		if resp.Status == api.StatusDone || resp.Status == api.StatusFailed {
-			return &resp, nil
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	return client.Poll(ctx, shell.JobID)
 }
 
 func fail(err error) {

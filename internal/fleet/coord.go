@@ -1,18 +1,18 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"log"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
 	"wayplace/internal/api"
+	"wayplace/internal/engine"
 	"wayplace/internal/obs"
 	"wayplace/internal/serve"
 )
@@ -90,9 +90,6 @@ type Options struct {
 	// BackendRetries bounds per-attempt 429 retries against one
 	// backend. Default 4.
 	BackendRetries int
-	// BackendRetryBackoff caps how much of a backend's Retry-After
-	// hint the coordinator honours per retry. Default 250ms.
-	BackendRetryBackoff time.Duration
 	// RetryAfter is the coordinator's own 429 backoff hint. Default 1s.
 	RetryAfter time.Duration
 	// JobTTL is how long a finished async job stays pollable. 0 means
@@ -107,11 +104,15 @@ type Options struct {
 	HTTP *http.Client
 }
 
+// backendRetryBackoff caps how much of a backend's Retry-After hint
+// the coordinator honours per retry, so a deep hint cannot park a sync
+// caller.
+const backendRetryBackoff = 250 * time.Millisecond
+
 // backend is one ring member plus its client and instruments.
 type backend struct {
 	name   string // metric label: the URL without its scheme
-	url    string
-	health *serve.Client
+	client *serve.Client
 
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -129,16 +130,13 @@ type Coordinator struct {
 	opt      Options
 	ring     *Ring
 	backends []*backend
-	httpc    *http.Client
+	jobs     *api.JobTable[*fleetJob]
+	out      api.Responder
+	wg       sync.WaitGroup
 
-	jobs sync.Map // coordinator job id -> *fleetJob
-	wg   sync.WaitGroup
-
-	mu        sync.Mutex
-	draining  bool
-	stopped   bool
-	evictions map[string]*time.Timer
-	slots     chan struct{}
+	mu       sync.Mutex
+	draining bool
+	slots    chan struct{}
 	// tenantHeld counts in-flight batches per tenant under mu.
 	// Entries are deleted the moment they reach zero, so an
 	// adversarial flood of unique tenants leaves nothing behind.
@@ -166,9 +164,6 @@ func New(opt Options) (*Coordinator, error) {
 	if opt.BackendRetries <= 0 {
 		opt.BackendRetries = 4
 	}
-	if opt.BackendRetryBackoff <= 0 {
-		opt.BackendRetryBackoff = 250 * time.Millisecond
-	}
 	if opt.RetryAfter <= 0 {
 		opt.RetryAfter = time.Second
 	}
@@ -187,10 +182,12 @@ func New(opt Options) (*Coordinator, error) {
 		httpc = &http.Client{Transport: serve.NewTransport(opt.QueueDepth * 2)}
 	}
 	c := &Coordinator{
-		opt:        opt,
-		ring:       ring,
-		httpc:      httpc,
-		evictions:  make(map[string]*time.Timer),
+		opt:  opt,
+		ring: ring,
+		jobs: api.NewJobTable[*fleetJob](opt.JobTTL),
+		out: api.Responder{OnWriteError: func(err error) {
+			log.Printf("fleet: response body write failed after headers: %v", err)
+		}},
 		slots:      make(chan struct{}, opt.QueueDepth),
 		tenantHeld: make(map[string]int),
 		batches:    opt.Registry.Counter(MetricBatches),
@@ -204,8 +201,7 @@ func New(opt Options) (*Coordinator, error) {
 		name := strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
 		c.backends = append(c.backends, &backend{
 			name:     name,
-			url:      strings.TrimRight(url, "/"),
-			health:   &serve.Client{BaseURL: url, HTTP: httpc},
+			client:   &serve.Client{BaseURL: strings.TrimRight(url, "/"), HTTP: httpc},
 			requests: opt.Registry.Counter(obs.LabeledName(MetricBackendRequests, "backend", name)),
 			errors:   opt.Registry.Counter(obs.LabeledName(MetricBackendErrors, "backend", name)),
 			reqNS:    opt.Registry.Histogram(obs.LabeledName(MetricBackendNS, "backend", name)),
@@ -225,7 +221,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/runs", c.handleRuns)
 	mux.HandleFunc("GET /v1/runs/{id}", c.handleJob)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.HandleFunc("GET /metrics", api.MetricsHandler(c.opt.Registry))
 	return mux
 }
 
@@ -240,7 +236,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		c.wg.Wait()
 		close(done)
 	}()
-	defer c.stopEvictions()
+	defer c.jobs.Stop()
 	select {
 	case <-done:
 		return nil
@@ -300,78 +296,31 @@ func (c *Coordinator) release(tenant string) {
 
 // resolveTenant decides the identity a request is accounted and
 // forwarded under: Options.Tenant when the whole coordinator is
-// pinned to one, otherwise the client's explicit X-WP-Tenant header,
-// otherwise its remote address. echo is non-empty only for an
-// explicitly named tenant — derived defaults never appear on the
-// wire back to the client.
-func (c *Coordinator) resolveTenant(r *http.Request) (tenant, echo string, err error) {
+// pinned to one, otherwise the client's own (api.RequestTenant), with
+// the echo rules of a single wpserved.
+func (c *Coordinator) resolveTenant(r *http.Request) (tenant, echo string, rej *api.Rejection) {
 	if c.opt.Tenant != "" {
 		return string(c.opt.Tenant), "", nil
 	}
-	t, explicit, err := api.ResolveTenant(r.Header.Get(api.TenantHeader), r.RemoteAddr)
-	if err != nil {
-		return "", "", err
-	}
-	if explicit {
-		echo = string(t)
-	}
-	return string(t), echo, nil
+	t, echo, rej := api.RequestTenant(r)
+	return string(t), echo, rej
 }
 
 func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
-	tenant, echo, terr := c.resolveTenant(r)
-	if terr != nil {
-		c.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error:  "invalid " + api.TenantHeader + " header",
-			Code:   api.CodeInvalidRequest,
-			Fields: []api.FieldError{{Field: api.TenantHeader, Message: terr.Error()}},
-		})
-		return
+	tenant, echo, rej := c.resolveTenant(r)
+	var breq *api.BatchRequest
+	var specs []engine.RunSpec
+	if rej == nil {
+		// Validate centrally — a batch either shards cleanly or fails
+		// with the same answer a single backend would give. Validation
+		// also yields the canonical keys the ring routes by.
+		breq, specs, rej = api.DecodeBatch(w, r, c.opt.MaxBatchCells, "coordinator")
 	}
-	var breq api.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&breq); err != nil {
-		c.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error: "malformed JSON: " + err.Error(), Code: api.CodeInvalidRequest,
-		})
-		return
-	}
-	if breq.APIVersion != "" && breq.APIVersion != api.Version {
-		c.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error: fmt.Sprintf("api_version %q not supported (coordinator speaks %q)", breq.APIVersion, api.Version),
-			Code:  api.CodeUnsupportedVersion,
-		})
-		return
-	}
-	if len(breq.Requests) == 0 {
-		c.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error:  "empty batch",
-			Code:   api.CodeInvalidRequest,
-			Fields: []api.FieldError{{Field: "requests", Message: "must contain at least one run request"}},
-		})
-		return
-	}
-	if len(breq.Requests) > c.opt.MaxBatchCells {
-		c.rejected.Inc()
-		c.writeError(w, http.StatusTooManyRequests, api.ErrorResponse{
-			Error: fmt.Sprintf("batch of %d cells exceeds the coordinator limit of %d; split the sweep",
-				len(breq.Requests), c.opt.MaxBatchCells),
-			Code: api.CodeBatchTooLarge,
-		})
-		return
-	}
-	// Validate centrally — a batch either shards cleanly or fails with
-	// the same field-level 400 a single backend would give. Validation
-	// also yields the canonical keys the ring routes by.
-	specs, err := api.ToSpecs(breq.Requests)
-	if err != nil {
-		resp := api.ErrorResponse{Error: "invalid batch", Code: api.CodeInvalidRequest}
-		if verr, ok := err.(*api.ValidationError); ok {
-			resp.Fields = verr.Fields
-		} else {
-			resp.Error = err.Error()
+	if rej != nil {
+		if rej.Status == http.StatusTooManyRequests {
+			c.rejected.Inc() // batch_too_large
 		}
-		c.writeError(w, http.StatusBadRequest, resp)
+		c.out.JSON(w, rej.Status, rej.Body)
 		return
 	}
 	keys := make([]string, len(specs))
@@ -384,38 +333,36 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	case coordOverQuota:
 		c.rejected.Inc()
 		c.overQuota.Inc()
-		c.writeBusy(w, fmt.Sprintf("tenant %q over quota on this coordinator", tenant),
+		c.out.Busy(w, fmt.Sprintf("tenant %q over quota on this coordinator", tenant),
 			api.CodeOverQuota, c.opt.RetryAfter)
 		return
 	case coordQueueFull:
 		c.rejected.Inc()
-		c.writeBusy(w, "coordinator at capacity", api.CodeQueueFull, c.opt.RetryAfter)
+		c.out.Busy(w, "coordinator at capacity", api.CodeQueueFull, c.opt.RetryAfter)
 		return
 	}
 	defer c.release(tenant)
 	c.batches.Inc()
 
 	if breq.Async {
-		c.startAsync(w, r.Context(), tenant, echo, &breq, subs, keys)
+		c.startAsync(w, r.Context(), tenant, echo, breq, subs, keys)
 		return
 	}
 
-	outs := c.scatter(r.Context(), tenant, &breq, subs, keys, false)
-	if retry, code, busy := busyOutcome(outs); busy {
-		c.rejected.Inc()
-		c.writeBusy(w, "fleet at capacity", code, retry)
+	outs := c.scatter(r.Context(), tenant, breq, subs, keys, false)
+	if c.propagateBusy(w, outs) {
 		return
 	}
 	resp := mergeOutcomes(breq.Requests, subs, outs)
 	resp.Tenant = echo
-	c.writeBatchResponse(w, http.StatusOK, resp)
+	c.out.Batch(w, http.StatusOK, resp)
 }
 
 // subOutcome is one sub-batch's scatter result.
 type subOutcome struct {
 	resp    *api.BatchResponse // nil when the sub-batch failed
 	err     error              // terminal error when resp is nil
-	busy    *serve.BusyError   // set when the terminal error was a retryable 429
+	busy    *api.BusyError     // set when the terminal error was a retryable 429
 	backend int                // backend index that answered (post-failover)
 }
 
@@ -471,7 +418,7 @@ func (c *Coordinator) runSub(ctx context.Context, tenant string, breq *api.Batch
 			}
 			return subOutcome{resp: resp, backend: bi}
 		}
-		var busy *serve.BusyError
+		var busy *api.BusyError
 		if errors.As(err, &busy) && !busy.Permanent {
 			// The owner is alive but saturated: propagate its hint.
 			return subOutcome{err: err, busy: busy}
@@ -486,111 +433,46 @@ func (c *Coordinator) runSub(ctx context.Context, tenant string, breq *api.Batch
 
 // trySubmit performs one sub-batch POST against one backend with a
 // bounded 429-retry loop honouring Retry-After (capped at
-// BackendRetryBackoff so a deep hint cannot park a sync caller).
+// backendRetryBackoff).
 func (c *Coordinator) trySubmit(ctx context.Context, b *backend, tenant string, body []byte) (*api.BatchResponse, error) {
 	for attempt := 0; ; attempt++ {
-		status, resp, busy, err := c.exchange(ctx, b, http.MethodPost, "/v1/runs", tenant, body)
-		switch {
-		case err != nil:
-			return nil, err
-		case status == http.StatusOK || status == http.StatusAccepted:
-			return resp, nil
-		case status != http.StatusTooManyRequests:
-			return nil, fmt.Errorf("unexpected status %d", status)
-		case busy.Permanent:
-			return nil, busy
-		case attempt >= c.opt.BackendRetries:
-			return nil, &serve.BusyError{
+		resp, err := c.send(ctx, b, http.MethodPost, "/v1/runs", tenant, body)
+		var busy *api.BusyError
+		if !errors.As(err, &busy) || busy.Permanent {
+			return resp, err
+		}
+		if attempt >= c.opt.BackendRetries {
+			return nil, &api.BusyError{
 				Msg: "backend busy past the retry budget", Code: busy.Code, RetryAfter: busy.RetryAfter,
 			}
 		}
-		backoff := busy.RetryAfter
-		if backoff > c.opt.BackendRetryBackoff {
-			backoff = c.opt.BackendRetryBackoff
-		}
 		select {
-		case <-time.After(backoff):
+		case <-time.After(min(busy.RetryAfter, backendRetryBackoff)):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 }
 
-// exchange is one instrumented HTTP round trip to a backend, sent
-// under the given tenant identity (empty adds no header). 200/202
-// parse into a BatchResponse; 429 returns the decoded BusyError
-// (code, retryability, Retry-After hint); 5xx and transport failures
-// return errors (the failover triggers).
-func (c *Coordinator) exchange(ctx context.Context, b *backend, method, path, tenant string, body []byte) (int, *api.BatchResponse, *serve.BusyError, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, b.url+path, rd)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if tenant != "" {
-		req.Header.Set(api.TenantHeader, tenant)
-	}
+// send is one instrumented round trip to a backend through
+// api.Exchange, under the given tenant identity (empty adds no
+// header). Transport failures and answers other than 2xx, 429 and 404
+// count as backend errors: they are the failover triggers.
+func (c *Coordinator) send(ctx context.Context, b *backend, method, path, tenant string, body []byte) (*api.BatchResponse, error) {
 	b.requests.Inc()
 	start := time.Now()
-	httpResp, err := c.httpc.Do(req)
-	if err != nil {
-		b.reqNS.ObserveSince(start)
+	resp, err := api.Exchange(ctx, b.client.HTTP, method, b.client.BaseURL+path, api.Tenant(tenant), body)
+	b.reqNS.ObserveSince(start)
+	var busy *api.BusyError
+	if err != nil && !errors.As(err, &busy) && !notFound(err) {
 		b.errors.Inc()
-		return 0, nil, nil, err
 	}
-	defer httpResp.Body.Close()
-	switch httpResp.StatusCode {
-	case http.StatusOK, http.StatusAccepted:
-		var resp api.BatchResponse
-		derr := json.NewDecoder(httpResp.Body).Decode(&resp)
-		// Drain the residual body (trailing newline, chunk terminator)
-		// so the transport sees EOF and pools the connection.
-		io.Copy(io.Discard, httpResp.Body)
-		b.reqNS.ObserveSince(start)
-		if derr != nil {
-			b.errors.Inc()
-			return httpResp.StatusCode, nil, nil, fmt.Errorf("decoding %d body: %w", httpResp.StatusCode, derr)
-		}
-		if resp.APIVersion != api.Version {
-			b.errors.Inc()
-			return httpResp.StatusCode, nil, nil, fmt.Errorf("backend speaks api %q, coordinator %q", resp.APIVersion, api.Version)
-		}
-		return httpResp.StatusCode, &resp, nil, nil
-	case http.StatusTooManyRequests:
-		var eresp api.ErrorResponse
-		json.NewDecoder(io.LimitReader(httpResp.Body, 4096)).Decode(&eresp)
-		io.Copy(io.Discard, httpResp.Body)
-		b.reqNS.ObserveSince(start)
-		retry, hinted := api.ParseRetryAfter(httpResp.Header.Get("Retry-After"), time.Now())
-		// Coded answers state retryability; pre-code backends are read
-		// by their Retry-After hint, where absence means permanent.
-		ok := hinted
-		if eresp.Code != "" {
-			ok = eresp.Retryable
-		}
-		msg := eresp.Error
-		if msg == "" {
-			msg = "backend rejected the sub-batch"
-		}
-		return httpResp.StatusCode, nil,
-			&serve.BusyError{Msg: msg, Code: eresp.Code, RetryAfter: retry, Permanent: !ok}, nil
-	case http.StatusNotFound:
-		io.Copy(io.Discard, httpResp.Body)
-		b.reqNS.ObserveSince(start)
-		return httpResp.StatusCode, nil, nil, nil
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		b.reqNS.ObserveSince(start)
-		b.errors.Inc()
-		return httpResp.StatusCode, nil, nil,
-			fmt.Errorf("%s %s: status %d: %s", method, path, httpResp.StatusCode, bytes.TrimSpace(msg))
-	}
+	return resp, err
+}
+
+func notFound(err error) bool {
+	var se *api.StatusError
+	return errors.As(err, &se) && se.Status == http.StatusNotFound
 }
 
 // countCells books each answered cell on the backend's hit/miss
@@ -608,6 +490,22 @@ func (c *Coordinator) countCells(b *backend, resp *api.BatchResponse) {
 			b.misses.Inc()
 		}
 	}
+}
+
+// propagateBusy answers 429 when the scatter ended in backpressure
+// (busyOutcome), with the coordinator's own hint standing in for a
+// zero one, and reports whether it did.
+func (c *Coordinator) propagateBusy(w http.ResponseWriter, outs []subOutcome) bool {
+	retry, code, busy := busyOutcome(outs)
+	if !busy {
+		return false
+	}
+	if retry <= 0 {
+		retry = c.opt.RetryAfter
+	}
+	c.rejected.Inc()
+	c.out.Busy(w, "fleet at capacity", code, retry)
+	return true
 }
 
 // busyOutcome decides whether a scatter should surface as coordinator
@@ -657,11 +555,4 @@ func mergeOutcomes(reqs []api.RunRequest, subs []api.SubBatch, outs []subOutcome
 	resp := api.MergeSubResponses(len(reqs), subs, resps, errs)
 	resp.JobID = api.BatchKey(reqs)
 	return resp
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -318,9 +318,8 @@ func TestCoordinatorPropagatesBusy(t *testing.T) {
 	defer busy.Close()
 
 	_, srv := startCoordinator(t, nil, fleet.Options{
-		Backends:            []string{busy.URL},
-		BackendRetries:      2,
-		BackendRetryBackoff: time.Millisecond,
+		Backends:       []string{busy.URL},
+		BackendRetries: 2,
 	})
 	reqs := testPool(1)
 	httpResp, _ := postBatch(t, srv.URL, api.BatchRequest{Requests: reqs})

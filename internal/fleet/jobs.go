@@ -2,13 +2,9 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"wayplace/internal/api"
 )
@@ -52,17 +48,12 @@ type fleetJob struct {
 // BatchKeys too.
 func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, tenant, echo string, breq *api.BatchRequest, subs []api.SubBatch, keys []string) {
 	id := api.BatchKey(breq.Requests)
-	if cur, ok := c.jobs.Load(id); ok {
-		snap := cur.(*fleetJob).snapshot()
-		if snap.Status != api.StatusFailed {
-			c.writeBatchResponse(w, http.StatusAccepted, withTenant(snap, echo))
-			return
-		}
-		// A failed fleet job is retried, not served: drop the corpse
-		// and rescatter. The backends apply the same rule to its
-		// failed sub-jobs, so the whole path heals on resubmission.
-		c.jobs.CompareAndDelete(id, cur)
-		c.cancelEviction(id)
+	// A live identical job is reported as-is; a failed one is displaced
+	// by Attach and rescattered below. The backends apply the same rule
+	// to its failed sub-jobs, so the whole path heals on resubmission.
+	if snap, ok := c.jobs.Attach(id); ok {
+		c.out.Batch(w, http.StatusAccepted, snap.WithTenant(echo))
+		return
 	}
 	// Detached from the submitter: an accepted async job survives its
 	// client hanging up, exactly as on a single wpserved. Scattering
@@ -71,9 +62,7 @@ func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, ten
 	// moment a submitter disconnects mid-scatter — every later
 	// submission of the same batch would then attach to the corpse.
 	outs := c.scatter(context.WithoutCancel(ctx), tenant, breq, subs, keys, true)
-	if retry, code, busy := busyOutcome(outs); busy {
-		c.rejected.Inc()
-		c.writeBusy(w, "fleet at capacity", code, retry)
+	if c.propagateBusy(w, outs) {
 		return
 	}
 	j := &fleetJob{id: id, reqs: breq.Requests}
@@ -93,21 +82,10 @@ func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, ten
 	if cur, loaded := c.jobs.LoadOrStore(id, j); loaded {
 		// A concurrent identical submission won the publish; the
 		// backends deduplicated our sub-submissions against its.
-		c.writeBatchResponse(w, http.StatusAccepted, withTenant(cur.(*fleetJob).snapshot(), echo))
+		c.out.Batch(w, http.StatusAccepted, cur.Snapshot().WithTenant(echo))
 		return
 	}
-	c.writeBatchResponse(w, http.StatusAccepted, withTenant(j.snapshot(), echo))
-}
-
-// withTenant echoes an explicit tenant on a possibly shared response
-// via a shallow copy — shared job snapshots are never mutated.
-func withTenant(resp *api.BatchResponse, tenant string) *api.BatchResponse {
-	if tenant == "" || resp.Tenant == tenant {
-		return resp
-	}
-	cp := *resp
-	cp.Tenant = tenant
-	return &cp
+	c.out.Batch(w, http.StatusAccepted, j.Snapshot().WithTenant(echo))
 }
 
 func done(status string) bool {
@@ -120,26 +98,20 @@ func done(status string) bool {
 // merges and caches the batch answer.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	v, ok := c.jobs.Load(id)
+	j, ok := c.jobs.Load(id)
 	if !ok {
-		c.writeError(w, http.StatusNotFound, api.ErrorResponse{
+		c.out.JSON(w, http.StatusNotFound, api.ErrorResponse{
 			Error: fmt.Sprintf("unknown job %q", id), Code: api.CodeJobUnknown,
 		})
 		return
 	}
-	j := v.(*fleetJob)
 	if c.pollJob(r.Context(), j) {
-		c.scheduleEviction(id)
+		c.jobs.Evict(id, j)
 	}
 	// Like a single wpserved, poll answers echo the poller's own
 	// explicit tenant — jobs are shared across identical submissions.
-	echo := ""
-	if c.opt.Tenant == "" {
-		if ten, explicit, err := api.ResolveTenant(r.Header.Get(api.TenantHeader), r.RemoteAddr); err == nil && explicit {
-			echo = string(ten)
-		}
-	}
-	c.writeBatchResponse(w, http.StatusOK, withTenant(j.snapshot(), echo))
+	_, echo, _ := c.resolveTenant(r)
+	c.out.Batch(w, http.StatusOK, j.Snapshot().WithTenant(echo))
 }
 
 // pollJob advances one fleet job: polls every non-final sub-job's
@@ -158,8 +130,13 @@ func (c *Coordinator) pollJob(ctx context.Context, j *fleetJob) bool {
 			continue
 		}
 		b := c.backends[fs.backend]
-		status, resp, _, err := c.exchange(ctx, b, http.MethodGet, "/v1/runs/"+fs.jobID, "", nil)
+		resp, err := c.send(ctx, b, http.MethodGet, "/v1/runs/"+fs.jobID, "", nil)
 		switch {
+		case notFound(err):
+			// The backend no longer knows the job (evicted, or it lost
+			// unjournaled state in a crash). The cells cannot be
+			// recovered from here — the client resubmits the batch.
+			fs.err = fmt.Errorf("fleet: backend %s forgot job %s; resubmit the batch", b.name, fs.jobID)
 		case err != nil:
 			if ctx.Err() != nil {
 				// The polling client hung up — that says nothing about
@@ -169,12 +146,7 @@ func (c *Coordinator) pollJob(ctx context.Context, j *fleetJob) bool {
 			if fs.pollFails++; fs.pollFails >= maxSubPollFailures {
 				fs.err = fmt.Errorf("fleet: backend %s unreachable for %d polls: %w", b.name, fs.pollFails, err)
 			}
-		case status == http.StatusNotFound:
-			// The backend no longer knows the job (evicted, or it lost
-			// unjournaled state in a crash). The cells cannot be
-			// recovered from here — the client resubmits the batch.
-			fs.err = fmt.Errorf("fleet: backend %s forgot job %s; resubmit the batch", b.name, fs.jobID)
-		case resp != nil && done(resp.Status):
+		case done(resp.Status):
 			fs.pollFails = 0
 			fs.resp = resp
 			c.countCells(b, resp)
@@ -199,55 +171,15 @@ func (c *Coordinator) pollJob(ctx context.Context, j *fleetJob) bool {
 	return true
 }
 
-// snapshot renders the job's poll answer: the merged response once
+// Snapshot renders the job's poll answer: the merged response once
 // final, a status-only shell while sub-jobs are still running.
-func (j *fleetJob) snapshot() *api.BatchResponse {
+func (j *fleetJob) Snapshot() *api.BatchResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.final != nil {
 		return j.final
 	}
 	return &api.BatchResponse{APIVersion: api.Version, JobID: j.id, Status: api.StatusRunning}
-}
-
-// scheduleEviction deletes a finished job after JobTTL; negative TTL
-// keeps jobs forever. Timers are tracked so Shutdown can stop them.
-func (c *Coordinator) scheduleEviction(id string) {
-	if c.opt.JobTTL < 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped || c.evictions[id] != nil {
-		return
-	}
-	c.evictions[id] = time.AfterFunc(c.opt.JobTTL, func() {
-		c.jobs.Delete(id)
-		c.mu.Lock()
-		delete(c.evictions, id)
-		c.mu.Unlock()
-	})
-}
-
-// cancelEviction stops one job's eviction timer after the job was
-// dropped early (a failed job displaced by a retrying resubmission).
-func (c *Coordinator) cancelEviction(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.evictions[id]; ok {
-		t.Stop()
-		delete(c.evictions, id)
-	}
-}
-
-func (c *Coordinator) stopEvictions() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stopped = true
-	for id, t := range c.evictions {
-		t.Stop()
-		delete(c.evictions, id)
-	}
 }
 
 // handleHealthz aggregates fleet health: the coordinator's own state,
@@ -273,7 +205,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), c.opt.HealthTimeout)
 			defer cancel()
-			h, err := b.health.Health(ctx)
+			h, err := b.client.Health(ctx)
 			bh := backendHealth{Name: b.name, OK: err == nil, Detail: h}
 			if err != nil {
 				bh.Error = err.Error()
@@ -296,7 +228,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy < len(healths) && status == "ok" {
 		status = "degraded"
 	}
-	c.writeJSON(w, http.StatusOK, map[string]any{
+	c.out.JSON(w, http.StatusOK, map[string]any{
 		"status":      status,
 		"api_version": api.Version,
 		"role":        "coordinator",
@@ -310,55 +242,4 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		},
 		"backends": healths,
 	})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if c.opt.Registry == nil {
-		http.Error(w, "no metrics registry installed", http.StatusNotFound)
-		return
-	}
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		c.opt.Registry.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.opt.Registry.WritePrometheus(w)
-}
-
-// writeBusy answers 429 with the machine-readable code, the
-// Retry-After header and a JSON body mirroring it, exactly as
-// wpserved does — clients cannot tell a coordinator's backpressure
-// from a single backend's.
-func (c *Coordinator) writeBusy(w http.ResponseWriter, msg, code string, retry time.Duration) {
-	if retry <= 0 {
-		retry = c.opt.RetryAfter
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-	c.writeError(w, http.StatusTooManyRequests, api.ErrorResponse{
-		Error:             msg,
-		Code:              code,
-		Retryable:         true,
-		RetryAfterSeconds: retry.Seconds(),
-	})
-}
-
-func (c *Coordinator) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("fleet: response body write failed after headers: %v", err)
-	}
-}
-
-func (c *Coordinator) writeBatchResponse(w http.ResponseWriter, code int, resp *api.BatchResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := api.EncodeBatchResponse(w, resp); err != nil {
-		log.Printf("fleet: response body write failed after headers: %v", err)
-	}
-}
-
-func (c *Coordinator) writeError(w http.ResponseWriter, code int, resp api.ErrorResponse) {
-	c.writeJSON(w, code, resp)
 }

@@ -178,9 +178,8 @@ func TestCoordinatorPropagatesCode(t *testing.T) {
 	}))
 	defer busy.Close()
 	_, srv := startCoordinator(t, nil, fleet.Options{
-		Backends:            []string{busy.URL},
-		BackendRetries:      1,
-		BackendRetryBackoff: time.Millisecond,
+		Backends:       []string{busy.URL},
+		BackendRetries: 1,
 	})
 
 	body, _ := json.Marshal(api.BatchRequest{APIVersion: api.Version, Requests: testPool(1)[:1]})

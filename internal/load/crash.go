@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -17,6 +16,7 @@ import (
 
 	"wayplace/internal/api"
 	"wayplace/internal/engine"
+	"wayplace/internal/serve"
 	"wayplace/internal/sim"
 	"wayplace/internal/store"
 )
@@ -180,18 +180,13 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 	if err != nil {
 		return err
 	}
+	client := serve.NewClient(url)
 	ids := make([]string, len(batches))
 	for i, reqs := range batches {
-		resp, status, err := postBatch(ctx, url, api.BatchRequest{
-			APIVersion: api.Version, Requests: reqs, Async: true,
-		})
+		resp, err := client.Submit(ctx, reqs)
 		if err != nil {
 			child.kill()
 			return fmt.Errorf("crash: async submit %d: %w", i, err)
-		}
-		if status != http.StatusAccepted || resp.JobID == "" {
-			child.kill()
-			return fmt.Errorf("crash: async submit %d: status %d, job id %q", i, status, resp.JobID)
 		}
 		ids[i] = resp.JobID
 	}
@@ -212,8 +207,9 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 		child.kill()
 		return err
 	}
+	client = serve.NewClient(url)
 	for i, id := range ids {
-		resp, err := pollJob(ctx, url, id)
+		resp, err := client.Poll(ctx, id)
 		if err != nil {
 			child.kill()
 			return fmt.Errorf("crash: job %s (batch %d): %w", id, i, err)
@@ -234,23 +230,24 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 	if err != nil {
 		return err
 	}
-	resp, status, err := postBatch(ctx, url, api.BatchRequest{APIVersion: api.Version, Requests: pool})
-	if err != nil || status != http.StatusOK {
-		child.kill()
-		return fmt.Errorf("crash: warm-store batch: status %d: %w", status, err)
+	client = serve.NewClient(url)
+	resp, err := client.Run(ctx, pool)
+	if err == nil {
+		err = checkBatch(pool, resp, want)
 	}
-	if err := checkBatch(pool, resp, want); err != nil {
+	if err != nil {
 		child.kill()
 		return fmt.Errorf("crash: warm-store batch: %w", err)
 	}
-	misses, err := healthzMisses(ctx, url)
-	if err != nil {
+	h, err := client.Health(ctx)
+	misses, ok := h["cache_misses"].(float64)
+	if err != nil || !ok {
 		child.kill()
-		return fmt.Errorf("crash: %w", err)
+		return fmt.Errorf("crash: healthz without cache_misses: %v", err)
 	}
 	if misses != 0 {
 		child.kill()
-		return fmt.Errorf("crash: warm-store child re-simulated %d cells, want 0 (store loads must count as hits)", misses)
+		return fmt.Errorf("crash: warm-store child re-simulated %v cells, want 0 (store loads must count as hits)", misses)
 	}
 	if err := child.stop(); err != nil {
 		return err
@@ -381,88 +378,4 @@ func checkBatch(reqs []api.RunRequest, resp *api.BatchResponse, want map[string]
 		}
 	}
 	return nil
-}
-
-// postBatch is one raw POST /v1/runs exchange, returning the decoded
-// response and HTTP status. (serve.Client is sync-only; the
-// choreography needs the 202 shell verbatim.)
-func postBatch(ctx context.Context, baseURL string, breq api.BatchRequest) (*api.BatchResponse, int, error) {
-	body, err := json.Marshal(breq)
-	if err != nil {
-		return nil, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/runs", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK && httpResp.StatusCode != http.StatusAccepted {
-		data, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return nil, httpResp.StatusCode, fmt.Errorf("status %d: %s", httpResp.StatusCode, data)
-	}
-	var resp api.BatchResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, httpResp.StatusCode, err
-	}
-	return &resp, httpResp.StatusCode, nil
-}
-
-// pollJob polls GET /v1/runs/{id} until the job reports a terminal
-// status. A 404 is an immediate failure: the journal was supposed to
-// make that id durable.
-func pollJob(ctx context.Context, baseURL, id string) (*api.BatchResponse, error) {
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/runs/"+id, nil)
-		if err != nil {
-			return nil, err
-		}
-		httpResp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if httpResp.StatusCode != http.StatusOK {
-			data, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-			httpResp.Body.Close()
-			return nil, fmt.Errorf("poll status %d: %s", httpResp.StatusCode, data)
-		}
-		var resp api.BatchResponse
-		err = json.NewDecoder(httpResp.Body).Decode(&resp)
-		httpResp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.Status == api.StatusDone || resp.Status == api.StatusFailed {
-			return &resp, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("job still %q: %w", resp.Status, ctx.Err())
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-}
-
-// healthzMisses reads the engine miss counter off GET /healthz.
-func healthzMisses(ctx context.Context, baseURL string) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	httpResp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer httpResp.Body.Close()
-	var h struct {
-		CacheMisses uint64 `json:"cache_misses"`
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(&h); err != nil {
-		return 0, fmt.Errorf("healthz: %w", err)
-	}
-	return h.CacheMisses, nil
 }

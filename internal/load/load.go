@@ -12,12 +12,10 @@
 package load
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -287,7 +285,7 @@ func (g *Generator) oneBatch(ctx context.Context, client *http.Client, rng *rand
 		// untouched, exactly like one process crashing out of a fleet.
 		actx, acancel := context.WithCancel(bctx)
 		timer := time.AfterFunc(time.Duration(rng.Int63n(int64(2*time.Millisecond))), acancel)
-		g.exchange(actx, client, http.MethodPost, "/v1/runs", body)
+		g.send(actx, client, http.MethodPost, "/v1/runs", body)
 		timer.Stop()
 		acancel()
 		g.aborts.Inc()
@@ -318,40 +316,34 @@ func (g *Generator) oneBatch(ctx context.Context, client *http.Client, rng *rand
 	}
 }
 
-// submitWithRetry POSTs the batch, resubmitting after 429 with the
-// server's Retry-After (capped at MaxRetryBackoff, jittered ±50% so
-// retries from a fleet of clients do not re-align into the next
-// burst). Returns ok=false once the batch is accounted for as
-// dropped or errored.
+// submitWithRetry POSTs the batch, resubmitting after a retryable
+// 429 with the server's Retry-After (capped at MaxRetryBackoff,
+// jittered ±50% so retries from a fleet of clients do not re-align
+// into the next burst). Returns ok=false once the batch is accounted
+// for as dropped or errored.
 func (g *Generator) submitWithRetry(ctx context.Context, client *http.Client, rng *rand.Rand, body []byte) (*api.BatchResponse, bool) {
 	for attempt := 0; ; attempt++ {
-		status, br, retryAfter, retryable, err := g.exchange(ctx, client, http.MethodPost, "/v1/runs", body)
-		if err != nil {
+		br, err := g.send(ctx, client, http.MethodPost, "/v1/runs", body)
+		var busy *api.BusyError
+		switch {
+		case err == nil:
+			return br, true
+		case !errors.As(err, &busy):
 			if ctx.Err() == nil {
 				g.errors.Inc()
 			}
 			return nil, false
-		}
-		if status != http.StatusTooManyRequests {
-			return br, true
-		}
-		if !retryable {
-			// 429 without a parseable Retry-After is the server's
-			// "never": the batch itself is oversized, resubmitting
-			// cannot help. (Retry-After: 0 is NOT this case — it is a
-			// valid hint to retry immediately.)
+		case busy.Permanent:
+			// The server's "never" (an oversized batch): resubmitting
+			// cannot help.
 			g.errors.Inc()
 			return nil, false
-		}
-		if attempt >= g.opt.MaxRetries {
+		case attempt >= g.opt.MaxRetries:
 			g.dropped.Inc()
 			return nil, false
 		}
 		g.retries.Inc()
-		backoff := retryAfter
-		if backoff > g.opt.MaxRetryBackoff {
-			backoff = g.opt.MaxRetryBackoff
-		}
+		backoff := min(busy.RetryAfter, g.opt.MaxRetryBackoff)
 		if backoff > 0 {
 			backoff = backoff/2 + time.Duration(rng.Int63n(int64(backoff)+1))/2
 		}
@@ -374,88 +366,38 @@ func (g *Generator) pollUntilDone(ctx context.Context, client *http.Client, jobI
 			return nil, false
 		}
 		g.polls.Inc()
-		status, br, _, _, err := g.exchange(ctx, client, http.MethodGet, "/v1/runs/"+jobID, nil)
-		if err != nil {
+		br, err := g.send(ctx, client, http.MethodGet, "/v1/runs/"+jobID, nil)
+		var busy *api.BusyError
+		switch {
+		case errors.As(err, &busy):
+			continue
+		case err != nil:
 			if ctx.Err() == nil {
 				g.errors.Inc()
 			}
 			return nil, false
-		}
-		if status == http.StatusTooManyRequests {
-			continue
-		}
-		switch br.Status {
-		case api.StatusDone, api.StatusFailed:
+		case br.Status == api.StatusDone, br.Status == api.StatusFailed:
 			return br, true
 		}
 	}
 }
 
-// exchange is one instrumented HTTP round trip. 200/202 parse into a
-// BatchResponse; 429 returns the Retry-After hint in either RFC 9110
-// form plus whether one was present at all; anything else is an error
-// carrying the server's message.
-func (g *Generator) exchange(ctx context.Context, client *http.Client, method, path string, body []byte) (int, *api.BatchResponse, time.Duration, bool, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, g.opt.BaseURL+path, rd)
-	if err != nil {
-		return 0, nil, 0, false, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if g.opt.Tenant != "" {
-		req.Header.Set(api.TenantHeader, string(g.opt.Tenant))
-	}
+// send is one instrumented round trip through api.Exchange. 429s are
+// tallied here, over_quota ones (this tenant's own doing) separately
+// from global queue_full backpressure.
+func (g *Generator) send(ctx context.Context, client *http.Client, method, path string, body []byte) (*api.BatchResponse, error) {
 	start := time.Now()
-	httpResp, err := client.Do(req)
+	br, err := api.Exchange(ctx, client, method, g.opt.BaseURL+path, g.opt.Tenant, body)
 	g.requests.Inc()
-	if err != nil {
-		g.requestNS.ObserveSince(start)
-		return 0, nil, 0, false, err
-	}
-	defer httpResp.Body.Close()
-	switch httpResp.StatusCode {
-	case http.StatusOK, http.StatusAccepted:
-		var br api.BatchResponse
-		err := json.NewDecoder(httpResp.Body).Decode(&br)
-		// Drain the residual body (trailing newline, chunk terminator)
-		// so the transport sees EOF and pools the connection; an
-		// undrained body closes the socket instead of reusing it.
-		io.Copy(io.Discard, httpResp.Body)
-		g.requestNS.ObserveSince(start)
-		if err != nil {
-			return httpResp.StatusCode, nil, 0, false, fmt.Errorf("load: decoding %d body: %w", httpResp.StatusCode, err)
-		}
-		return httpResp.StatusCode, &br, 0, false, nil
-	case http.StatusTooManyRequests:
-		// Decode the coded error body: a code-aware server states
-		// retryability outright (and names over_quota rejections, which
-		// are this tenant's own doing, separately from global
-		// queue_full backpressure). A pre-code server's 429 falls back
-		// to the historical contract — retryable iff a Retry-After hint
-		// was present.
-		var eresp api.ErrorResponse
-		json.NewDecoder(io.LimitReader(httpResp.Body, 4096)).Decode(&eresp)
-		io.Copy(io.Discard, httpResp.Body)
-		g.requestNS.ObserveSince(start)
+	g.requestNS.ObserveSince(start)
+	var busy *api.BusyError
+	if errors.As(err, &busy) {
 		g.status429.Inc()
-		if eresp.Code == api.CodeOverQuota {
+		if busy.Code == api.CodeOverQuota {
 			g.overQuota.Inc()
 		}
-		retry, ok := api.ParseRetryAfter(httpResp.Header.Get("Retry-After"), time.Now())
-		if eresp.Code != "" {
-			ok = eresp.Retryable
-		}
-		return httpResp.StatusCode, nil, retry, ok, nil
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		g.requestNS.ObserveSince(start)
-		return httpResp.StatusCode, nil, 0, false, fmt.Errorf("load: %s %s: status %d: %s", method, path, httpResp.StatusCode, bytes.TrimSpace(msg))
 	}
+	return br, err
 }
 
 // Report distils one load run. Latency quantiles come from the obs

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,45 +46,23 @@ func NewTransport(perHost int) *http.Transport {
 // default clients in a process pool their connections.
 var defaultClient = &http.Client{Transport: NewTransport(0)}
 
-// BusyError is the typed form of a 429 the client could not retry
-// away: either the retry budget ran out while the server kept
-// answering busy-with-Retry-After, or the rejection was permanent (no
-// Retry-After — an oversized batch that can never succeed as-is).
-// Callers that can reroute work — the fleet coordinator failing over
-// to another backend, or propagating the backoff hint upstream — use
-// errors.As to tell the two apart.
-type BusyError struct {
-	// Msg is the server's error message.
-	Msg string
-	// Code is the machine-readable error code from the server's
-	// ErrorResponse (api.CodeQueueFull, api.CodeOverQuota,
-	// api.CodeBatchTooLarge, ...). Empty when talking to a pre-code
-	// server.
-	Code string
-	// RetryAfter is the last backoff hint received; zero when the
-	// rejection was permanent.
-	RetryAfter time.Duration
-	// Permanent means the rejection cannot be retried away:
-	// retryable=false in the coded schema, or — against a pre-code
-	// server — no Retry-After accompanied the 429 (an oversized batch
-	// that can never succeed as-is).
-	Permanent bool
-}
+// clientRetries bounds how many 429 answers a Client retries
+// (honouring Retry-After) before returning the *api.BusyError.
+const clientRetries = 4
 
-func (e *BusyError) Error() string { return fmt.Sprintf("serve: %s (429)", e.Msg) }
+// pollInterval spaces a Client's async job polls.
+const pollInterval = 20 * time.Millisecond
 
 // Client talks the api schema to a wpserved instance — or to a
-// wpcoordd coordinator, which speaks the identical v1 surface.
+// wpcoordd coordinator, which speaks the identical v1 surface. Every
+// request goes through api.Exchange, so a 429 surfaces as
+// *api.BusyError and any other refusal as *api.StatusError.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8100".
 	BaseURL string
 	// HTTP is the transport; nil means a process-wide client over a
 	// keep-alive pooled transport (NewTransport).
 	HTTP *http.Client
-	// MaxRetries bounds how many 429 answers are retried (honouring
-	// Retry-After) before giving up. Default 4; negative disables
-	// retrying.
-	MaxRetries int
 	// Tenant, when non-empty, is sent as the X-WP-Tenant header on
 	// every request, so the server accounts and schedules this
 	// client's work under that identity instead of its remote address.
@@ -93,7 +71,7 @@ type Client struct {
 
 // NewClient returns a client for the given server root.
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL, MaxRetries: 4}
+	return &Client{BaseURL: baseURL}
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -107,25 +85,52 @@ func (c *Client) httpClient() *http.Client {
 // server's Retry-After hint. A response with failed cells is returned
 // as-is — callers inspect BatchResponse.Errors.
 func (c *Client) Run(ctx context.Context, reqs []api.RunRequest) (*api.BatchResponse, error) {
-	body, err := json.Marshal(api.BatchRequest{APIVersion: api.Version, Requests: reqs})
+	return c.post(ctx, api.BatchRequest{APIVersion: api.Version, Requests: reqs})
+}
+
+// Submit queues reqs as one async batch, retrying on 429 like Run, and
+// returns the 202 answer carrying the job id to Poll.
+func (c *Client) Submit(ctx context.Context, reqs []api.RunRequest) (*api.BatchResponse, error) {
+	resp, err := c.post(ctx, api.BatchRequest{APIVersion: api.Version, Requests: reqs, Async: true})
+	if err == nil && resp.JobID == "" {
+		return nil, fmt.Errorf("serve: async submit answered without a job id")
+	}
+	return resp, err
+}
+
+// Poll follows the async job id until it reports done or failed. An
+// unknown id (404 job_unknown) is an error, not a wait.
+func (c *Client) Poll(ctx context.Context, id string) (*api.BatchResponse, error) {
+	for {
+		resp, err := api.Exchange(ctx, c.httpClient(), http.MethodGet, c.BaseURL+"/v1/runs/"+id, c.Tenant, nil)
+		if err != nil {
+			return nil, err
+		}
+		if resp.Status == api.StatusDone || resp.Status == api.StatusFailed {
+			return resp, nil
+		}
+		select {
+		case <-time.After(pollInterval):
+		case <-ctx.Done():
+			return nil, fmt.Errorf("job %s still %q: %w", id, resp.Status, ctx.Err())
+		}
+	}
+}
+
+func (c *Client) post(ctx context.Context, breq api.BatchRequest) (*api.BatchResponse, error) {
+	body, err := json.Marshal(breq)
 	if err != nil {
 		return nil, err
 	}
-	retries := c.MaxRetries
-	if retries == 0 {
-		retries = 4
-	}
 	for attempt := 0; ; attempt++ {
-		resp, retryAfter, retryable, err := c.post(ctx, bytes.NewReader(body))
-		if err == nil {
-			return resp, nil
+		resp, err := api.Exchange(ctx, c.httpClient(), http.MethodPost, c.BaseURL+"/v1/runs", c.Tenant, body)
+		var busy *api.BusyError
+		if !errors.As(err, &busy) || busy.Permanent || attempt >= clientRetries {
+			return resp, err
 		}
-		if !retryable || attempt >= retries {
-			return nil, err
-		}
-		if retryAfter > 0 {
+		if busy.RetryAfter > 0 {
 			select {
-			case <-time.After(retryAfter):
+			case <-time.After(busy.RetryAfter):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -135,67 +140,6 @@ func (c *Client) Run(ctx context.Context, reqs []api.RunRequest) (*api.BatchResp
 			return nil, err
 		}
 	}
-}
-
-// post performs one POST /v1/runs exchange. A 429 answer reports
-// whether (and after how long) it may be retried.
-func (c *Client) post(ctx context.Context, body io.Reader) (*api.BatchResponse, time.Duration, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/runs", body)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.Tenant != "" {
-		req.Header.Set(api.TenantHeader, string(c.Tenant))
-	}
-	httpResp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	// Drain the residual body (trailing newline, chunk terminator) on
-	// every status so the transport sees EOF and pools the connection:
-	// a 429 retry must not pay for a new one while backpressure is live.
-	defer func() {
-		io.Copy(io.Discard, httpResp.Body)
-		httpResp.Body.Close()
-	}()
-	if httpResp.StatusCode == http.StatusTooManyRequests {
-		msg := "server busy"
-		var eresp api.ErrorResponse
-		if json.NewDecoder(httpResp.Body).Decode(&eresp) == nil && eresp.Error != "" {
-			msg = eresp.Error
-		}
-		retry, hinted := api.ParseRetryAfter(httpResp.Header.Get("Retry-After"), time.Now())
-		// A coded answer states retryability outright; against a
-		// pre-code server, fall back to sniffing the Retry-After hint —
-		// in either RFC 9110 form, delta-seconds or HTTP-date, where
-		// "0" is a valid hint meaning retry immediately. A 429 without
-		// one (oversized batch) is a permanent rejection.
-		ok := hinted
-		if eresp.Code != "" {
-			ok = eresp.Retryable
-		}
-		return nil, retry, ok, &BusyError{Msg: msg, Code: eresp.Code, RetryAfter: retry, Permanent: !ok}
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		var eresp api.ErrorResponse
-		if json.NewDecoder(httpResp.Body).Decode(&eresp) == nil && eresp.Error != "" {
-			if len(eresp.Fields) > 0 {
-				return nil, 0, false, fmt.Errorf("serve: %s (%d): %w", eresp.Error, httpResp.StatusCode,
-					&api.ValidationError{Fields: eresp.Fields})
-			}
-			return nil, 0, false, fmt.Errorf("serve: %s (%d)", eresp.Error, httpResp.StatusCode)
-		}
-		return nil, 0, false, fmt.Errorf("serve: unexpected status %d", httpResp.StatusCode)
-	}
-	var resp api.BatchResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, 0, false, fmt.Errorf("serve: decoding response: %w", err)
-	}
-	if resp.APIVersion != api.Version {
-		return nil, 0, false, fmt.Errorf("serve: server speaks api %q, client %q", resp.APIVersion, api.Version)
-	}
-	return &resp, 0, false, nil
 }
 
 // Health fetches GET /healthz.
@@ -208,14 +152,15 @@ func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer httpResp.Body.Close()
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(httpResp.Body, 1<<20))
+		httpResp.Body.Close()
+	}()
 	if httpResp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("serve: healthz status %d", httpResp.StatusCode)
 	}
 	var h map[string]any
-	err = json.NewDecoder(httpResp.Body).Decode(&h)
-	io.Copy(io.Discard, httpResp.Body)
-	if err != nil {
+	if err := json.NewDecoder(httpResp.Body).Decode(&h); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -89,16 +89,16 @@ func TestWriteErrorsCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newBareServer(t, reg)
 
-	s.writeJSON(&deadWriter{}, http.StatusOK, map[string]string{"k": "v"})
+	s.out.JSON(&deadWriter{}, http.StatusOK, map[string]string{"k": "v"})
 	if got := s.writeErrs.Value(); got != 1 {
-		t.Fatalf("writeJSON: write error counter = %d, want 1", got)
+		t.Fatalf("out.JSON: write error counter = %d, want 1", got)
 	}
 
-	s.writeBatchResponse(&deadWriter{}, http.StatusOK, &api.BatchResponse{
+	s.out.Batch(&deadWriter{}, http.StatusOK, &api.BatchResponse{
 		APIVersion: api.Version, JobID: "job-x", Status: api.StatusDone,
 	})
 	if got := s.writeErrs.Value(); got != 2 {
-		t.Fatalf("writeBatchResponse: write error counter = %d, want 2", got)
+		t.Fatalf("out.Batch: write error counter = %d, want 2", got)
 	}
 	if got := reg.Dump().Counters[MetricWriteErrors]; got != 2 {
 		t.Fatalf("%s = %d on the registry, want 2", MetricWriteErrors, got)

@@ -48,27 +48,19 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // must be tracked, stopped on Shutdown, and unarmable afterwards.
 func TestEvictionTimersStoppedOnShutdown(t *testing.T) {
 	s := newBareServer(t, nil)
-	s.jobs.Store("job-x", &job{id: "job-x", done: make(chan struct{})})
-	s.scheduleEvictionAfter("job-x", 30*time.Millisecond)
+	j := &job{id: "job-x", done: make(chan struct{})}
+	s.jobs.Store("job-x", j)
+	s.jobs.EvictAfter("job-x", j, 30*time.Millisecond)
 
-	s.mu.Lock()
-	armed := len(s.evictions)
-	s.mu.Unlock()
-	if armed != 1 {
+	if armed := s.jobs.Armed(); armed != 1 {
 		t.Fatalf("%d timers tracked after scheduling, want 1", armed)
 	}
 
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	left, stopped := len(s.evictions), s.stopped
-	s.mu.Unlock()
-	if left != 0 {
+	if left := s.jobs.Armed(); left != 0 {
 		t.Errorf("%d timers still tracked after Shutdown, want 0", left)
-	}
-	if !stopped {
-		t.Error("Shutdown did not mark the server stopped")
 	}
 
 	// The stopped timer must not fire into the dead server...
@@ -77,11 +69,8 @@ func TestEvictionTimersStoppedOnShutdown(t *testing.T) {
 		t.Error("a stopped eviction timer still fired and deleted the job")
 	}
 	// ...and no new timer may be armed after Shutdown.
-	s.scheduleEvictionAfter("job-x", time.Millisecond)
-	s.mu.Lock()
-	rearmed := len(s.evictions)
-	s.mu.Unlock()
-	if rearmed != 0 {
+	s.jobs.EvictAfter("job-x", j, time.Millisecond)
+	if rearmed := s.jobs.Armed(); rearmed != 0 {
 		t.Errorf("%d timers armed after Shutdown, want 0", rearmed)
 	}
 }
@@ -91,23 +80,19 @@ func TestEvictionTimersStoppedOnShutdown(t *testing.T) {
 // it, and a fired timer removes itself from the tracking map.
 func TestEvictionTimerRearmAndSelfRemoval(t *testing.T) {
 	s := newBareServer(t, nil)
-	s.jobs.Store("job-y", &job{id: "job-y", done: make(chan struct{})})
-	s.scheduleEvictionAfter("job-y", time.Hour)
-	s.scheduleEvictionAfter("job-y", 10*time.Millisecond)
+	j := &job{id: "job-y", done: make(chan struct{})}
+	s.jobs.Store("job-y", j)
+	s.jobs.EvictAfter("job-y", j, time.Hour)
+	s.jobs.EvictAfter("job-y", j, 10*time.Millisecond)
 
-	s.mu.Lock()
-	armed := len(s.evictions)
-	s.mu.Unlock()
-	if armed != 1 {
+	if armed := s.jobs.Armed(); armed != 1 {
 		t.Fatalf("%d timers tracked after re-arm, want 1", armed)
 	}
 	eventually(t, "eviction to fire and self-remove", func() bool {
 		if _, ok := s.jobs.Load("job-y"); ok {
 			return false
 		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.evictions) == 0
+		return s.jobs.Armed() == 0
 	})
 }
 
@@ -156,7 +141,7 @@ func TestJournalReplayOnBoot(t *testing.T) {
 		t.Fatal("accepted-but-unfinished job was not replayed; its 202 id is orphaned")
 	}
 	select {
-	case <-v.(*job).done:
+	case <-v.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("replayed job never finished")
 	}

@@ -23,11 +23,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -139,16 +137,10 @@ type Options struct {
 // Server is the HTTP facade over one shared engine.
 type Server struct {
 	opt   Options
-	jobs  sync.Map // job id -> *job
+	jobs  *api.JobTable[*job]
+	out   api.Responder
 	wg    sync.WaitGroup
 	sched *sched // tenant-aware slot pool; owns the draining flag
-
-	mu sync.Mutex
-	// evictions tracks the TTL timer armed per finished job, so
-	// Shutdown can stop them: an untracked time.AfterFunc would
-	// outlive the drain and fire into a dead server.
-	evictions map[string]*time.Timer
-	stopped   bool // Shutdown completed; no new eviction timers
 
 	batches   *obs.Counter
 	rejected  *obs.Counter
@@ -203,7 +195,7 @@ func New(opt Options) (*Server, error) {
 	}
 	s := &Server{
 		opt:             opt,
-		evictions:       make(map[string]*time.Timer),
+		jobs:            api.NewJobTable[*job](opt.JobTTL),
 		batches:         opt.Registry.Counter(MetricBatches),
 		rejected:        opt.Registry.Counter(MetricRejected),
 		writeErrs:       opt.Registry.Counter(MetricWriteErrors),
@@ -216,6 +208,7 @@ func New(opt Options) (*Server, error) {
 		tenantOverQuota: opt.Registry.CounterVec(MetricTenantOverQuota, "tenant", keyCardinalityCap),
 		tenantRejected:  opt.Registry.CounterVec(MetricTenantRejected, "tenant", keyCardinalityCap),
 	}
+	s.out = api.Responder{OnWriteError: s.countWriteError}
 	s.sched = newSched(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy, opt.Registry.Gauge(MetricTenants))
 	s.sched.grants = &s.wg
 	if opt.Journal != nil {
@@ -279,7 +272,7 @@ func (s *Server) replayJournal() error {
 				}
 			}
 			s.replayed.Inc()
-			s.scheduleEvictionAfter(jj.ID, ttl)
+			s.jobs.EvictAfter(jj.ID, j, ttl)
 		}()
 	}
 	return nil
@@ -292,7 +285,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/runs", s.handleRuns)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleJob)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", api.MetricsHandler(s.opt.Registry))
 	return mux
 }
 
@@ -306,12 +299,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	defer s.jobs.Stop()
 	select {
 	case <-done:
-		s.stopEvictions()
 		return nil
 	case <-ctx.Done():
-		s.stopEvictions()
 		return fmt.Errorf("serve: shutdown: %w", ctx.Err())
 	}
 }
@@ -353,79 +345,29 @@ func (s *Server) reject(w http.ResponseWriter, tenant api.Tenant, verdict admitV
 		if retry <= 0 {
 			retry = s.opt.RetryAfter
 		}
-		s.writeBusy(w, fmt.Sprintf("tenant %q over quota", tenant), api.CodeOverQuota, retry)
+		s.out.Busy(w, fmt.Sprintf("tenant %q over quota", tenant), api.CodeOverQuota, retry)
 		return
 	}
 	s.tenantRejected.With(string(tenant)).Inc()
-	s.writeBusy(w, "server at capacity", api.CodeQueueFull, s.opt.RetryAfter)
+	s.out.Busy(w, "server at capacity", api.CodeQueueFull, s.opt.RetryAfter)
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	tenant, explicit, terr := api.ResolveTenant(r.Header.Get(api.TenantHeader), r.RemoteAddr)
-	if terr != nil {
-		s.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error:  "invalid " + api.TenantHeader + " header",
-			Code:   api.CodeInvalidRequest,
-			Fields: []api.FieldError{{Field: api.TenantHeader, Message: terr.Error()}},
-		})
-		return
+	tenant, echo, rej := api.RequestTenant(r)
+	var breq *api.BatchRequest
+	var specs []engine.RunSpec
+	if rej == nil {
+		breq, specs, rej = api.DecodeBatch(w, r, s.opt.MaxBatchCells, "server")
 	}
-	// Only an explicitly named tenant is echoed back: a derived
-	// default is an accounting detail, and echoing it would change the
-	// wire bytes tenant-less clients see today.
-	echo := ""
-	if explicit {
-		echo = string(tenant)
-	}
-	var breq api.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&breq); err != nil {
-		s.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error: "malformed JSON: " + err.Error(), Code: api.CodeInvalidRequest,
-		})
-		return
-	}
-	if breq.APIVersion != "" && breq.APIVersion != api.Version {
-		s.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error: fmt.Sprintf("api_version %q not supported (server speaks %q)", breq.APIVersion, api.Version),
-			Code:  api.CodeUnsupportedVersion,
-		})
-		return
-	}
-	if len(breq.Requests) == 0 {
-		s.writeError(w, http.StatusBadRequest, api.ErrorResponse{
-			Error:  "empty batch",
-			Code:   api.CodeInvalidRequest,
-			Fields: []api.FieldError{{Field: "requests", Message: "must contain at least one run request"}},
-		})
-		return
-	}
-	if len(breq.Requests) > s.opt.MaxBatchCells {
-		// 429 without Retry-After (and retryable=false): resubmitting
-		// the same batch can never succeed — the client must split the
-		// sweep.
-		s.rejected.Inc()
-		s.writeError(w, http.StatusTooManyRequests, api.ErrorResponse{
-			Error: fmt.Sprintf("batch of %d cells exceeds the server limit of %d; split the sweep",
-				len(breq.Requests), s.opt.MaxBatchCells),
-			Code: api.CodeBatchTooLarge,
-		})
-		return
-	}
-	specs, err := api.ToSpecs(breq.Requests)
-	if err != nil {
-		resp := api.ErrorResponse{Error: "invalid batch", Code: api.CodeInvalidRequest}
-		if verr, ok := err.(*api.ValidationError); ok {
-			resp.Fields = verr.Fields
-		} else {
-			resp.Error = err.Error()
+	if rej != nil {
+		if rej.Status == http.StatusTooManyRequests {
+			s.rejected.Inc() // batch_too_large
 		}
-		s.writeError(w, http.StatusBadRequest, resp)
+		s.out.JSON(w, rej.Status, rej.Body)
 		return
 	}
-
 	if breq.Async {
-		s.startAsync(w, r, tenant, echo, &breq, specs)
+		s.startAsync(w, r, tenant, echo, breq, specs)
 		return
 	}
 	if verdict := s.acquire(r.Context(), tenant, false, len(breq.Requests)); verdict != admitOK {
@@ -438,9 +380,9 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	// Run under the request context so a disconnected client cancels
 	// its own cells; Shutdown still drains connected clients because
 	// http.Server.Shutdown leaves active request contexts alone.
-	resp := s.runBatch(r.Context(), &breq, specs)
+	resp := s.runBatch(r.Context(), breq, specs)
 	resp.Tenant = echo
-	s.writeBatchResponse(w, http.StatusOK, resp)
+	s.out.Batch(w, http.StatusOK, resp)
 }
 
 // startAsync registers (or re-attaches to) the deterministic job for
@@ -455,22 +397,14 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // the only deletions are TTL evictions after completion.
 func (s *Server) startAsync(w http.ResponseWriter, r *http.Request, tenant api.Tenant, echo string, breq *api.BatchRequest, specs []engine.RunSpec) {
 	id := api.BatchKey(breq.Requests)
-	if cur, ok := s.jobs.Load(id); ok {
-		snap := cur.(*job).snapshot()
-		if snap.Status != api.StatusFailed {
-			// Identical batch already known: report its current state
-			// instead of queueing duplicate work — no slot needed (and
-			// no quota charged: the work is shared).
-			s.writeBatchResponse(w, http.StatusAccepted, withTenant(snap, echo))
-			return
-		}
-		// A failed job is a tombstone, not a result worth serving: its
-		// failure may have been transient (typically it waited on a run
-		// entry whose owning request was cancelled mid-simulation).
-		// Resubmitting the identical batch is the client's retry —
-		// drop the corpse and queue the batch afresh.
-		s.jobs.CompareAndDelete(id, cur)
-		s.cancelEviction(id)
+	// An identical live batch is reported in its current state instead
+	// of queueing duplicate work — no slot needed (and no quota
+	// charged: the work is shared). A failed one (typically it waited
+	// on a run entry whose owning request was cancelled mid-simulation)
+	// is displaced by Attach, and this batch is queued afresh.
+	if snap, ok := s.jobs.Attach(id); ok {
+		s.out.Batch(w, http.StatusAccepted, snap.WithTenant(echo))
+		return
 	}
 	if verdict := s.acquire(r.Context(), tenant, true, len(breq.Requests)); verdict != admitOK {
 		s.reject(w, tenant, verdict)
@@ -484,7 +418,7 @@ func (s *Server) startAsync(w http.ResponseWriter, r *http.Request, tenant api.T
 	if s.opt.Journal != nil {
 		if err := s.opt.Journal.Accept(id, breq); err != nil {
 			s.release(tenant, true)
-			s.writeError(w, http.StatusInternalServerError, api.ErrorResponse{
+			s.out.JSON(w, http.StatusInternalServerError, api.ErrorResponse{
 				Error:     "journal append failed; refusing to hand out a non-durable job id: " + err.Error(),
 				Code:      api.CodeStoreFailure,
 				Retryable: true,
@@ -497,7 +431,7 @@ func (s *Server) startAsync(w http.ResponseWriter, r *http.Request, tenant api.T
 		// Lost a publish race against an identical submission that
 		// acquired its own slot: attach to the winner.
 		s.release(tenant, true)
-		s.writeBatchResponse(w, http.StatusAccepted, withTenant(cur.(*job).snapshot(), echo))
+		s.out.Batch(w, http.StatusAccepted, cur.Snapshot().WithTenant(echo))
 		return
 	}
 	s.batches.Inc()
@@ -514,80 +448,18 @@ func (s *Server) startAsync(w http.ResponseWriter, r *http.Request, tenant api.T
 				log.Printf("serve: journal done mark for %s failed (job replays as unfinished): %v", id, err)
 			}
 		}
-		s.scheduleEviction(id)
+		s.jobs.Evict(id, j)
 	}()
-	s.writeJSON(w, http.StatusAccepted, api.BatchResponse{
+	s.out.JSON(w, http.StatusAccepted, api.BatchResponse{
 		APIVersion: api.Version, JobID: id, Status: api.StatusQueued, Tenant: echo,
 	})
 }
 
-// scheduleEviction deletes a finished job after Options.JobTTL, so a
-// long-lived daemon does not leak one BatchResponse per distinct
-// batch forever. Polls after eviction answer 404; resubmitting the
-// batch recomputes it against the still-warm run cache.
-func (s *Server) scheduleEviction(id string) {
-	s.scheduleEvictionAfter(id, s.opt.JobTTL)
-}
-
-// scheduleEvictionAfter arms (and tracks) the eviction timer for one
-// finished job. Timers are registered under s.mu so Shutdown can stop
-// every outstanding one — the old untracked time.AfterFunc outlived
-// the drain and fired into a dead server. After Shutdown no new
-// timers are armed.
-func (s *Server) scheduleEvictionAfter(id string, ttl time.Duration) {
-	if s.opt.JobTTL < 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return
-	}
-	if old, ok := s.evictions[id]; ok {
-		old.Stop()
-	}
-	var t *time.Timer
-	t = time.AfterFunc(ttl, func() {
-		s.jobs.Delete(id)
-		s.mu.Lock()
-		if s.evictions[id] == t {
-			delete(s.evictions, id)
-		}
-		s.mu.Unlock()
-	})
-	s.evictions[id] = t
-}
-
-// cancelEviction stops and forgets one job's eviction timer, for when
-// the job itself has been dropped early (a failed job displaced by a
-// retrying resubmission) and the stale timer must not fire into the
-// replacement.
-func (s *Server) cancelEviction(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.evictions[id]; ok {
-		t.Stop()
-		delete(s.evictions, id)
-	}
-}
-
-// stopEvictions stops and forgets every armed eviction timer and
-// blocks new ones; part of Shutdown.
-func (s *Server) stopEvictions() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stopped = true
-	for id, t := range s.evictions {
-		t.Stop()
-		delete(s.evictions, id)
-	}
-}
-
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	v, ok := s.jobs.Load(id)
+	j, ok := s.jobs.Load(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, api.ErrorResponse{
+		s.out.JSON(w, http.StatusNotFound, api.ErrorResponse{
 			Error: fmt.Sprintf("unknown job %q", id), Code: api.CodeJobUnknown,
 		})
 		return
@@ -595,26 +467,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// Job-status answers echo the poller's own explicit tenant — jobs
 	// are shared across identical submissions, so the submitter's
 	// identity would be wrong for an attached poller.
-	echo := ""
-	if ten, explicit, err := api.ResolveTenant(r.Header.Get(api.TenantHeader), r.RemoteAddr); err == nil && explicit {
-		echo = string(ten)
-	}
 	// A finished job's snapshot carries the full result set, so polls
 	// stream it like the sync path does.
-	s.writeBatchResponse(w, http.StatusOK, withTenant(v.(*job).snapshot(), echo))
-}
-
-// withTenant echoes an explicit tenant on a possibly shared response.
-// Shared snapshots are never mutated — the echo rides a shallow copy
-// (the result slices stay shared, so this is cheap even for full
-// result sets).
-func withTenant(resp *api.BatchResponse, tenant string) *api.BatchResponse {
-	if tenant == "" || resp.Tenant == tenant {
-		return resp
-	}
-	cp := *resp
-	cp.Tenant = tenant
-	return &cp
+	_, echo, _ := api.RequestTenant(r)
+	s.out.Batch(w, http.StatusOK, j.Snapshot().WithTenant(echo))
 }
 
 // runBatch executes one validated batch on the shared engine and maps
@@ -694,7 +550,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.sched.isDraining() {
 		status = "draining"
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.out.JSON(w, http.StatusOK, map[string]any{
 		"status":       status,
 		"api_version":  api.Version,
 		"queue_depth":  s.opt.QueueDepth,
@@ -705,67 +561,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.opt.Registry == nil {
-		http.Error(w, "no metrics registry installed", http.StatusNotFound)
-		return
-	}
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		s.opt.Registry.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.opt.Registry.WritePrometheus(w)
-}
-
-// writeBusy answers 429 with the Retry-After header, a body that
-// mirrors it for clients that only parse JSON, and the machine-
-// readable code (queue_full or over_quota — both retryable by
-// definition; the unretryable 429, batch_too_large, never comes
-// through here).
-func (s *Server) writeBusy(w http.ResponseWriter, msg, code string, retry time.Duration) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-	s.writeError(w, http.StatusTooManyRequests, api.ErrorResponse{
-		Error:             msg,
-		Code:              code,
-		Retryable:         true,
-		RetryAfterSeconds: retry.Seconds(),
-	})
-}
-
-// writeJSON answers small payloads (errors, 202 shells, healthz) in
-// one encode. Once headers are out a failure cannot change the status
-// line, so it is logged and counted (MetricWriteErrors) instead of
-// silently yielding a truncated 200.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.countWriteError(err)
-	}
-}
-
-// writeBatchResponse streams a BatchResponse result by result
-// (api.EncodeBatchResponse), so a MaxBatchCells-sized grid answer
-// never materialises a second body-sized buffer; the bytes on the
-// wire are identical to a one-shot encode. Mid-stream failures are
-// logged and counted like writeJSON's.
-func (s *Server) writeBatchResponse(w http.ResponseWriter, code int, resp *api.BatchResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := api.EncodeBatchResponse(w, resp); err != nil {
-		s.countWriteError(err)
-	}
-}
-
 func (s *Server) countWriteError(err error) {
 	s.writeErrs.Inc()
 	log.Printf("serve: response body write failed after headers (client sees a truncated 200): %v", err)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, resp api.ErrorResponse) {
-	s.writeJSON(w, code, resp)
 }
 
 func (j *job) setStatus(st string) {
@@ -782,9 +580,9 @@ func (j *job) finish(resp *api.BatchResponse) {
 	close(j.done)
 }
 
-// snapshot renders the job's current state as a poll answer: the full
+// Snapshot renders the job's current state as a poll answer: the full
 // response once done, a status-only shell while queued or running.
-func (j *job) snapshot() *api.BatchResponse {
+func (j *job) Snapshot() *api.BatchResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.resp != nil {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"wayplace/internal/api"
+	"wayplace/internal/fleet"
 	"wayplace/internal/obs"
 	"wayplace/internal/serve"
 	"wayplace/internal/store"
@@ -49,9 +51,18 @@ func postRaw(t *testing.T, url, tenant, body string) (*http.Response, api.ErrorR
 
 // TestEmittedErrorCodes is the table over every code the server can
 // emit on the request path: status, code, retryable flag and whether
-// a Retry-After hint accompanies it.
+// a Retry-After hint accompanies it. A coordinator in front of the
+// server must answer every case identically (its subtests carry a
+// "coordinator" prefix).
 func TestEmittedErrorCodes(t *testing.T) {
 	env := newEnv(t, func(o *serve.Options) { o.MaxBatchCells = 3 })
+	coord, err := fleet.New(fleet.Options{Backends: []string{env.http.URL}, MaxBatchCells: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+	daemons := []struct{ prefix, url string }{{"", env.http.URL}, {"coordinator ", front.URL}}
 	oversized, _ := json.Marshal(api.BatchRequest{Requests: smallBatch()}) // 4 cells > 3
 
 	cases := []struct {
@@ -74,22 +85,24 @@ func TestEmittedErrorCodes(t *testing.T) {
 		{"batch too large", "", string(oversized),
 			http.StatusTooManyRequests, api.CodeBatchTooLarge, false, false},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			resp, eresp := postRaw(t, env.http.URL, c.tenant, c.body)
-			if resp.StatusCode != c.wantStatus {
-				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, c.wantStatus, resp.Status)
-			}
-			if eresp.Code != c.wantCode {
-				t.Errorf("code %q, want %q", eresp.Code, c.wantCode)
-			}
-			if eresp.Retryable != c.wantRetry {
-				t.Errorf("retryable %v, want %v", eresp.Retryable, c.wantRetry)
-			}
-			if got := resp.Header.Get("Retry-After") != ""; got != c.wantHint {
-				t.Errorf("Retry-After header present=%v, want %v", got, c.wantHint)
-			}
-		})
+	for _, d := range daemons {
+		for _, c := range cases {
+			t.Run(d.prefix+c.name, func(t *testing.T) {
+				resp, eresp := postRaw(t, d.url, c.tenant, c.body)
+				if resp.StatusCode != c.wantStatus {
+					t.Fatalf("status %d, want %d (%s)", resp.StatusCode, c.wantStatus, resp.Status)
+				}
+				if eresp.Code != c.wantCode {
+					t.Errorf("code %q, want %q", eresp.Code, c.wantCode)
+				}
+				if eresp.Retryable != c.wantRetry {
+					t.Errorf("retryable %v, want %v", eresp.Retryable, c.wantRetry)
+				}
+				if got := resp.Header.Get("Retry-After") != ""; got != c.wantHint {
+					t.Errorf("Retry-After header present=%v, want %v", got, c.wantHint)
+				}
+			})
+		}
 	}
 }
 
