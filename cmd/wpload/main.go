@@ -15,7 +15,9 @@
 //	       [-workloads N] [-pool a,b,...] [-queue N] [-jobs N]
 //	       [-snapshot file] [-metrics file] [-seed N]
 //	       [-slo-p50 d] [-slo-p99 d] [-slo-cell-p99 d]
-//	       [-slo-429 F] [-slo-errors F] [-smoke] [-crash]
+//	       [-slo-429 F] [-slo-errors F]
+//	       [-smoke | -crash | -fleet N | -fleet-smoke | -tenants N |
+//	        -tenants-smoke] [-fleet-speedup F]
 //
 // With no -addr, wpload starts an in-process wpserved over tiny
 // synthetic workloads on a loopback socket — the full HTTP stack with
@@ -23,6 +25,11 @@
 // CI wants. With -addr it targets a running daemon; -pool then names
 // the workloads to draw cells from (default: the daemon's standard
 // benchmark set is NOT assumed — the flag is required).
+//
+// The mode flags are mutually exclusive; each selects one row of the
+// scenario table. A mode's gate step runs first; then, except under
+// -crash, the same zipfian load leg runs against the target the gate
+// step left up.
 //
 // -smoke is the tier-1 CI gate: loopback target, 200 clients for 2
 // seconds, generous SLOs that catch breakage (orphaned async jobs,
@@ -36,6 +43,12 @@
 // a direct engine run — then proves a third, cold-memory daemon
 // serves the warm store without re-simulating a single cell.
 //
+// -fleet N is the scaling gate: it measures 1-vs-N cold-pool
+// throughput over loopback backends behind an in-process coordinator
+// and requires -fleet-speedup, proves the once-per-fleet invariant,
+// then load-tests the fleet. -fleet-smoke is the tier-1 short form
+// (3 backends, no scaling measurement).
+//
 // -tenants N is the fairness gate: one hog fleet an order of
 // magnitude past its per-tenant quota and N-1 polite fleets run
 // concurrently against a quota'd loopback; each polite tenant must
@@ -46,6 +59,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -59,536 +73,407 @@ import (
 	"wayplace/internal/serve"
 )
 
+// scenario is one row of wpload's mode table.
+type scenario struct {
+	// mode and smoke name the flags that select the row: mode runs it
+	// in full, smoke in its short CI form with the smoke preset.
+	// Either may be empty.
+	mode, smoke string
+	// smokeP50 is the smoke preset's HTTP p50 SLO.
+	smokeP50 time.Duration
+	// gate runs before the load leg and returns what the leg targets;
+	// a nil leg means the row has no load leg.
+	gate func(ctx context.Context, c *config) (*leg, error)
+}
+
+// scenarios is the mode table; the first row runs when no mode flag
+// is set.
+var scenarios = []scenario{
+	{smoke: "smoke", smokeP50: 250 * time.Millisecond, gate: plainGate},
+	// The coordinator hop re-encodes every batch both ways, which on a
+	// starved CI core lands the median one latency bucket higher than
+	// a direct backend's.
+	{mode: "fleet", smoke: "fleet-smoke", smokeP50: 500 * time.Millisecond, gate: fleetGate},
+	{mode: "tenants", smoke: "tenants-smoke", smokeP50: 250 * time.Millisecond, gate: tenantsGate},
+	{mode: "crash", gate: crashGate},
+}
+
+// config is a parsed command line.
+type config struct {
+	row *scenario
+	// opt is the load leg's generator; the gate step fills in BaseURL
+	// and Pool.
+	opt load.Options
+	slo *load.SLO // nil when the run asserts no SLO
+
+	addr, pool, snapshot, metrics string
+	workloads, queue, jobs        int
+	fleetN, tenantsN              int
+	minSpeedup                    float64
+}
+
+// leg is what a gate step hands the load leg.
+type leg struct {
+	url   string
+	pool  []api.RunRequest
+	label string // the snapshot's target
+	// fleet and tenants are the snapshot sections the gate measured.
+	fleet   *load.FleetSnapshot
+	tenants *load.TenantsSnapshot
+	// violations fail the run once the load leg has been recorded.
+	violations []string
+	close      func(context.Context) error // nil for an external daemon
+}
+
 func main() {
 	// Re-exec'd as a crash-choreography daemon child? Then this call
 	// runs the daemon and never returns.
 	load.MaybeDaemonChild()
 
-	addr := flag.String("addr", "", "target wpserved base URL, e.g. http://127.0.0.1:8100 (empty = in-process loopback server)")
-	clients := flag.Int("clients", 256, "concurrent clients")
-	duration := flag.Duration("duration", 10*time.Second, "how long clients keep submitting")
-	async := flag.Float64("async", 0.25, "fraction of batches submitted async (202 + poll)")
-	batch := flag.Int("batch", 8, "max cells per batch (sizes are uniform 1..N)")
-	zipf := flag.Float64("zipf", 1.2, "zipfian skew over pool ranks (>1; larger = hotter hot set)")
-	churn := flag.Float64("churn", 0.02, "probability a client abandons a submission mid-request")
-	retries := flag.Int("retries", 8, "resubmissions after 429 before a batch counts as dropped")
-	workloads := flag.Int("workloads", 4, "synthetic workloads behind the loopback server")
-	poolNames := flag.String("pool", "", "comma-separated workload names for the cell pool (required with -addr)")
-	queue := flag.Int("queue", 64, "loopback server queue depth")
-	jobs := flag.Int("jobs", 0, "loopback engine workers (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 1, "client RNG seed")
-	snapshotPath := flag.String("snapshot", "BENCH_wpload.json", "write the run snapshot here (empty = skip)")
-	metricsPath := flag.String("metrics", "", "also dump the client-side load_* registry as JSON here")
-	smoke := flag.Bool("smoke", false, "CI smoke: loopback, 200 clients, 2s, SLOs asserted, exit 1 on violation")
-	crash := flag.Bool("crash", false, "kill/restart durability choreography: SIGKILL a store-backed daemon mid-load, restart, assert nothing observable was lost")
-	fleetN := flag.Int("fleet", 0, "fleet mode: N loopback backends behind an in-process coordinator; measures 1-vs-N cold-pool scaling, asserts once-per-fleet, then load-tests the fleet")
-	fleetSmoke := flag.Bool("fleet-smoke", false, "CI fleet smoke: 3 backends, once-per-fleet invariant plus a 2s SLO-checked load run (no scaling measurement)")
-	minSpeedup := flag.Float64("fleet-speedup", 2.5, "minimum fleet/single cells-per-second ratio -fleet must reach")
-	tenantsN := flag.Int("tenants", 0, "fairness mode: 1 hog + N-1 polite tenant fleets against a quota'd loopback; asserts polite p99/throughput within a band of a solo baseline, then runs the standard load leg")
-	tenantsSmoke := flag.Bool("tenants-smoke", false, "CI fairness smoke: 3 tenants with short legs plus a 2s SLO-checked load run")
-
-	sloP50 := flag.Duration("slo-p50", 0, "max HTTP p50 (0 = unchecked)")
-	sloP99 := flag.Duration("slo-p99", 0, "max HTTP p99 (0 = unchecked)")
-	sloCellP99 := flag.Duration("slo-cell-p99", 0, "max per-cell p99 (0 = unchecked)")
-	slo429 := flag.Float64("slo-429", -1, "max 429s per HTTP request (negative = unchecked)")
-	sloErrors := flag.Float64("slo-errors", -1, "max batch error rate (negative = unchecked)")
-	flag.Parse()
-
-	if *crash {
-		if err := load.RunCrash(context.Background(), load.CrashOptions{Log: os.Stderr}); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(os.Stderr, "wpload: crash choreography ok")
+	c, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
+	if err != nil {
+		// The flag package has already reported its own parse errors.
+		var ue usageError
+		if errors.As(err, &ue) {
+			fmt.Fprintf(os.Stderr, "wpload: %v\n", err)
+		}
+		os.Exit(2)
+	}
+	os.Exit(run(context.Background(), c))
+}
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *smoke || *fleetSmoke || *tenantsSmoke {
-		// Presets only where the user did not choose: -smoke -clients 500
-		// smokes with 500 clients.
-		if !set["clients"] {
-			*clients = 200
+// usageError is a command line the flag package accepted but the
+// scenario table does not.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// parseFlags resolves a command line to its scenario row and the
+// flag values, smoke preset applied.
+func parseFlags(args []string) (*config, error) {
+	c := &config{}
+	slo := &load.SLO{}
+	fs := flag.NewFlagSet("wpload", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", "", "target wpserved base URL, e.g. http://127.0.0.1:8100 (empty = in-process loopback server)")
+	fs.IntVar(&c.opt.Clients, "clients", 256, "concurrent clients")
+	fs.DurationVar(&c.opt.Duration, "duration", 10*time.Second, "how long clients keep submitting")
+	fs.Float64Var(&c.opt.AsyncFraction, "async", 0.25, "fraction of batches submitted async (202 + poll); 0 = all sync")
+	fs.IntVar(&c.opt.MaxBatchCells, "batch", 8, "max cells per batch (sizes are uniform 1..N)")
+	fs.Float64Var(&c.opt.ZipfS, "zipf", 1.2, "zipfian skew over pool ranks (>1; larger = hotter hot set)")
+	fs.Float64Var(&c.opt.Churn, "churn", 0.02, "probability a client abandons a submission mid-request")
+	fs.IntVar(&c.opt.MaxRetries, "retries", 8, "resubmissions after 429 before a batch counts as dropped")
+	fs.IntVar(&c.workloads, "workloads", 4, "synthetic workloads behind the loopback server")
+	fs.StringVar(&c.pool, "pool", "", "comma-separated workload names for the cell pool (required with -addr)")
+	fs.IntVar(&c.queue, "queue", 64, "loopback server queue depth")
+	fs.IntVar(&c.jobs, "jobs", 0, "loopback engine workers (0 = GOMAXPROCS)")
+	fs.Int64Var(&c.opt.Seed, "seed", 1, "client RNG seed")
+	fs.StringVar(&c.snapshot, "snapshot", "BENCH_wpload.json", "write the run snapshot here (empty = skip)")
+	fs.StringVar(&c.metrics, "metrics", "", "also dump the client-side load_* registry as JSON here")
+	fs.Bool("smoke", false, "CI smoke: loopback, 200 clients, 2s, SLOs asserted, exit 1 on violation")
+	fs.Bool("crash", false, "kill/restart durability choreography: SIGKILL a store-backed daemon mid-load, restart, assert nothing observable was lost")
+	fs.IntVar(&c.fleetN, "fleet", 0, "fleet mode: N loopback backends behind an in-process coordinator; measures 1-vs-N cold-pool scaling, asserts once-per-fleet, then load-tests the fleet")
+	fs.Bool("fleet-smoke", false, "CI fleet smoke: 3 backends, once-per-fleet invariant plus a 2s SLO-checked load run (no scaling measurement)")
+	fs.Float64Var(&c.minSpeedup, "fleet-speedup", 2.5, "minimum fleet/single cells-per-second ratio -fleet must reach")
+	fs.IntVar(&c.tenantsN, "tenants", 0, "fairness mode: 1 hog + N-1 polite tenant fleets against a quota'd loopback; asserts polite p99/throughput within a band of a solo baseline, then runs the standard load leg")
+	fs.Bool("tenants-smoke", false, "CI fairness smoke: 3 tenants with short legs plus a 2s SLO-checked load run")
+
+	fs.DurationVar(&slo.HTTPP50Max, "slo-p50", 0, "max HTTP p50 (0 = unchecked)")
+	fs.DurationVar(&slo.HTTPP99Max, "slo-p99", 0, "max HTTP p99 (0 = unchecked)")
+	fs.DurationVar(&slo.CellP99Max, "slo-cell-p99", 0, "max per-cell p99 (0 = unchecked)")
+	fs.Float64Var(&slo.Max429Rate, "slo-429", -1, "max 429s per HTTP request (negative = unchecked)")
+	fs.Float64Var(&slo.MaxErrorRate, "slo-errors", -1, "max batch error rate (negative = unchecked)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	// A flag is on when it differs from its default: -fleet 0 selects
+	// nothing.
+	on := func(name string) bool {
+		f := fs.Lookup(name)
+		return f != nil && f.Value.String() != f.DefValue
+	}
+	c.row = &scenarios[0]
+	var picked []string
+	for i := range scenarios {
+		s := &scenarios[i]
+		switch {
+		case on(s.mode):
+			picked = append(picked, "-"+s.mode)
+		case on(s.smoke):
+			picked = append(picked, "-"+s.smoke)
+		default:
+			continue
 		}
-		if !set["duration"] {
-			*duration = 2 * time.Second
+		c.row = s
+	}
+	if len(picked) > 1 {
+		return nil, usageError("mode flags are mutually exclusive, got " + strings.Join(picked, " and "))
+	}
+	if c.addr != "" && c.row != &scenarios[0] {
+		return nil, usageError("-addr applies to the plain load run only")
+	}
+
+	smoke := on(c.row.smoke)
+	if smoke {
+		// Presets only where the user did not choose: -smoke -clients
+		// 500 smokes with 500 clients.
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		preset := [][2]string{
+			{"clients", "200"},
+			{"duration", "2s"},
+			{"slo-p50", c.row.smokeP50.String()},
+			{"slo-p99", "2s"},
+			{"slo-cell-p99", "1s"},
+			// Backpressure is expected under a 200-client burst; what
+			// the gate rejects is every request bouncing.
+			{"slo-429", "0.95"},
+			{"slo-errors", "0.01"},
 		}
-		if !set["slo-p50"] {
-			*sloP50 = 250 * time.Millisecond
-			if *fleetSmoke {
-				// The coordinator hop re-encodes every batch both ways,
-				// which on a starved CI core lands the median one
-				// latency bucket higher than a direct backend's.
-				*sloP50 = 500 * time.Millisecond
+		for _, p := range preset {
+			if !set[p[0]] {
+				if err := fs.Set(p[0], p[1]); err != nil {
+					return nil, err
+				}
 			}
 		}
-		if !set["slo-p99"] {
-			*sloP99 = 2 * time.Second
-		}
-		if !set["slo-cell-p99"] {
-			*sloCellP99 = time.Second
-		}
-		if !set["slo-429"] {
-			// Backpressure is expected under a 200-client burst; what the
-			// gate rejects is every request bouncing.
-			*slo429 = 0.95
-		}
-		if !set["slo-errors"] {
-			*sloErrors = 0.01
-		}
 	}
-
-	if *tenantsN > 0 || *tenantsSmoke {
-		n := *tenantsN
-		if n == 0 {
-			n = 3 // -tenants-smoke default
-		}
-		benchDuration := 3 * time.Second
-		if *tenantsSmoke && *tenantsN == 0 {
-			benchDuration = 1200 * time.Millisecond
-		}
-		code := runTenants(tenantsRun{
-			tenants:       n,
-			benchDuration: benchDuration,
-			workloads:     *workloads,
-			clients:       *clients,
-			duration:      *duration,
-			async:         *async,
-			batch:         *batch,
-			zipf:          *zipf,
-			churn:         *churn,
-			retries:       *retries,
-			seed:          *seed,
-			snapshotPath:  *snapshotPath,
-			metricsPath:   *metricsPath,
-			slo: load.SLO{
-				HTTPP50Max:   *sloP50,
-				HTTPP99Max:   *sloP99,
-				CellP99Max:   *sloCellP99,
-				Max429Rate:   *slo429,
-				MaxErrorRate: *sloErrors,
-			},
-			sloChecked: *smoke || *tenantsSmoke || *sloP50 > 0 || *sloP99 > 0 ||
-				*sloCellP99 > 0 || *slo429 >= 0 || *sloErrors >= 0,
-		})
-		os.Exit(code)
+	if smoke || slo.HTTPP50Max > 0 || slo.HTTPP99Max > 0 || slo.CellP99Max > 0 ||
+		slo.Max429Rate >= 0 || slo.MaxErrorRate >= 0 {
+		c.slo = slo
 	}
+	return c, nil
+}
 
-	if *fleetN > 0 || *fleetSmoke {
-		n := *fleetN
-		if n == 0 {
-			n = 3 // -fleet-smoke default
-		}
-		if n < 2 {
-			fail(fmt.Errorf("-fleet needs >= 2 backends, got %d", n))
-		}
-		code := runFleet(fleetRun{
-			backends:     n,
-			smokeOnly:    *fleetSmoke && *fleetN == 0,
-			minSpeedup:   *minSpeedup,
-			workloads:    *workloads,
-			queue:        *queue,
-			clients:      *clients,
-			duration:     *duration,
-			async:        *async,
-			batch:        *batch,
-			zipf:         *zipf,
-			churn:        *churn,
-			retries:      *retries,
-			seed:         *seed,
-			snapshotPath: *snapshotPath,
-			metricsPath:  *metricsPath,
-			slo: load.SLO{
-				HTTPP50Max:   *sloP50,
-				HTTPP99Max:   *sloP99,
-				CellP99Max:   *sloCellP99,
-				Max429Rate:   *slo429,
-				MaxErrorRate: *sloErrors,
-			},
-			sloChecked: *smoke || *fleetSmoke || *sloP50 > 0 || *sloP99 > 0 ||
-				*sloCellP99 > 0 || *slo429 >= 0 || *sloErrors >= 0,
-		})
-		os.Exit(code)
-	}
-
-	// The pool: synthetic cells on the loopback geometry, or the named
-	// daemon workloads on the paper's XScale geometry.
-	var pool []api.RunRequest
-	target := *addr
-	serverReg := obs.NewRegistry()
-	if *addr == "" {
-		lb, err := load.StartLoopback(load.LoopbackOptions{
-			Workloads:  *workloads,
-			Workers:    *jobs,
-			QueueDepth: *queue,
-			Registry:   serverReg,
-		})
-		if err != nil {
-			fail(err)
-		}
+// run executes the selected row — gate step, then load leg — and
+// returns the process exit code.
+func run(ctx context.Context, c *config) int {
+	l, err := c.row.gate(ctx, c)
+	if l != nil && l.close != nil {
 		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			lb.Close(ctx)
+			l.close(sctx)
 		}()
-		target = lb.URL
-		names := lb.Workloads
-		if *poolNames != "" {
-			names = strings.Split(*poolNames, ",")
-		}
-		pool = load.Pool(names, load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
-		fmt.Fprintf(os.Stderr, "wpload: loopback wpserved on %s (%d synthetic workloads, queue %d)\n",
-			lb.URL, *workloads, *queue)
-	} else {
-		if *poolNames == "" {
-			fail(fmt.Errorf("-addr needs -pool: which workloads should the cells name?"))
-		}
-		icache := api.GeometryOf(experiment.XScaleICache())
-		pool = load.Pool(strings.Split(*poolNames, ","), icache,
-			[]uint32{experiment.InitialWPSize, experiment.InitialWPSize / 2})
 	}
-
-	opt := load.Options{
-		BaseURL:       target,
-		Pool:          pool,
-		Clients:       *clients,
-		Duration:      *duration,
-		AsyncFraction: *async,
-		MaxBatchCells: *batch,
-		ZipfS:         *zipf,
-		Churn:         *churn,
-		MaxRetries:    *retries,
-		Seed:          *seed,
-	}
-	gen, err := load.New(opt)
 	if err != nil {
-		fail(err)
+		fmt.Fprintf(os.Stderr, "wpload: %v\n", err)
+		return 1
 	}
-
-	fmt.Fprintf(os.Stderr, "wpload: %d clients for %v against %s (%d-cell pool, async %.2f, churn %.2f)\n",
-		*clients, *duration, targetLabel(*addr), len(pool), *async, *churn)
-	report, err := gen.Run(context.Background())
+	if l == nil {
+		return 0
+	}
+	violations, err := loadLeg(ctx, c, l)
 	if err != nil {
-		fail(err)
+		fmt.Fprintf(os.Stderr, "wpload: %v\n", err)
+		return 1
 	}
-
-	slo := load.SLO{
-		HTTPP50Max:   *sloP50,
-		HTTPP99Max:   *sloP99,
-		CellP99Max:   *sloCellP99,
-		Max429Rate:   *slo429,
-		MaxErrorRate: *sloErrors,
-	}
-	checked := *smoke || *sloP50 > 0 || *sloP99 > 0 || *sloCellP99 > 0 || *slo429 >= 0 || *sloErrors >= 0
-
-	printReport(report)
-
-	var sloPtr *load.SLO
-	if checked {
-		sloPtr = &slo
-	}
-	snap := report.Snapshot(commandLine(), targetLabel(*addr), api.Version, opt, sloPtr)
-	snap.UnixTime = time.Now().Unix()
-	if *snapshotPath != "" {
-		if err := snap.WriteFile(*snapshotPath); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wpload: snapshot written to %s\n", *snapshotPath)
-	}
-	if *metricsPath != "" {
-		if err := writeMetrics(gen.Registry(), *metricsPath); err != nil {
-			fail(err)
-		}
-	}
-
-	if checked {
-		if violations := slo.Check(report); len(violations) != 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "wpload: SLO VIOLATION: %s\n", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wpload: SLOs ok\n")
-	}
-}
-
-// tenantsRun carries the resolved flag values for a
-// -tenants/-tenants-smoke run.
-type tenantsRun struct {
-	tenants       int
-	benchDuration time.Duration
-	workloads     int
-
-	clients  int
-	duration time.Duration
-	async    float64
-	batch    int
-	zipf     float64
-	churn    float64
-	retries  int
-	seed     int64
-
-	snapshotPath string
-	metricsPath  string
-	slo          load.SLO
-	sloChecked   bool
-}
-
-// runTenants is the fairness harness: (1) measure quota isolation —
-// a solo polite baseline, then 1 hog + N-1 polite fleets against a
-// quota'd loopback, gated on each polite tenant keeping solo-like
-// p99 and throughput; (2) drive the standard zipfian load at a plain
-// (tenancy-off) loopback and check the SLOs, proving the tenant-aware
-// admission path costs the single-tenant baseline nothing. Returns
-// the process exit code.
-func runTenants(cfg tenantsRun) int {
-	ctx := context.Background()
-
-	bench, err := load.TenantBench(ctx, load.TenantBenchOptions{
-		Tenants:  cfg.tenants,
-		Duration: cfg.benchDuration,
-		Log:      os.Stderr,
-	})
-	if err != nil && bench == nil {
-		fail(err)
-	}
-	failed := false
-	for _, v := range bench.Violations {
-		fmt.Fprintf(os.Stderr, "wpload: FAIRNESS VIOLATION: %s\n", v)
-		failed = true
-	}
-	if !failed {
-		fmt.Fprintf(os.Stderr, "wpload: fairness ok: %d polite tenants held the solo band (p99 %v) against the hog (%d over-quota rejections)\n",
-			cfg.tenants-1, bench.Solo.BatchP99, bench.Hog.OverQuota)
-	}
-
-	// The standard zipfian load leg on a plain loopback — the
-	// single-tenant baseline the redesign must not perturb.
-	serverReg := obs.NewRegistry()
-	lb, err := load.StartLoopback(load.LoopbackOptions{
-		Workloads: cfg.workloads,
-		Registry:  serverReg,
-	})
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		lb.Close(sctx)
-	}()
-	pool := load.Pool(lb.Workloads, load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
-	opt := load.Options{
-		BaseURL:       lb.URL,
-		Pool:          pool,
-		Clients:       cfg.clients,
-		Duration:      cfg.duration,
-		AsyncFraction: cfg.async,
-		MaxBatchCells: cfg.batch,
-		ZipfS:         cfg.zipf,
-		Churn:         cfg.churn,
-		MaxRetries:    cfg.retries,
-		Seed:          cfg.seed,
-	}
-	gen, err := load.New(opt)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "wpload: %d clients for %v against loopback (%d-cell pool, async %.2f, churn %.2f)\n",
-		cfg.clients, cfg.duration, len(pool), cfg.async, cfg.churn)
-	report, err := gen.Run(ctx)
-	if err != nil {
-		fail(err)
-	}
-	printReport(report)
-
-	var sloPtr *load.SLO
-	if cfg.sloChecked {
-		sloPtr = &cfg.slo
-	}
-	snap := report.Snapshot(commandLine(), fmt.Sprintf("tenants:%d", cfg.tenants), api.Version, opt, sloPtr)
-	snap.UnixTime = time.Now().Unix()
-	snap.Tenants = bench.TenantsSection()
-	if cfg.snapshotPath != "" {
-		if err := snap.WriteFile(cfg.snapshotPath); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "wpload: snapshot written to %s\n", cfg.snapshotPath)
-	}
-	if cfg.metricsPath != "" {
-		if err := writeMetrics(gen.Registry(), cfg.metricsPath); err != nil {
-			fail(err)
-		}
-	}
-	if cfg.sloChecked {
-		if violations := cfg.slo.Check(report); len(violations) != 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "wpload: SLO VIOLATION: %s\n", v)
-			}
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "wpload: SLOs ok\n")
-		}
-	}
-	if failed {
+	if len(l.violations)+len(violations) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// fleetRun carries the resolved flag values for a -fleet/-fleet-smoke
-// run.
-type fleetRun struct {
-	backends   int
-	smokeOnly  bool // -fleet-smoke: skip the 1-vs-N scaling measurement
-	minSpeedup float64
-	workloads  int
-	queue      int
-
-	clients  int
-	duration time.Duration
-	async    float64
-	batch    int
-	zipf     float64
-	churn    float64
-	retries  int
-	seed     int64
-
-	snapshotPath string
-	metricsPath  string
-	slo          load.SLO
-	sloChecked   bool
-}
-
-// runFleet is the fleet harness: (1) with -fleet, measure 1-vs-N
-// backend cold-pool throughput and require -fleet-speedup; (2) prove
-// the once-per-fleet invariant deterministically — the whole pool
-// pushed through the coordinator twice simulates each cell exactly
-// once fleet-wide; (3) drive the normal zipfian client load at the
-// coordinator and check the SLOs. Returns the process exit code.
-func runFleet(cfg fleetRun) int {
-	ctx := context.Background()
-
-	// Scaling measurement on dedicated cold fleets (1 backend, then
-	// N), each backend pinned to one engine worker so backends are the
-	// unit of parallelism.
-	var fleetSection *load.FleetSnapshot
-	if !cfg.smokeOnly {
-		bench, err := load.FleetBench(ctx, load.FleetBenchOptions{
-			Backends:   cfg.backends,
-			MinSpeedup: cfg.minSpeedup,
-			Log:        os.Stderr,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fleetSection = bench.FleetSection(cfg.minSpeedup)
-		fmt.Fprintf(os.Stderr, "wpload: fleet scaling: %d backends %.2fx over 1 (%.0f vs %.0f cells/s), once-per-fleet ok (%d cells simulated for a %d-cell pool)\n",
-			bench.Backends, bench.Speedup, bench.FleetCellsPerSecond, bench.SingleCellsPerSecond,
-			bench.SimulatedCells, bench.PoolCells)
-	}
-
-	// The serving fleet for the load leg.
-	serverReg := obs.NewRegistry()
-	f, err := load.StartFleet(load.FleetOptions{
-		Backends:     cfg.backends,
-		Workloads:    cfg.workloads,
-		BackendQueue: cfg.queue,
-		Registry:     serverReg,
-	})
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		f.Close(sctx)
-	}()
-	pool := load.Pool(load.SyntheticNames(cfg.workloads), load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
-	fmt.Fprintf(os.Stderr, "wpload: fleet of %d backends behind coordinator %s (%d-cell pool)\n",
-		cfg.backends, f.URL, len(pool))
-
-	// Once-per-fleet, deterministically: every pool cell through the
-	// coordinator twice, before any client can abandon a request
-	// mid-simulation. Exactly len(pool) simulations may happen, all on
-	// the first pass.
-	client := serve.NewClient(f.URL)
-	for pass := 0; pass < 2; pass++ {
-		resp, err := client.Run(ctx, pool)
-		if err != nil {
-			fail(err)
-		}
-		if resp.Status != api.StatusDone || len(resp.Errors) != 0 {
-			fail(fmt.Errorf("fleet warm-up pass %d ended %q with %d failures", pass, resp.Status, len(resp.Errors)))
-		}
-	}
-	if sim := f.SimulatedCells(); sim != uint64(len(pool)) {
-		fail(fmt.Errorf("fleet simulated %d cells for a %d-cell pool — the once-per-fleet invariant is broken", sim, len(pool)))
-	}
-	fmt.Fprintf(os.Stderr, "wpload: once-per-fleet ok (%d cells simulated once across %d backends)\n",
-		len(pool), cfg.backends)
-	if fleetSection == nil {
-		fleetSection = &load.FleetSnapshot{
-			Backends:       cfg.backends,
-			ScalePoolCells: len(pool),
-			SimulatedCells: uint64(len(pool)),
-			OncePerFleet:   true,
-		}
-	}
-
-	// The standard zipfian client load, aimed at the coordinator.
-	opt := load.Options{
-		BaseURL:       f.URL,
-		Pool:          pool,
-		Clients:       cfg.clients,
-		Duration:      cfg.duration,
-		AsyncFraction: cfg.async,
-		MaxBatchCells: cfg.batch,
-		ZipfS:         cfg.zipf,
-		Churn:         cfg.churn,
-		MaxRetries:    cfg.retries,
-		Seed:          cfg.seed,
-	}
+// loadLeg drives the zipfian client load at the gate step's target,
+// prints and records the run, and checks the SLO. It returns the SLO
+// violations.
+func loadLeg(ctx context.Context, c *config, l *leg) ([]string, error) {
+	opt := c.opt
+	opt.BaseURL, opt.Pool = l.url, l.pool
 	gen, err := load.New(opt)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "wpload: %d clients for %v against the %d-backend fleet (async %.2f, churn %.2f)\n",
-		cfg.clients, cfg.duration, cfg.backends, cfg.async, cfg.churn)
+	fmt.Fprintf(os.Stderr, "wpload: %d clients for %v against %s (%d-cell pool, async %.2f, churn %.2f)\n",
+		opt.Clients, opt.Duration, l.label, len(l.pool), opt.AsyncFraction, opt.Churn)
 	report, err := gen.Run(ctx)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	printReport(report)
 
-	var sloPtr *load.SLO
-	if cfg.sloChecked {
-		sloPtr = &cfg.slo
-	}
-	snap := report.Snapshot(commandLine(), fmt.Sprintf("fleet:%d", cfg.backends), api.Version, opt, sloPtr)
+	snap := report.Snapshot(commandLine(), l.label, c.slo)
 	snap.UnixTime = time.Now().Unix()
-	snap.Fleet = fleetSection
-	if cfg.snapshotPath != "" {
-		if err := snap.WriteFile(cfg.snapshotPath); err != nil {
-			fail(err)
+	snap.Fleet, snap.Tenants = l.fleet, l.tenants
+	if c.snapshot != "" {
+		if err := snap.WriteFile(c.snapshot); err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "wpload: snapshot written to %s\n", cfg.snapshotPath)
+		fmt.Fprintf(os.Stderr, "wpload: snapshot written to %s\n", c.snapshot)
 	}
-	if cfg.metricsPath != "" {
-		if err := writeMetrics(gen.Registry(), cfg.metricsPath); err != nil {
-			fail(err)
+	if c.metrics != "" {
+		if err := writeMetrics(gen.Registry(), c.metrics); err != nil {
+			return nil, err
 		}
 	}
-	if cfg.sloChecked {
-		if violations := cfg.slo.Check(report); len(violations) != 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "wpload: SLO VIOLATION: %s\n", v)
-			}
-			return 1
-		}
+	if snap.SLO == nil {
+		return nil, nil
+	}
+	for _, v := range snap.SLO.Violations {
+		fmt.Fprintf(os.Stderr, "wpload: SLO VIOLATION: %s\n", v)
+	}
+	if snap.SLO.Pass {
 		fmt.Fprintf(os.Stderr, "wpload: SLOs ok\n")
 	}
-	return 0
+	return snap.SLO.Violations, nil
+}
+
+// plainGate targets -addr, or boots the loopback server.
+func plainGate(ctx context.Context, c *config) (*leg, error) {
+	if c.addr == "" {
+		return c.loopback("loopback")
+	}
+	if c.pool == "" {
+		return nil, fmt.Errorf("-addr needs -pool: which workloads should the cells name?")
+	}
+	// The named daemon workloads on the paper's XScale geometry.
+	icache := api.GeometryOf(experiment.XScaleICache())
+	pool := load.Pool(strings.Split(c.pool, ","), icache,
+		[]uint32{experiment.InitialWPSize, experiment.InitialWPSize / 2})
+	return &leg{url: c.addr, pool: pool, label: c.addr}, nil
+}
+
+// loopback boots the in-process wpserved the load leg targets.
+func (c *config) loopback(label string) (*leg, error) {
+	lb, err := load.StartLoopback(load.LoopbackOptions{
+		Workloads:  c.workloads,
+		Workers:    c.jobs,
+		QueueDepth: c.queue,
+		Registry:   obs.NewRegistry(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "wpload: loopback wpserved on %s (%d synthetic workloads, queue %d)\n",
+		lb.URL, c.workloads, c.queue)
+	// Synthetic cells over the loopback's workloads, or -pool's names.
+	names := lb.Workloads
+	if c.pool != "" {
+		names = strings.Split(c.pool, ",")
+	}
+	pool := load.Pool(names, load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
+	return &leg{url: lb.URL, pool: pool, label: label, close: lb.Close}, nil
+}
+
+// fleetGate: (1) with -fleet, measure 1-vs-N backend cold-pool
+// throughput and require -fleet-speedup; (2) prove the once-per-fleet
+// invariant deterministically on the serving fleet — the whole pool
+// pushed through the coordinator twice simulates each cell exactly
+// once fleet-wide — before any client can abandon a request
+// mid-simulation.
+func fleetGate(ctx context.Context, c *config) (*leg, error) {
+	n := c.fleetN
+	if n == 0 {
+		n = 3 // -fleet-smoke
+	}
+	if n < 2 {
+		return nil, fmt.Errorf("-fleet needs >= 2 backends, got %d", n)
+	}
+	var section *load.FleetSnapshot
+	if c.fleetN > 0 {
+		bench, err := load.FleetBench(ctx, load.FleetBenchOptions{
+			Backends:   n,
+			MinSpeedup: c.minSpeedup,
+			Log:        os.Stderr,
+		})
+		if err != nil {
+			return nil, err
+		}
+		section = bench
+		fmt.Fprintf(os.Stderr, "wpload: fleet scaling: %d backends %.2fx over 1 (%.0f vs %.0f cells/s), once-per-fleet ok (%d cells simulated for a %d-cell pool)\n",
+			bench.Backends, bench.Speedup, bench.FleetCellsPerSecond, bench.SingleCellsPerSecond,
+			bench.SimulatedCells, bench.ScalePoolCells)
+	}
+
+	f, err := load.StartFleet(load.FleetOptions{
+		Backends:       n,
+		Workloads:      c.workloads,
+		BackendWorkers: c.jobs,
+		BackendQueue:   c.queue,
+		Registry:       obs.NewRegistry(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	l := &leg{
+		url:   f.URL,
+		pool:  load.Pool(load.SyntheticNames(c.workloads), load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10}),
+		label: fmt.Sprintf("fleet:%d", n),
+		close: f.Close,
+	}
+	fmt.Fprintf(os.Stderr, "wpload: fleet of %d backends behind coordinator %s (%d-cell pool)\n",
+		n, f.URL, len(l.pool))
+	client := serve.NewClient(f.URL)
+	for pass := 0; pass < 2; pass++ {
+		resp, err := client.Run(ctx, l.pool)
+		if err != nil {
+			return l, err
+		}
+		if resp.Status != api.StatusDone || len(resp.Errors) != 0 {
+			return l, fmt.Errorf("fleet warm-up pass %d ended %q with %d failures", pass, resp.Status, len(resp.Errors))
+		}
+	}
+	if sim := f.SimulatedCells(); sim != uint64(len(l.pool)) {
+		return l, fmt.Errorf("fleet simulated %d cells for a %d-cell pool — the once-per-fleet invariant is broken", sim, len(l.pool))
+	}
+	fmt.Fprintf(os.Stderr, "wpload: once-per-fleet ok (%d cells simulated once across %d backends)\n",
+		len(l.pool), n)
+	if section == nil {
+		section = &load.FleetSnapshot{
+			Backends:       n,
+			ScalePoolCells: len(l.pool),
+			SimulatedCells: uint64(len(l.pool)),
+			OncePerFleet:   true,
+		}
+	}
+	l.fleet = section
+	return l, nil
+}
+
+// tenantsGate measures quota isolation — a solo polite baseline, then
+// 1 hog + N-1 polite fleets against a quota'd loopback, gated on each
+// polite tenant keeping solo-like p99 and throughput — then boots the
+// plain (tenancy-off) loopback, so the load leg proves the
+// tenant-aware admission path costs the single-tenant baseline
+// nothing.
+func tenantsGate(ctx context.Context, c *config) (*leg, error) {
+	n, legDuration := c.tenantsN, 3*time.Second
+	if n == 0 {
+		n, legDuration = 3, 1200*time.Millisecond // -tenants-smoke
+	}
+	bench, err := load.TenantBench(ctx, load.TenantBenchOptions{
+		Tenants:  n,
+		Duration: legDuration,
+		Log:      os.Stderr,
+	})
+	if bench == nil {
+		return nil, err
+	}
+	for _, v := range bench.Violations {
+		fmt.Fprintf(os.Stderr, "wpload: FAIRNESS VIOLATION: %s\n", v)
+	}
+	if bench.Pass {
+		fmt.Fprintf(os.Stderr, "wpload: fairness ok: %d polite tenants held the solo band (p99 %v) against the hog (%d over-quota rejections)\n",
+			n-1, bench.Solo.BatchP99(), bench.Hog.OverQuota)
+	}
+	l, err := c.loopback(fmt.Sprintf("tenants:%d", n))
+	if err != nil {
+		return nil, err
+	}
+	l.tenants, l.violations = bench, bench.Violations
+	return l, nil
+}
+
+// crashGate is the kill/restart choreography; it has no load leg.
+func crashGate(ctx context.Context, c *config) (*leg, error) {
+	if err := load.RunCrash(ctx, load.CrashOptions{Log: os.Stderr}); err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(os.Stderr, "wpload: crash choreography ok")
+	return nil, nil
 }
 
 func printReport(r *load.Report) {
@@ -613,19 +498,7 @@ func writeMetrics(reg *obs.Registry, path string) error {
 	return f.Close()
 }
 
-func targetLabel(addr string) string {
-	if addr == "" {
-		return "loopback"
-	}
-	return addr
-}
-
 func commandLine() string {
 	// os.Args[0] is a temp path under `go run`; normalise it.
 	return strings.Join(append([]string{"wpload"}, os.Args[1:]...), " ")
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "wpload: %v\n", err)
-	os.Exit(1)
 }

@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -27,10 +26,17 @@ import (
 // own binary as that process — MaybeDaemonChild, called first thing
 // from main (and from the load package's TestMain), turns the child
 // invocation into a store-backed loopback daemon and never returns.
+const crashDirEnv = "WPLOAD_CRASH_DIR"
+
+// The choreography's fixed shape: crashBatches distinct async batches
+// go in before the kill, each covering the whole pool of
+// crashWorkloads synthetic workloads (4 cells each) in a rotated
+// order, so each gets its own job id but the union of work stays
+// fixed and known. crashTimeout bounds the whole run.
 const (
-	crashDirEnv       = "WPLOAD_CRASH_DIR"
-	crashWorkersEnv   = "WPLOAD_CRASH_WORKERS"
-	crashWorkloadsEnv = "WPLOAD_CRASH_WORKLOADS"
+	crashBatches   = 6
+	crashWorkloads = 3
+	crashTimeout   = 3 * time.Minute
 )
 
 // MaybeDaemonChild checks whether this process was re-exec'd as a
@@ -45,9 +51,10 @@ func MaybeDaemonChild() {
 }
 
 func runDaemonChild(dir string) int {
+	// One engine worker, so async work backs up behind the kill.
 	lb, err := StartLoopback(LoopbackOptions{
-		Workloads: envInt(crashWorkloadsEnv, 3),
-		Workers:   envInt(crashWorkersEnv, 1),
+		Workloads: crashWorkloads,
+		Workers:   1,
 		StoreDir:  filepath.Join(dir, "store"),
 	})
 	if err != nil {
@@ -80,33 +87,12 @@ func runDaemonChild(dir string) int {
 	return 0
 }
 
-func envInt(name string, def int) int {
-	if v, err := strconv.Atoi(os.Getenv(name)); err == nil && v > 0 {
-		return v
-	}
-	return def
-}
-
 // CrashOptions configures one kill/restart choreography run.
 type CrashOptions struct {
 	// Dir is the scratch directory holding the store, journal and the
 	// child's URL file. Empty means a fresh temp dir, removed again
 	// when the choreography passes.
 	Dir string
-	// Exe is the binary to re-exec as the daemon child; empty means
-	// os.Executable(). The binary's main (or TestMain) must call
-	// MaybeDaemonChild.
-	Exe string
-	// Batches is how many distinct async batches are submitted before
-	// the kill (default 6). Every batch covers the whole cell pool in
-	// a rotated order, so each gets its own job id but the union of
-	// work stays fixed and known.
-	Batches int
-	// Workloads sizes the synthetic pool (default 3 workloads, 4 cells
-	// each).
-	Workloads int
-	// Timeout bounds the whole choreography (default 3 minutes).
-	Timeout time.Duration
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
@@ -125,26 +111,17 @@ type CrashOptions struct {
 //     warm store) and run the whole pool through it: its engine must
 //     report zero cache misses, proving warm-store cells are loaded,
 //     not re-simulated; finally fsck the store.
+//
+// The daemon child is this process's own binary, re-exec'd: its main
+// (or TestMain) must call MaybeDaemonChild.
 func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
-	if opt.Batches == 0 {
-		opt.Batches = 6
-	}
-	if opt.Workloads == 0 {
-		opt.Workloads = 3
-	}
-	if opt.Timeout == 0 {
-		opt.Timeout = 3 * time.Minute
-	}
 	logw := opt.Log
 	if logw == nil {
 		logw = io.Discard
 	}
-	if opt.Exe == "" {
-		exe, exeErr := os.Executable()
-		if exeErr != nil {
-			return fmt.Errorf("crash: %w", exeErr)
-		}
-		opt.Exe = exe
+	exe, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("crash: %w", err)
 	}
 	dir := opt.Dir
 	if dir == "" {
@@ -161,14 +138,14 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 			}
 		}()
 	}
-	ctx, cancel := context.WithTimeout(ctx, opt.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, crashTimeout)
 	defer cancel()
 
 	// Every batch is the full pool in a rotated order: distinct job
 	// ids (api.BatchKey hashes keys in request order), identical work
 	// coverage, so phase 4 knows exactly which cells must be warm.
-	pool := Pool(SyntheticNames(opt.Workloads), SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
-	batches := make([][]api.RunRequest, opt.Batches)
+	pool := Pool(SyntheticNames(crashWorkloads), SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
+	batches := make([][]api.RunRequest, crashBatches)
 	for i := range batches {
 		r := i % len(pool)
 		batches[i] = append(append([]api.RunRequest{}, pool[r:]...), pool[:r]...)
@@ -176,7 +153,7 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 
 	// Phase 1: daemon up, async batches in, ids durable.
 	fmt.Fprintf(logw, "crash: phase 1: starting daemon child on %s\n", dir)
-	child, url, err := startCrashChild(ctx, opt, dir)
+	child, url, err := startCrashChild(ctx, exe, opt.Log, dir)
 	if err != nil {
 		return err
 	}
@@ -198,11 +175,11 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 	// Phase 3: restart on the same directory; every pre-kill id must
 	// come back, finish, and match a direct engine run byte for byte.
 	fmt.Fprintf(logw, "crash: phase 3: restarting on the same store\n")
-	child, url, err = startCrashChild(ctx, opt, dir)
+	child, url, err = startCrashChild(ctx, exe, opt.Log, dir)
 	if err != nil {
 		return err
 	}
-	want, err := referenceResults(ctx, opt.Workloads, pool)
+	want, err := referenceResults(ctx, pool)
 	if err != nil {
 		child.kill()
 		return err
@@ -226,7 +203,7 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 	// Phase 4: cold process, warm store. The whole pool must be served
 	// without a single engine miss, and the store must fsck clean.
 	fmt.Fprintf(logw, "crash: phase 4: cold restart, warm store: %d cells, expecting 0 misses\n", len(pool))
-	child, url, err = startCrashChild(ctx, opt, dir)
+	child, url, err = startCrashChild(ctx, exe, opt.Log, dir)
 	if err != nil {
 		return err
 	}
@@ -292,17 +269,13 @@ func (c *crashChild) stop() error {
 
 // startCrashChild re-execs the harness binary as a daemon child and
 // waits for it to publish its URL.
-func startCrashChild(ctx context.Context, opt CrashOptions, dir string) (*crashChild, string, error) {
+func startCrashChild(ctx context.Context, exe string, log io.Writer, dir string) (*crashChild, string, error) {
 	urlPath := filepath.Join(dir, "url")
 	os.Remove(urlPath) // stale URL from a previous incarnation
-	cmd := exec.Command(opt.Exe)
-	cmd.Env = append(os.Environ(),
-		crashDirEnv+"="+dir,
-		crashWorkersEnv+"=1",
-		crashWorkloadsEnv+"="+strconv.Itoa(opt.Workloads),
-	)
-	if opt.Log != nil {
-		cmd.Stderr = opt.Log
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), crashDirEnv+"="+dir)
+	if log != nil {
+		cmd.Stderr = log
 	}
 	if err := cmd.Start(); err != nil {
 		return nil, "", fmt.Errorf("crash: starting child: %w", err)
@@ -327,12 +300,12 @@ func startCrashChild(ctx context.Context, opt CrashOptions, dir string) (*crashC
 // referenceResults runs the whole pool on a fresh in-process engine —
 // no HTTP, no store — and indexes the marshalled stats by cell key.
 // This is the byte-identity oracle the replayed results must match.
-func referenceResults(ctx context.Context, workloads int, pool []api.RunRequest) (map[string][]byte, error) {
+func referenceResults(ctx context.Context, pool []api.RunRequest) (map[string][]byte, error) {
 	specs, err := api.ToSpecs(pool)
 	if err != nil {
 		return nil, fmt.Errorf("crash: reference: %w", err)
 	}
-	eng := engine.New(SyntheticProvider(workloads), engine.WithBaseConfig(sim.Default()))
+	eng := engine.New(SyntheticProvider(crashWorkloads), engine.WithBaseConfig(sim.Default()))
 	results, err := eng.Run(ctx, specs)
 	if err != nil {
 		return nil, fmt.Errorf("crash: reference: %w", err)

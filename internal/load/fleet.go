@@ -31,16 +31,6 @@ type FleetOptions struct {
 	BackendWorkers int
 	// BackendQueue is each backend's serve queue depth (default 64).
 	BackendQueue int
-	// CoordQueue is the coordinator's queue depth (default 256 — a
-	// coordinator slot only scatters and merges, so it is much cheaper
-	// than a backend slot and should not be the first thing to 429).
-	CoordQueue int
-	// Failover is the coordinator's hard-failure failover budget
-	// (default 1).
-	Failover int
-	// RetryAfter is each backend's 429 backoff hint (default
-	// loopback's).
-	RetryAfter time.Duration
 	// BackendPrepDelay is each backend's workload-preparation latency
 	// (see LoopbackOptions.PrepDelay). Scaling benches set it so a
 	// cold cell's service time is latency-dominated, as in a real
@@ -50,6 +40,11 @@ type FleetOptions struct {
 	// instruments (per-backend hit/miss/latency series included).
 	Registry *obs.Registry
 }
+
+// coordQueue is the coordinator's queue depth: a coordinator slot
+// only scatters and merges, so it is much cheaper than a backend slot
+// and should not be the first thing to 429.
+const coordQueue = 256
 
 // Fleet is a running in-process fleet. Clients target URL exactly as
 // they would a single wpserved.
@@ -68,12 +63,6 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 	if opt.Backends < 1 {
 		return nil, fmt.Errorf("load: fleet needs >= 1 backend, got %d", opt.Backends)
 	}
-	if opt.CoordQueue == 0 {
-		opt.CoordQueue = 256
-	}
-	if opt.Failover == 0 {
-		opt.Failover = 1
-	}
 	f := &Fleet{}
 	urls := make([]string, opt.Backends)
 	for i := 0; i < opt.Backends; i++ {
@@ -81,7 +70,6 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 			Workloads:  opt.Workloads,
 			Workers:    opt.BackendWorkers,
 			QueueDepth: opt.BackendQueue,
-			RetryAfter: opt.RetryAfter,
 			PrepDelay:  opt.BackendPrepDelay,
 		})
 		if err != nil {
@@ -94,8 +82,8 @@ func StartFleet(opt FleetOptions) (*Fleet, error) {
 	coord, err := fleet.New(fleet.Options{
 		Backends:   urls,
 		Registry:   opt.Registry,
-		QueueDepth: opt.CoordQueue,
-		Failover:   opt.Failover,
+		QueueDepth: coordQueue,
+		Failover:   1,
 	})
 	if err != nil {
 		f.closeAll()
@@ -182,12 +170,6 @@ type FleetBenchOptions struct {
 	// on any host, including single-core CI runners where CPU-bound
 	// backends could never scale. Negative disables the delay.
 	PrepDelay time.Duration
-	// BatchCells is the submission batch size (default 64). One
-	// submitter issues batches sequentially: per batch the control
-	// backend runs all cells serially while the fleet's sub-batches
-	// run on all backends at once — the purest form of the question
-	// "does adding backends add throughput?".
-	BatchCells int
 	// MinSpeedup, when > 0, makes Run return an error if
 	// fleet/single cells-per-second falls below it.
 	MinSpeedup float64
@@ -195,18 +177,12 @@ type FleetBenchOptions struct {
 	Log io.Writer
 }
 
-// FleetBenchResult is the measured outcome, snapshot-ready.
-type FleetBenchResult struct {
-	Backends             int
-	PoolCells            int
-	PrepDelay            time.Duration // injected per-cell backend latency
-	HostCPUs             int           // runtime.NumCPU() where the bench ran
-	SingleCellsPerSecond float64
-	FleetCellsPerSecond  float64
-	Speedup              float64
-	SimulatedCells       uint64 // fleet-wide, after run + re-run sweep
-	OncePerFleet         bool   // SimulatedCells == PoolCells exactly
-}
+// benchBatchCells is the scaling bench's submission batch size. One
+// submitter issues batches sequentially: per batch the control
+// backend runs all cells serially while the fleet's sub-batches run
+// on all backends at once — the purest form of the question "does
+// adding backends add throughput?".
+const benchBatchCells = 64
 
 // FleetBench measures cold-pool throughput of a 1-backend fleet and
 // an Options.Backends-backend fleet over the identical singleton
@@ -214,15 +190,12 @@ type FleetBenchResult struct {
 // whole pool through the coordinator twice, the summed backend
 // simulate counters equal the pool size exactly — every cold cell
 // simulated on exactly one backend, every repeat a cache hit there.
-func FleetBench(ctx context.Context, opt FleetBenchOptions) (*FleetBenchResult, error) {
+func FleetBench(ctx context.Context, opt FleetBenchOptions) (*FleetSnapshot, error) {
 	if opt.Backends < 2 {
 		return nil, fmt.Errorf("load: fleet bench needs >= 2 backends, got %d", opt.Backends)
 	}
 	if opt.Workloads == 0 {
 		opt.Workloads = 64
-	}
-	if opt.BatchCells == 0 {
-		opt.BatchCells = 64
 	}
 	switch {
 	case opt.PrepDelay == 0:
@@ -241,14 +214,15 @@ func FleetBench(ctx context.Context, opt FleetBenchOptions) (*FleetBenchResult, 
 		return nil, fmt.Errorf("load: %d-backend fleet: %w", opt.Backends, err)
 	}
 
-	res := &FleetBenchResult{
+	res := &FleetSnapshot{
 		Backends:             opt.Backends,
-		PoolCells:            len(pool),
-		PrepDelay:            opt.PrepDelay,
+		ScalePoolCells:       len(pool),
+		PrepDelaySeconds:     opt.PrepDelay.Seconds(),
 		HostCPUs:             runtime.NumCPU(),
 		SingleCellsPerSecond: single,
 		FleetCellsPerSecond:  fleetRate,
 		Speedup:              fleetRate / single,
+		MinSpeedup:           opt.MinSpeedup,
 		SimulatedCells:       simulated,
 		OncePerFleet:         simulated == uint64(len(pool)),
 	}
@@ -280,13 +254,13 @@ func coldRun(ctx context.Context, n int, pool []api.RunRequest, opt FleetBenchOp
 	defer f.closeAll()
 	if opt.Log != nil {
 		fmt.Fprintf(opt.Log, "wpload: fleet bench: %d backend(s), %d-cell cold pool, batches of %d...\n",
-			n, len(pool), opt.BatchCells)
+			n, len(pool), benchBatchCells)
 	}
 
 	client := serve.NewClient(f.URL)
 	submitAll := func() error {
-		for at := 0; at < len(pool); at += opt.BatchCells {
-			end := at + opt.BatchCells
+		for at := 0; at < len(pool); at += benchBatchCells {
+			end := at + benchBatchCells
 			if end > len(pool) {
 				end = len(pool)
 			}

@@ -139,13 +139,13 @@ func TestFleetBenchScales(t *testing.T) {
 	if !res.OncePerFleet {
 		t.Errorf("bench reported once-per-fleet broken: %+v", res)
 	}
-	if res.SimulatedCells != uint64(res.PoolCells) {
-		t.Errorf("bench simulated %d cells for a %d-cell pool", res.SimulatedCells, res.PoolCells)
+	if res.SimulatedCells != uint64(res.ScalePoolCells) {
+		t.Errorf("bench simulated %d cells for a %d-cell pool", res.SimulatedCells, res.ScalePoolCells)
 	}
 	if res.Speedup < 1.2 {
 		t.Errorf("2-backend speedup %.2fx below asserted floor", res.Speedup)
 	}
-	if res.HostCPUs < 1 || res.PrepDelay != 150*time.Millisecond {
+	if res.HostCPUs < 1 || res.PrepDelaySeconds != 0.15 {
 		t.Errorf("bench provenance not recorded: %+v", res)
 	}
 }

@@ -111,14 +111,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	opt.setDefaults()
 	r := &Report{
-		Elapsed: 2 * time.Second, Clients: opt.Clients,
+		Elapsed: 2 * time.Second, opt: opt,
 		Requests: 1000, Batches: 900, Cells: 3600, Status429: 40, Retries: 38,
 		Errors: 1, Aborts: 20, AsyncPolls: 500,
 		HTTPP50: 8 * time.Millisecond, HTTPP99: 130 * time.Millisecond,
 		Rate429: 0.04, ErrorRate: 0.0011,
 	}
 	slo := &SLO{HTTPP99Max: time.Second, Max429Rate: 0.5, MaxErrorRate: 0.01}
-	snap := r.Snapshot("wpload -smoke", "loopback", api.Version, opt, slo)
+	snap := r.Snapshot("wpload -smoke", "loopback", slo)
 	if !snap.SLO.Pass {
 		t.Fatalf("snapshot SLO should pass, violations: %v", snap.SLO.Violations)
 	}

@@ -46,8 +46,13 @@ const (
 	MetricPolls     = "load_async_polls_total"
 )
 
+// batchTimeout bounds one batch end-to-end, retries and polls
+// included.
+const batchTimeout = 60 * time.Second
+
 // Options configures a Generator. Zero values pick the documented
-// defaults; only Pool and BaseURL are mandatory.
+// defaults, except AsyncFraction and Churn, where zero means none;
+// only Pool and BaseURL are mandatory.
 type Options struct {
 	// BaseURL is the wpserved instance under load, e.g. the URL of a
 	// Loopback or a real daemon's http://host:port.
@@ -65,13 +70,8 @@ type Options struct {
 	Tenant api.Tenant
 
 	// AsyncFraction of batches submit with "async": true and poll
-	// GET /v1/runs/{id} until done (default 0.25). Set SyncOnly to
-	// suppress async submission entirely (0 here selects the default).
+	// GET /v1/runs/{id} until done; 0 submits every batch sync.
 	AsyncFraction float64
-	// SyncOnly forces every batch through the synchronous path — the
-	// fairness bench uses it so batch latency measures admission
-	// scheduling, not poll cadence.
-	SyncOnly bool
 	// MaxBatchCells bounds batch size; each batch holds uniform
 	// 1..MaxBatchCells cells (default 8).
 	MaxBatchCells int
@@ -93,9 +93,6 @@ type Options struct {
 	MaxRetryBackoff time.Duration
 	// PollInterval spaces async status polls (default 5ms).
 	PollInterval time.Duration
-	// BatchTimeout bounds one batch end-to-end, retries and polls
-	// included (default 60s).
-	BatchTimeout time.Duration
 
 	// Registry receives the load_* instruments (default: a private
 	// registry, readable via Generator.Registry).
@@ -111,12 +108,6 @@ func (o *Options) setDefaults() {
 	if o.Duration == 0 {
 		o.Duration = 5 * time.Second
 	}
-	if o.AsyncFraction == 0 {
-		o.AsyncFraction = 0.25
-	}
-	if o.SyncOnly {
-		o.AsyncFraction = 0
-	}
 	if o.MaxBatchCells == 0 {
 		o.MaxBatchCells = 8
 	}
@@ -131,9 +122,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.PollInterval == 0 {
 		o.PollInterval = 5 * time.Millisecond
-	}
-	if o.BatchTimeout == 0 {
-		o.BatchTimeout = 60 * time.Second
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -273,7 +261,7 @@ func (g *Generator) oneBatch(ctx context.Context, client *http.Client, rng *rand
 		g.errors.Inc()
 		return
 	}
-	bctx, cancel := context.WithTimeout(ctx, g.opt.BatchTimeout)
+	bctx, cancel := context.WithTimeout(ctx, batchTimeout)
 	defer cancel()
 
 	if abort {
@@ -407,7 +395,7 @@ func (g *Generator) send(ctx context.Context, client *http.Client, method, path 
 // anything that happened.
 type Report struct {
 	Elapsed time.Duration
-	Clients int
+	opt     Options // the generator's resolved options: the run's shape
 
 	Requests   uint64 // HTTP round trips, all kinds
 	Batches    uint64 // batches completed with status done
@@ -433,7 +421,7 @@ type Report struct {
 func (g *Generator) report(elapsed time.Duration) *Report {
 	r := &Report{
 		Elapsed:    elapsed,
-		Clients:    g.opt.Clients,
+		opt:        g.opt,
 		Requests:   g.requests.Value(),
 		Batches:    g.batches.Value(),
 		Cells:      g.cells.Value(),

@@ -135,7 +135,7 @@ func TestChurnAborts(t *testing.T) {
 	lb := startLoopback(t, load.LoopbackOptions{Workloads: 1})
 	_, r := run(t, lb, load.Options{
 		Clients: 8, Duration: 300 * time.Millisecond,
-		Churn: 1, Seed: 13,
+		AsyncFraction: 0.25, Churn: 1, Seed: 13,
 	})
 	if r.Aborts == 0 {
 		t.Fatal("full-churn run recorded no aborts")
@@ -161,7 +161,8 @@ func TestChurnAborts(t *testing.T) {
 
 	// The server survived the churn: a clean client still gets served.
 	_, clean := run(t, lb, load.Options{
-		Clients: 2, Duration: 200 * time.Millisecond, Seed: 17,
+		Clients: 2, Duration: 200 * time.Millisecond,
+		AsyncFraction: 0.25, Seed: 17,
 	})
 	if clean.Batches == 0 || clean.Errors != 0 {
 		t.Fatalf("server unhealthy after churn: %d batches, %d errors", clean.Batches, clean.Errors)
@@ -187,5 +188,27 @@ func TestAsyncOnly(t *testing.T) {
 	}
 	if r.Errors != 0 {
 		t.Fatalf("async run saw %d errors (a poll 404 would land here)", r.Errors)
+	}
+}
+
+// TestAsyncZeroRunsSync: AsyncFraction 0 means no async batches at
+// all, and the snapshot records the shape the generator resolved, not
+// the zeros the caller left for defaults.
+func TestAsyncZeroRunsSync(t *testing.T) {
+	lb := startLoopback(t, load.LoopbackOptions{Workloads: 1})
+	_, r := run(t, lb, load.Options{
+		Clients: 4, Duration: 300 * time.Millisecond,
+		AsyncFraction: 0, Seed: 23,
+	})
+	if r.Batches == 0 {
+		t.Fatal("no batch completed")
+	}
+	if r.AsyncPolls != 0 {
+		t.Errorf("AsyncFraction 0 issued %d async polls", r.AsyncPolls)
+	}
+	snap := r.Snapshot("wpload", "loopback", nil)
+	if snap.AsyncFraction != 0 || snap.MaxBatchCells != 8 || snap.ZipfS != 1.2 || snap.Clients != 4 {
+		t.Errorf("snapshot shape async %v, batch %d, zipf %v, clients %d; want the resolved 0, 8, 1.2, 4",
+			snap.AsyncFraction, snap.MaxBatchCells, snap.ZipfS, snap.Clients)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wayplace/internal/check"
 	"wayplace/internal/engine"
 	"wayplace/internal/obs"
 	"wayplace/internal/serve"
@@ -18,18 +17,16 @@ import (
 
 // LoopbackOptions sizes the in-process wpserved a load run targets
 // when no external daemon is given. Zero values pick defaults tuned
-// for load testing rather than for real experiments: many queue
-// slots, a short Retry-After so backoff fits inside short runs, and
-// tiny synthetic workloads so the serve path, not the simulator, is
-// the bottleneck under measurement.
+// for load testing rather than for real experiments: many queue slots
+// and tiny synthetic workloads so the serve path, not the simulator,
+// is the bottleneck under measurement. The engine runs without the
+// cell checker, which re-verifies every cell on every request
+// including run-cache hits and so would measure itself, not the serve
+// path.
 type LoopbackOptions struct {
-	Workloads     int           // synthetic workloads to serve (default 4)
-	Workers       int           // engine workers (default GOMAXPROCS)
-	QueueDepth    int           // serve queue slots (default 64)
-	AsyncSlots    int           // async slot cap (default QueueDepth-1)
-	MaxBatchCells int           // per-batch cell cap (default serve's 4096)
-	JobTTL        time.Duration // async job eviction TTL (default serve's 10m)
-	RetryAfter    time.Duration // 429 backoff hint (default 1s; serve rounds up to whole seconds on the wire)
+	Workloads  int // synthetic workloads to serve (default 4)
+	Workers    int // engine workers (default GOMAXPROCS)
+	QueueDepth int // serve queue slots (default 64)
 	// PrepDelay, when > 0, adds a fixed latency to every workload
 	// preparation, modelling what dominates a production backend's
 	// cold-cell service time: fetching the binary, reading profiles,
@@ -37,11 +34,6 @@ type LoopbackOptions struct {
 	// host a purely CPU-bound backend cannot show fleet parallelism no
 	// matter how well the coordinator overlaps its sub-batches.
 	PrepDelay time.Duration
-	// Verify installs check.VerifyCell on the engine. Off by default:
-	// the checker re-verifies every cell on every request including
-	// run-cache hits, which under thousands of hot-key requests would
-	// measure the checker, not the serve path.
-	Verify bool
 	// Registry, when non-nil, receives the serve_*/engine metrics
 	// (the generator's load_* metrics live on its own registry).
 	Registry *obs.Registry
@@ -111,9 +103,6 @@ func StartLoopback(opt LoopbackOptions) (*Loopback, error) {
 	if opt.Registry != nil {
 		engOpts = append(engOpts, engine.WithObserver(opt.Registry))
 	}
-	if opt.Verify {
-		engOpts = append(engOpts, engine.WithVerify(check.VerifyCell))
-	}
 
 	var st *store.Store
 	var jnl *store.Journal
@@ -152,16 +141,12 @@ func StartLoopback(opt LoopbackOptions) (*Loopback, error) {
 	eng := engine.New(provider, engOpts...)
 
 	srv, err := serve.New(serve.Options{
-		Engine:        eng,
-		Registry:      opt.Registry,
-		QueueDepth:    opt.QueueDepth,
-		AsyncSlots:    opt.AsyncSlots,
-		MaxBatchCells: opt.MaxBatchCells,
-		JobTTL:        opt.JobTTL,
-		RetryAfter:    opt.RetryAfter,
-		Journal:       jnl,
-		Tenancy:       opt.Tenancy,
-		ServiceDelay:  opt.ServiceDelay,
+		Engine:       eng,
+		Registry:     opt.Registry,
+		QueueDepth:   opt.QueueDepth,
+		Journal:      jnl,
+		Tenancy:      opt.Tenancy,
+		ServiceDelay: opt.ServiceDelay,
 	})
 	if err != nil {
 		if st != nil {

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
+
+	"wayplace/internal/api"
 )
 
 // SnapshotSchema versions the BENCH_wpload.json layout, mirroring
@@ -118,62 +121,24 @@ type TenantsSnapshot struct {
 	Pass                bool                `json:"pass"`
 }
 
-func tenantLegSection(l TenantLeg) TenantLegSnapshot {
-	return TenantLegSnapshot{
-		Tenant:           l.Tenant,
-		Batches:          l.Batches,
-		Dropped:          l.Dropped,
-		OverQuota:        l.OverQuota,
-		BatchesPerSecond: l.BatchesPerSecond,
-		BatchP50Seconds:  l.BatchP50.Seconds(),
-		BatchP99Seconds:  l.BatchP99.Seconds(),
-	}
+// BatchP99 converts the leg's batch p99 back to a duration, exact
+// to the nanosecond the histogram reported.
+func (l TenantLegSnapshot) BatchP99() time.Duration {
+	return time.Duration(math.Round(l.BatchP99Seconds * float64(time.Second)))
 }
 
-// TenantsSection converts a fairness bench result for the snapshot.
-func (r *TenantBenchResult) TenantsSection() *TenantsSnapshot {
-	s := &TenantsSnapshot{
-		Tenants:             r.Tenants,
-		QueueDepth:          r.QueueDepth,
-		TenantSlots:         r.TenantSlots,
-		ServiceDelaySeconds: r.ServiceDelay.Seconds(),
-		Solo:                tenantLegSection(r.Solo),
-		Hog:                 tenantLegSection(r.Hog),
-		Violations:          r.Violations,
-		Pass:                len(r.Violations) == 0,
-	}
-	for _, p := range r.Polite {
-		s.Polite = append(s.Polite, tenantLegSection(p))
-	}
-	return s
-}
-
-// FleetSection converts a bench result for the snapshot.
-func (r *FleetBenchResult) FleetSection(minSpeedup float64) *FleetSnapshot {
-	return &FleetSnapshot{
-		Backends:             r.Backends,
-		ScalePoolCells:       r.PoolCells,
-		PrepDelaySeconds:     r.PrepDelay.Seconds(),
-		HostCPUs:             r.HostCPUs,
-		SingleCellsPerSecond: r.SingleCellsPerSecond,
-		FleetCellsPerSecond:  r.FleetCellsPerSecond,
-		Speedup:              r.Speedup,
-		MinSpeedup:           minSpeedup,
-		SimulatedCells:       r.SimulatedCells,
-		OncePerFleet:         r.OncePerFleet,
-	}
-}
-
-// Snapshot converts a Report into the persistent form. slo may be nil
+// Snapshot converts a Report into the persistent form; the run's
+// shape comes from the generator's resolved options. slo may be nil
 // when the run asserted nothing.
-func (r *Report) Snapshot(command, target, apiVersion string, opt Options, slo *SLO) *Snapshot {
+func (r *Report) Snapshot(command, target string, slo *SLO) *Snapshot {
+	opt := r.opt
 	s := &Snapshot{
 		Schema:     SnapshotSchema,
-		APIVersion: apiVersion,
+		APIVersion: api.Version,
 		Command:    command,
 		Target:     target,
 
-		Clients:         r.Clients,
+		Clients:         opt.Clients,
 		DurationSeconds: r.Elapsed.Seconds(),
 		AsyncFraction:   opt.AsyncFraction,
 		MaxBatchCells:   opt.MaxBatchCells,

@@ -56,30 +56,6 @@ type TenantBenchOptions struct {
 // step can exceed MaxP99Factor alone without meaning anything.
 const p99Grace = 100 * time.Millisecond
 
-// TenantLeg is what one tenant's fleet saw during one leg.
-type TenantLeg struct {
-	Tenant           string
-	Batches          uint64
-	Dropped          uint64
-	OverQuota        uint64 // 429s coded over_quota — this tenant's own doing
-	BatchesPerSecond float64
-	BatchP50         time.Duration
-	BatchP99         time.Duration
-}
-
-// TenantBenchResult is the measured outcome, snapshot-ready.
-type TenantBenchResult struct {
-	Tenants      int
-	QueueDepth   int
-	TenantSlots  int
-	ServiceDelay time.Duration
-
-	Solo       TenantLeg   // one polite fleet, empty server
-	Hog        TenantLeg   // the hog during the contended leg
-	Polite     []TenantLeg // each polite tenant during the contended leg
-	Violations []string    // empty means the fairness gate passed
-}
-
 // TenantBench measures quota isolation end to end: leg one runs a
 // single polite fleet against an idle (but identically configured)
 // server for its baseline latency and throughput; leg two adds a hog
@@ -88,7 +64,7 @@ type TenantBenchResult struct {
 // its solo-like service — p99 within MaxP99Factor of baseline,
 // throughput within MinShareFactor — while the hog, and only the
 // hog, absorbed over_quota rejections.
-func TenantBench(ctx context.Context, opt TenantBenchOptions) (*TenantBenchResult, error) {
+func TenantBench(ctx context.Context, opt TenantBenchOptions) (*TenantsSnapshot, error) {
 	if opt.Tenants == 0 {
 		opt.Tenants = 4
 	}
@@ -175,7 +151,7 @@ func TenantBench(ctx context.Context, opt TenantBenchOptions) (*TenantBenchResul
 		fmt.Fprintf(opt.Log, "wpload: tenant bench: contended leg: 1 hog (%d clients) + %d polite (%d clients each) for %v...\n",
 			opt.HogClients, polite, opt.PoliteClients, opt.Duration)
 	}
-	legs := make([]TenantLeg, 1+polite)
+	legs := make([]TenantLegSnapshot, 1+polite)
 	errs := make([]error, 1+polite)
 	var wg sync.WaitGroup
 	wg.Add(1 + polite)
@@ -197,22 +173,23 @@ func TenantBench(ctx context.Context, opt TenantBenchOptions) (*TenantBenchResul
 		}
 	}
 
-	res := &TenantBenchResult{
-		Tenants:      opt.Tenants,
-		QueueDepth:   opt.QueueDepth,
-		TenantSlots:  opt.TenantSlots,
-		ServiceDelay: opt.ServiceDelay,
-		Solo:         solo,
-		Hog:          legs[0],
-		Polite:       legs[1:],
+	res := &TenantsSnapshot{
+		Tenants:             opt.Tenants,
+		QueueDepth:          opt.QueueDepth,
+		TenantSlots:         opt.TenantSlots,
+		ServiceDelaySeconds: opt.ServiceDelay.Seconds(),
+		Solo:                solo,
+		Hog:                 legs[0],
+		Polite:              legs[1:],
 	}
 	res.Violations = tenantGate(res, opt)
+	res.Pass = len(res.Violations) == 0
 	if opt.Log != nil {
 		fmt.Fprintf(opt.Log, "wpload: tenant bench: solo %.0f batches/s p99 %v; hog %.0f batches/s (%d over-quota)\n",
-			solo.BatchesPerSecond, solo.BatchP99, legs[0].BatchesPerSecond, legs[0].OverQuota)
+			solo.BatchesPerSecond, solo.BatchP99(), legs[0].BatchesPerSecond, legs[0].OverQuota)
 		for _, p := range res.Polite {
 			fmt.Fprintf(opt.Log, "wpload: tenant bench: %s %.0f batches/s p99 %v (%d over-quota)\n",
-				p.Tenant, p.BatchesPerSecond, p.BatchP99, p.OverQuota)
+				p.Tenant, p.BatchesPerSecond, p.BatchP99(), p.OverQuota)
 		}
 	}
 	if len(res.Violations) > 0 {
@@ -223,52 +200,54 @@ func TenantBench(ctx context.Context, opt TenantBenchOptions) (*TenantBenchResul
 
 // runTenantFleet drives one tenant's client fleet for one leg and
 // distils its view.
-func runTenantFleet(ctx context.Context, url, tenant string, clients int, opt TenantBenchOptions) (TenantLeg, error) {
+func runTenantFleet(ctx context.Context, url, tenant string, clients int, opt TenantBenchOptions) (TenantLegSnapshot, error) {
 	g, err := New(Options{
 		BaseURL:  url,
 		Pool:     Pool(SyntheticNames(4), SyntheticGeometry(), nil),
 		Tenant:   api.Tenant(tenant),
 		Clients:  clients,
 		Duration: opt.Duration,
-		SyncOnly: true,
+		// All sync, so batch latency measures admission scheduling,
+		// not poll cadence.
+		AsyncFraction: 0,
 		// Over-quota hints are ~50ms; honour them fully so the hog
 		// keeps probing at the server's own cadence.
 		MaxRetryBackoff: 100 * time.Millisecond,
 	})
 	if err != nil {
-		return TenantLeg{}, err
+		return TenantLegSnapshot{}, err
 	}
 	r, err := g.Run(ctx)
 	if err != nil {
-		return TenantLeg{}, err
+		return TenantLegSnapshot{}, err
 	}
-	return TenantLeg{
+	return TenantLegSnapshot{
 		Tenant:           tenant,
 		Batches:          r.Batches,
 		Dropped:          r.Dropped,
 		OverQuota:        r.OverQuota,
 		BatchesPerSecond: r.BatchesPerSecond,
-		BatchP50:         r.BatchP50,
-		BatchP99:         r.BatchP99,
+		BatchP50Seconds:  r.BatchP50.Seconds(),
+		BatchP99Seconds:  r.BatchP99.Seconds(),
 	}, nil
 }
 
 // tenantGate is the fairness acceptance check.
-func tenantGate(res *TenantBenchResult, opt TenantBenchOptions) []string {
+func tenantGate(res *TenantsSnapshot, opt TenantBenchOptions) []string {
 	var v []string
 	if res.Hog.OverQuota == 0 {
 		v = append(v, "hog saw no over_quota rejections — the quota never engaged")
 	}
-	p99Limit := time.Duration(float64(res.Solo.BatchP99)*opt.MaxP99Factor) + p99Grace
+	p99Limit := time.Duration(float64(res.Solo.BatchP99())*opt.MaxP99Factor) + p99Grace
 	shareFloor := res.Solo.BatchesPerSecond * opt.MinShareFactor
 	for _, p := range res.Polite {
 		if p.Batches == 0 {
 			v = append(v, fmt.Sprintf("%s completed no batches", p.Tenant))
 			continue
 		}
-		if p.BatchP99 > p99Limit {
+		if p.BatchP99() > p99Limit {
 			v = append(v, fmt.Sprintf("%s p99 %v > %.1fx solo baseline %v (+%v grace)",
-				p.Tenant, p.BatchP99, opt.MaxP99Factor, res.Solo.BatchP99, p99Grace))
+				p.Tenant, p.BatchP99(), opt.MaxP99Factor, res.Solo.BatchP99(), p99Grace))
 		}
 		if p.BatchesPerSecond < shareFloor {
 			v = append(v, fmt.Sprintf("%s throughput %.0f batches/s < %.0f%% of solo baseline %.0f",
