@@ -3,14 +3,15 @@
 // versioned JSON run API (internal/api) on its front side. Clients
 // point serve.Client (or curl) at the coordinator exactly as they
 // would at a single wpserved — zero client changes — and every batch
-// is split into per-backend sub-batches by each cell's canonical
-// RunSpec key, fanned out concurrently, and merged back in original
-// cell order.
+// is split into per-backend sub-batches by each cell's fetch stream
+// (RunSpec.Stream), fanned out concurrently, and merged back in
+// original cell order.
 //
-// Sharding by canonical key turns the N backends into one logical
-// cache: every repeat of a cell routes to the same backend, so the
-// fleet simulates a cold cell exactly once and answers all later
-// requests from that backend's warm run cache or persistent store.
+// Sharding by stream turns the N backends into one logical cache:
+// every cell of a stream, and so every repeat of a cell, routes to the
+// same backend, so the fleet executes each stream's program once,
+// simulates a cold cell exactly once and answers all later requests
+// from that backend's warm run cache or persistent store.
 //
 // Endpoints (identical surface to wpserved):
 //
@@ -46,8 +47,10 @@
 // the canonical wpload cell pool through the coordinator — sync and
 // async — and demands the merged wire results be identical to a
 // direct single-engine run of the same cells, that the batch spread
-// over at least two backends, and that the fleet simulated each cell
-// exactly once. Exits non-zero on any mismatch.
+// over at least two backends, that the fleet simulated each cell
+// exactly once, and that it executed each stream's program once
+// (summed engine_trace_misses_total equals the distinct streams).
+// Exits non-zero on any mismatch.
 package main
 
 import (
@@ -148,17 +151,19 @@ func main() {
 func runOneshot() int {
 	const (
 		nBackends = 3
-		workloads = 4
+		workloads = 12
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
 	// Backends: in-process wpserved instances over the same synthetic
-	// workload set, each with its own engine and run cache.
+	// workload set, each with its own engine, run cache and registry.
 	backs := make([]*load.Loopback, nBackends)
+	regs := make([]*obs.Registry, nBackends)
 	urls := make([]string, nBackends)
 	for i := range backs {
-		lb, err := load.StartLoopback(load.LoopbackOptions{Workloads: workloads})
+		regs[i] = obs.NewRegistry()
+		lb, err := load.StartLoopback(load.LoopbackOptions{Workloads: workloads, Registry: regs[i]})
 		if err != nil {
 			fail(err)
 		}
@@ -247,10 +252,24 @@ func runOneshot() int {
 		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot: batch landed on %d backend(s), want >= 2\n", spread)
 		code = 1
 	}
-	// ...and simulated each cell exactly once across the fleet.
+	// ...simulated each cell exactly once across the fleet...
 	if fleetMisses != uint64(len(reqs)) {
 		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot: fleet simulated %d cells for %d unique cells\n",
 			fleetMisses, len(reqs))
+		code = 1
+	}
+	// ...and, routing by stream, executed each stream's program once.
+	streams := make(map[string]bool)
+	for _, s := range specs {
+		streams[s.Stream()] = true
+	}
+	var executions uint64
+	for _, reg := range regs {
+		executions += reg.Counter(engine.MetricTraceMisses).Value()
+	}
+	if executions != uint64(len(streams)) {
+		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot: fleet executed %d streams live for %d distinct streams\n",
+			executions, len(streams))
 		code = 1
 	}
 
@@ -269,8 +288,8 @@ func runOneshot() int {
 	}
 
 	if code == 0 {
-		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot ok (%d cells over %d backends, sync+async merged results identical to a direct engine run, each cell simulated once fleet-wide)\n",
-			len(reqs), spread)
+		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot ok (%d cells over %d backends, sync+async merged results identical to a direct engine run, each cell simulated once and each of %d streams executed once fleet-wide)\n",
+			len(reqs), spread, len(streams))
 	}
 	return code
 }

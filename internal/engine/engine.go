@@ -218,11 +218,11 @@ type Result struct {
 	// than simulated anew.
 	CacheHit bool
 	// GroupID names the single-pass group that simulated this cell:
-	// cells sharing a workload and binary within one batch execute as
-	// one multi-model pass (sim.RunMulti), and every fresh cell of
-	// that pass carries the same deterministic id
-	// ("<workload>/original" or "<workload>/placed"). Empty for
-	// cache hits and for batches run with WithCoalesce(false).
+	// cells sharing a stream (RunSpec.Stream) within one batch execute
+	// as one multi-model pass (sim.RunMulti), and every fresh cell of
+	// that pass carries the stream as its id ("<workload>/original" or
+	// "<workload>/placed"). Empty for cache hits and for batches run
+	// with WithCoalesce(false).
 	GroupID string
 }
 
@@ -442,10 +442,22 @@ func resolve(base sim.Config, spec RunSpec) sim.Config {
 
 // usesPlaced reports which binary the cell fetches from: the relaid
 // image for way-placement (static or adaptive), the original layout
-// otherwise. Cells agreeing here (and on the workload) share a fetch
-// stream and may coalesce.
+// otherwise.
 func usesPlaced(spec RunSpec) bool {
 	return spec.Scheme == energy.WayPlacement || spec.Adaptive.Enabled()
+}
+
+// Stream names the fetch stream the cell consumes: its workload and
+// the binary it fetches from, "<workload>/original" or
+// "<workload>/placed". Cells with equal streams see the same
+// instruction fetches, so they coalesce into one single-pass group (the
+// name is that group's GroupID) and replay one recorded trace; the
+// fleet routes on it so each stream executes on one backend.
+func (s RunSpec) Stream() string {
+	if usesPlaced(s) {
+		return s.Workload + "/placed"
+	}
+	return s.Workload + "/original"
 }
 
 // modelOf translates one cell into the instruction-side cache model
@@ -595,9 +607,8 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		ent *runEntry
 	}
 	type group struct {
-		workload string
-		placed   bool
-		members  []member
+		stream  string // RunSpec.Stream of every member
+		members []member
 	}
 
 	// runGroup executes one planned group: a single multi-model pass
@@ -649,13 +660,14 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 		e.misses.Add(uint64(len(g.members)))
 		ins.misses.Add(uint64(len(g.members)))
-		w, err := e.workload(ctx, g.workload)
+		first := unique[g.members[0].idx]
+		w, err := e.workload(ctx, first.Workload)
 		if err != nil {
 			fail(err)
 			return
 		}
 		prog := w.Original
-		if g.placed {
+		if usesPlaced(first) {
 			prog = w.Placed
 		}
 		models := make([]sim.ModelSpec, len(g.members))
@@ -664,7 +676,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 		ins.inflight.Add(float64(len(g.members)))
 		start := time.Now()
-		res, err := e.runStream(ctx, g.workload, g.placed, prog, opt.base, models, ins)
+		res, err := e.runStream(ctx, g.stream, prog, opt.base, models, ins)
 		wall := time.Since(start)
 		ins.inflight.Add(-float64(len(g.members)))
 		if err != nil {
@@ -707,14 +719,14 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	// Plan the batch. Under the engine lock each unique cell either
 	// joins an existing run entry (a waiter: some earlier batch — or
 	// this planning pass — owns the simulation) or registers a fresh
-	// entry and is assigned to the single-pass group for its
-	// (workload, binary) pair. Group membership follows unique order,
+	// entry and is assigned to the single-pass group of its stream
+	// (RunSpec.Stream). Group membership follows unique order,
 	// so the model list — and therefore the output — is deterministic
 	// regardless of worker count.
 	var tasks []func()
 	if !opt.noCoalesce {
 		var order []*group
-		byStream := make(map[groupKey]*group)
+		byStream := make(map[string]*group)
 		e.mu.Lock()
 		for idx, spec := range unique {
 			key := runKey{workload: spec.Workload, cfg: resolve(opt.base, spec), adaptive: spec.Adaptive}
@@ -725,23 +737,19 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 			}
 			ent := &runEntry{done: make(chan struct{})}
 			e.runs[key] = ent
-			gk := groupKey{workload: spec.Workload, placed: usesPlaced(spec)}
-			g := byStream[gk]
+			stream := spec.Stream()
+			g := byStream[stream]
 			if g == nil {
-				g = &group{workload: gk.workload, placed: gk.placed}
-				byStream[gk] = g
+				g = &group{stream: stream}
+				byStream[stream] = g
 				order = append(order, g)
 			}
 			g.members = append(g.members, member{idx: idx, key: key, ent: ent})
 		}
 		e.mu.Unlock()
 		for _, g := range order {
-			gid := g.workload + "/original"
-			if g.placed {
-				gid = g.workload + "/placed"
-			}
 			for _, m := range g.members {
-				groupIDs[m.idx] = gid
+				groupIDs[m.idx] = g.stream
 			}
 			g := g
 			tasks = append(tasks, func() { runGroup(g) })
@@ -808,8 +816,8 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 // a trace of the stream, otherwise a live pass that records one. Only
 // complete, successful passes are recorded, so a fault, an exhausted
 // budget or a cancellation re-executes (and re-raises) next time.
-func (e *Engine) runStream(ctx context.Context, workload string, placed bool, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
-	key := traceKey{workload: workload, placed: placed, stream: sim.StreamConfigOf(base)}
+func (e *Engine) runStream(ctx context.Context, stream string, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
+	key := traceKey{stream: stream, cfg: sim.StreamConfigOf(base)}
 	if tr := e.traces.get(key); tr != nil {
 		e.traceHits.Add(1)
 		ins.traceHits.Inc()
@@ -821,13 +829,6 @@ func (e *Engine) runStream(ctx context.Context, workload string, placed bool, pr
 		ins.traceSize.Set(float64(e.traces.put(key, tr)))
 	}
 	return res, err
-}
-
-// groupKey identifies one fetch stream within a batch: cells with the
-// same workload and binary replay identical (addr, indirect) events.
-type groupKey struct {
-	workload string
-	placed   bool
 }
 
 // RunOne executes a single cell.

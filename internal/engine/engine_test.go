@@ -669,6 +669,51 @@ func TestCoalescedMatchesPerCell(t *testing.T) {
 	}
 }
 
+// TestStreamIsGroupID: RunSpec.Stream is the one definition of a
+// fetch stream. It splits cells by binary — baseline and
+// way-memoization fetch the original layout, static and adaptive
+// way-placement the relaid one — and it is exactly the GroupID the
+// engine stamps on every coalesced cell, so the fleet can route on it
+// while the wire's group ids stay byte-for-byte what they were.
+func TestStreamIsGroupID(t *testing.T) {
+	icfg := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32}
+	pol := sim.DefaultAdaptivePolicy(icfg, 1<<10)
+	pol.IntervalInstrs = 10_000
+	specs := append(grid(), engine.RunSpec{
+		Workload: "tiny2", ICache: icfg, Scheme: energy.WayPlacement,
+		Adaptive: engine.AdaptiveSpecOf(pol),
+	})
+	for _, c := range []struct {
+		spec engine.RunSpec
+		want string
+	}{
+		{specs[0], "tiny1/original"},          // baseline
+		{specs[1], "tiny1/original"},          // way-memoization
+		{specs[2], "tiny1/placed"},            // way-placement
+		{specs[len(specs)-1], "tiny2/placed"}, // adaptive
+	} {
+		if got := c.spec.Stream(); got != c.want {
+			t.Errorf("%v: Stream() = %q, want %q", c.spec, got, c.want)
+		}
+	}
+
+	e := engine.New(testProvider(t), engine.WithWorkers(2))
+	res, err := e.Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make(map[string]bool)
+	for i, r := range res {
+		if r.GroupID != specs[i].Stream() {
+			t.Errorf("%v: GroupID %q, Stream() %q", specs[i], r.GroupID, specs[i].Stream())
+		}
+		streams[specs[i].Stream()] = true
+	}
+	if got := e.Groups(); got != uint64(len(streams)) {
+		t.Errorf("Groups() = %d, want one per distinct stream (%d)", got, len(streams))
+	}
+}
+
 // TestCoalescedGroupWithMemoizedCells is the regression test for
 // cache hits inside a coalesced group: when half a group's cells are
 // already memoized from an earlier batch, the second batch must still

@@ -14,7 +14,7 @@ import (
 func TestNilInstrumentsAllocFree(t *testing.T) {
 	ins := newInstruments(nil)
 	var table traceTable
-	key := traceKey{workload: "w", placed: true, stream: sim.StreamConfigOf(sim.Default())}
+	key := traceKey{stream: "w/placed", cfg: sim.StreamConfigOf(sim.Default())}
 	stats := &sim.RunStats{Instrs: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		_ = table.get(key)

@@ -19,15 +19,14 @@ import (
 // oldest traces first.
 const traceTableBytes = 32 << 20
 
-// traceKey names one fetch stream: the group's workload and binary
-// plus the producer-side half of the base configuration. An engine
-// memoises each workload's programs for its lifetime, so the name and
-// binary identify the program (sim.ReplayMulti rejects a trace of any
-// other).
+// traceKey names one fetch stream: the group's RunSpec.Stream (its
+// workload and binary) plus the producer-side half of the base
+// configuration. An engine memoises each workload's programs for its
+// lifetime, so the stream names the program (sim.ReplayMulti rejects a
+// trace of any other).
 type traceKey struct {
-	workload string
-	placed   bool
-	stream   sim.StreamConfig
+	stream string
+	cfg    sim.StreamConfig
 }
 
 // traceTable is an engine's bounded store of recorded fetch traces.

@@ -45,7 +45,8 @@ const (
 	// MetricBackendHits / MetricBackendMisses: cells a backend answered
 	// from its warm cache vs cells it had to simulate — summed across
 	// the ring they are the fleet-wide hit ratio, and per backend they
-	// show whether sharding is keeping each key's repeats on one node.
+	// show whether sharding is keeping each stream's cells, and so
+	// each cell's repeats, on one node.
 	MetricBackendHits   = "fleet_backend_cell_hits_total"
 	MetricBackendMisses = "fleet_backend_cell_misses_total"
 )
@@ -84,8 +85,8 @@ type Options struct {
 	// after its owner hard-fails (connection refused, 5xx). 429s are
 	// NOT failed over — they are retried against the owner with its
 	// Retry-After hint and then propagated, preserving the
-	// one-cell-one-backend cache affinity. Default 1; negative
-	// disables failover.
+	// one-stream-one-backend cache and trace affinity. Default 1;
+	// negative disables failover.
 	Failover int
 	// BackendRetries bounds per-attempt 429 retries against one
 	// backend. Default 4.
@@ -313,7 +314,7 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if rej == nil {
 		// Validate centrally — a batch either shards cleanly or fails
 		// with the same answer a single backend would give. Validation
-		// also yields the canonical keys the ring routes by.
+		// also yields the specs whose streams the ring routes by.
 		breq, specs, rej = api.DecodeBatch(w, r, c.opt.MaxBatchCells, "coordinator")
 	}
 	if rej != nil {
@@ -323,11 +324,14 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 		c.out.JSON(w, rej.Status, rej.Body)
 		return
 	}
-	keys := make([]string, len(specs))
+	// Route on the fetch stream, not the cell: every cell of a stream
+	// lands on one backend, which executes the program once and
+	// replays its recorded trace for the stream's later cells.
+	streams := make([]string, len(specs))
 	for i, s := range specs {
-		keys[i] = s.Key()
+		streams[i] = s.Stream()
 	}
-	subs := api.SplitBatch(breq.Requests, c.ring.Len(), func(i int) int { return c.ring.Owner(keys[i]) })
+	subs := api.SplitBatch(breq.Requests, c.ring.Len(), func(i int) int { return c.ring.Owner(streams[i]) })
 
 	switch c.acquire(tenant) {
 	case coordOverQuota:
@@ -345,11 +349,11 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	c.batches.Inc()
 
 	if breq.Async {
-		c.startAsync(w, r.Context(), tenant, echo, breq, subs, keys)
+		c.startAsync(w, r.Context(), tenant, echo, breq, subs, streams)
 		return
 	}
 
-	outs := c.scatter(r.Context(), tenant, breq, subs, keys, false)
+	outs := c.scatter(r.Context(), tenant, breq, subs, streams, false)
 	if c.propagateBusy(w, outs) {
 		return
 	}
@@ -372,14 +376,14 @@ type subOutcome struct {
 // quota and weighted-fair scheduler sees the originating client, not
 // the coordinator's address. async selects the backend-side execution
 // mode (the 202 responses then carry each backend's sub job id).
-func (c *Coordinator) scatter(ctx context.Context, tenant string, breq *api.BatchRequest, subs []api.SubBatch, keys []string, async bool) []subOutcome {
+func (c *Coordinator) scatter(ctx context.Context, tenant string, breq *api.BatchRequest, subs []api.SubBatch, streams []string, async bool) []subOutcome {
 	outs := make([]subOutcome, len(subs))
 	var wg sync.WaitGroup
 	for si := range subs {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			outs[si] = c.runSub(ctx, tenant, breq, subs[si], keys, async)
+			outs[si] = c.runSub(ctx, tenant, breq, subs[si], streams, async)
 		}(si)
 	}
 	wg.Wait()
@@ -390,10 +394,11 @@ func (c *Coordinator) scatter(ctx context.Context, tenant string, breq *api.Batc
 // same backend with its Retry-After hint, and failing over to up to
 // Options.Failover successor ring nodes only on hard errors
 // (connection failures, 5xx). Busy owners are NOT failed over: moving
-// a saturated shard's keys to its neighbour would simulate them a
+// a saturated shard's streams to its neighbour would simulate them a
 // second time and melt the neighbour too — backpressure propagates to
-// the client instead.
-func (c *Coordinator) runSub(ctx context.Context, tenant string, breq *api.BatchRequest, sub api.SubBatch, keys []string, async bool) subOutcome {
+// the client instead. The failover order is the ring sequence of the
+// sub-batch's first stream.
+func (c *Coordinator) runSub(ctx context.Context, tenant string, breq *api.BatchRequest, sub api.SubBatch, streams []string, async bool) subOutcome {
 	body, err := json.Marshal(api.BatchRequest{
 		APIVersion: api.Version,
 		Requests:   sub.Requests,
@@ -403,7 +408,7 @@ func (c *Coordinator) runSub(ctx context.Context, tenant string, breq *api.Batch
 	if err != nil {
 		return subOutcome{err: err}
 	}
-	seq := c.ring.Sequence(keys[sub.Indices[0]], 1+max(0, c.opt.Failover))
+	seq := c.ring.Sequence(streams[sub.Indices[0]], 1+max(0, c.opt.Failover))
 	var last subOutcome
 	for ai, bi := range seq {
 		if ai > 0 {
@@ -477,7 +482,7 @@ func notFound(err error) bool {
 
 // countCells books each answered cell on the backend's hit/miss
 // series. Summed across backends these are the fleet-wide cache
-// ratio; a healthy ring shows every repeat key as a hit on exactly
+// ratio; a healthy ring shows every repeat cell as a hit on exactly
 // one backend.
 func (c *Coordinator) countCells(b *backend, resp *api.BatchResponse) {
 	for i := range resp.Results {

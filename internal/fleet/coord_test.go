@@ -24,9 +24,16 @@ import (
 // synthetic workload set.
 func startBackends(t *testing.T, n, workloads int) []*load.Loopback {
 	t.Helper()
-	backs := make([]*load.Loopback, n)
+	return startObserved(t, make([]*obs.Registry, n), workloads)
+}
+
+// startObserved boots one backend per registry, each reporting its
+// serve and engine metrics there (a nil registry reports nowhere).
+func startObserved(t *testing.T, regs []*obs.Registry, workloads int) []*load.Loopback {
+	t.Helper()
+	backs := make([]*load.Loopback, len(regs))
 	for i := range backs {
-		lb, err := load.StartLoopback(load.LoopbackOptions{Workloads: workloads})
+		lb, err := load.StartLoopback(load.LoopbackOptions{Workloads: workloads, Registry: regs[i]})
 		if err != nil {
 			t.Fatalf("backend %d: %v", i, err)
 		}
@@ -124,7 +131,7 @@ func sumMisses(backs []*load.Loopback) uint64 {
 }
 
 func TestCoordinatorSyncIdenticalToDirectRun(t *testing.T) {
-	const workloads = 4
+	const workloads = 12
 	backs := startBackends(t, 3, workloads)
 	_, srv := startCoordinator(t, backs, fleet.Options{})
 	reqs := testPool(workloads)
@@ -171,6 +178,63 @@ func TestCoordinatorOncePerFleetAcrossRepeats(t *testing.T) {
 	}
 	if got, want := sumMisses(backs), uint64(len(reqs)); got != want {
 		t.Errorf("fleet simulated %d cells over 3 rounds, want exactly %d (once per fleet)", got, want)
+	}
+}
+
+// TestCoordinatorRunsEachStreamOnce: the ring routes on the fetch
+// stream, so however a stream's cells arrive — here each cell of the
+// pool as its own batch — one backend simulates all of them, executes
+// the stream's program once, and replays the recorded trace for the
+// rest.
+func TestCoordinatorRunsEachStreamOnce(t *testing.T) {
+	const workloads = 12
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()}
+	backs := startObserved(t, regs, workloads)
+	_, srv := startCoordinator(t, backs, fleet.Options{})
+	reqs := testPool(workloads)
+	specs, err := api.ToSpecs(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	client := serve.NewClient(srv.URL)
+	simulatedOn := make(map[string]map[int]bool) // stream -> backends
+	for i, req := range reqs {
+		before := make([]uint64, len(backs))
+		for b, lb := range backs {
+			before[b] = lb.Engine.Misses()
+		}
+		resp, err := client.Run(context.Background(), []api.RunRequest{req})
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if resp.Status != api.StatusDone {
+			t.Fatalf("cell %d: status %q errors %v", i, resp.Status, resp.Errors)
+		}
+		stream := specs[i].Stream()
+		if simulatedOn[stream] == nil {
+			simulatedOn[stream] = make(map[int]bool)
+		}
+		for b, lb := range backs {
+			if lb.Engine.Misses() > before[b] {
+				simulatedOn[stream][b] = true
+			}
+		}
+	}
+	for stream, on := range simulatedOn {
+		if len(on) != 1 {
+			t.Errorf("stream %s simulated on %d backends, want 1", stream, len(on))
+		}
+	}
+	if got, want := sumMisses(backs), uint64(len(reqs)); got != want {
+		t.Errorf("fleet simulated %d cells for %d unique cells", got, want)
+	}
+	var executions uint64
+	for _, reg := range regs {
+		executions += reg.Counter(engine.MetricTraceMisses).Value()
+	}
+	if executions != uint64(len(simulatedOn)) {
+		t.Errorf("fleet executed %d streams live for %d distinct streams, want each once", executions, len(simulatedOn))
 	}
 }
 
@@ -247,7 +311,7 @@ func TestCoordinatorAsyncIdenticalToDirectRun(t *testing.T) {
 }
 
 func TestCoordinatorFailsOverDeadBackend(t *testing.T) {
-	const workloads = 4
+	const workloads = 12
 	backs := startBackends(t, 2, workloads)
 	// A dead third backend: reserve a port, then close it.
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -274,7 +338,7 @@ func TestCoordinatorFailsOverDeadBackend(t *testing.T) {
 }
 
 func TestCoordinatorReportsCellFailuresWithoutFailover(t *testing.T) {
-	const workloads = 4
+	const workloads = 12
 	backs := startBackends(t, 2, workloads)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL

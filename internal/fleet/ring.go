@@ -1,13 +1,16 @@
 // Package fleet is the sharded-serving layer over wpserved: a
 // coordinator that owns a consistent-hash ring of backends, splits
 // every incoming batch into per-backend sub-batches keyed by each
-// cell's canonical engine.RunSpec.Key(), fans the sub-batches out
-// concurrently and merges the answers back into original cell order.
+// cell's fetch stream (engine.RunSpec.Stream: its workload and the
+// binary it fetches from), fans the sub-batches out concurrently and
+// merges the answers back into original cell order.
 //
-// Sharding by canonical key is what turns N independent daemons into
-// one logical cache: every repeat of a cell — from any client, ever —
-// routes to the same backend, so the fleet simulates a cold cell
-// exactly once and serves every later request from that backend's
+// Sharding by stream is what turns N independent daemons into one
+// logical cache: every cell of a stream — and so every repeat of a
+// cell, from any client, ever — routes to the same backend. The fleet
+// therefore simulates a cold cell exactly once, executes each stream's
+// program once (the owner replays its recorded fetch trace for the
+// stream's later cells), and serves every repeat from that backend's
 // warm run cache or persistent store. The ring moves only ~1/(N+1) of
 // the key space when a backend joins or leaves, so scaling the fleet
 // re-shards the minimum possible slice of the warm set.

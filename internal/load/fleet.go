@@ -142,10 +142,10 @@ func (f *Fleet) SimulatedCells() uint64 {
 
 // SingletonPool builds one baseline cell per workload. This is the
 // pool shape that isolates scaling: every cell is its own workload,
-// so sharding never re-runs a fetch stream two backends both need
-// (contrast Pool, whose per-workload cell families coalesce into one
-// stream pass on a single engine — work a shard split must partly
-// duplicate).
+// so sharding never prepares a workload on two backends (contrast
+// Pool, whose workloads each have an original and a placed stream
+// that the ring may route to different backends, each preparing the
+// workload).
 func SingletonPool(workloads []string, icache api.CacheGeometry) []api.RunRequest {
 	reqs := make([]api.RunRequest, len(workloads))
 	for i, w := range workloads {

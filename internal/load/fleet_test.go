@@ -37,8 +37,8 @@ func startFleet(t *testing.T, opt load.FleetOptions) *load.Fleet {
 // distinct pool cell at most once, however many times the hot keys
 // are re-requested.
 func TestFleetOncePerFleetUnderLoad(t *testing.T) {
-	f := startFleet(t, load.FleetOptions{Backends: 3, Workloads: 2})
-	pool := load.Pool(load.SyntheticNames(2), load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
+	f := startFleet(t, load.FleetOptions{Backends: 3, Workloads: 4})
+	pool := load.Pool(load.SyntheticNames(4), load.SyntheticGeometry(), []uint32{1 << 10, 2 << 10})
 
 	// Deterministic phase first: the whole pool through the
 	// coordinator, twice. Every cell lands on its ring owner and is
@@ -84,10 +84,11 @@ func TestFleetOncePerFleetUnderLoad(t *testing.T) {
 	}
 
 	// The ring must actually spread the pool: every backend simulated
-	// exactly the cells the ring assigns it, and more than one backend
-	// owns cells. Backends listen on random ports and the ring hashes
-	// their URLs, so the shares differ from run to run (a backend may
-	// own none of the 12 cells) and are computed here from the ring.
+	// exactly the cells the ring assigns it by stream, and more than
+	// one backend owns cells. Backends listen on random ports and the
+	// ring hashes their URLs, so the shares differ from run to run (a
+	// backend may own none of the 8 streams) and are computed here
+	// from the ring.
 	urls := make([]string, len(f.Backends))
 	for i, lb := range f.Backends {
 		urls[i] = lb.URL
@@ -102,7 +103,7 @@ func TestFleetOncePerFleetUnderLoad(t *testing.T) {
 	}
 	owned := make([]uint64, len(urls))
 	for _, s := range specs {
-		owned[ring.Owner(s.Key())]++
+		owned[ring.Owner(s.Stream())]++
 	}
 	owners := 0
 	for i, lb := range f.Backends {
