@@ -362,6 +362,34 @@ func BenchmarkFetchTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(tr.Bytes())/float64(tr.Instrs()), "bytes/instr")
 }
 
+// BenchmarkRunMultiGrid is the consume side of a paper-grid pass: the
+// figure workload's recorded placed stream replayed through figure 6's
+// grid (every size and associativity under baseline, way-memoization
+// and both way-placement areas) in one pass, reported per instruction
+// per model.
+func BenchmarkRunMultiGrid(b *testing.B) {
+	w := suite(b).Workloads[0]
+	tr := recordTrace(b, w.Placed)
+	var models []sim.ModelSpec
+	for _, kb := range experiment.Fig6Sizes {
+		for _, ways := range experiment.Fig6Ways {
+			icfg := cache.Config{SizeBytes: kb << 10, Ways: ways, LineBytes: 32}
+			models = append(models,
+				sim.ModelSpec{Geometry: icfg, Scheme: energy.Baseline},
+				sim.ModelSpec{Geometry: icfg, Scheme: energy.WayMemoization},
+				sim.ModelSpec{Geometry: icfg, Scheme: energy.WayPlacement, WPSize: 16 << 10},
+				sim.ModelSpec{Geometry: icfg, Scheme: energy.WayPlacement, WPSize: 8 << 10})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.ReplayMulti(context.Background(), tr, w.Placed, streamBase(), models); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(tr.Instrs())*float64(b.N*len(models))), "ns/instr/model")
+}
+
 // TestFetchTracesFitBudget records the reference-input stream of every
 // benchmark, original and placed layout — every stream the paper grid
 // and the serving sweeps simulate — and requires the recordings to

@@ -123,7 +123,10 @@ func (c Config) LinkOverhead() float64 {
 	return float64(linkBits) / float64(c.LineBytes*8)
 }
 
-// Stats counts the events the energy model charges for.
+// Stats counts the events the energy model charges for. Every field is
+// a plain event count, so Cache.RepeatSince can charge a repeated
+// fetch sequence by scaling the counts of one copy; a new field must
+// join addRepeats.
 type Stats struct {
 	Fetches uint64 // instruction fetches requested (I-side)
 
@@ -154,6 +157,35 @@ type Stats struct {
 	WPAreaFetches      uint64 // fetches whose address lies in the WP area
 	DesignatedFills    uint64 // fills forced into the way-placed way
 	NonDesignatedFills uint64 // fills chosen by the replacement policy
+}
+
+// addRepeats adds n times the counts accrued since snap: s becomes
+// what n further copies of the same activity would leave.
+func (s *Stats) addRepeats(snap *Stats, n uint64) {
+	rep := func(f *uint64, was uint64) { *f += n * (*f - was) }
+	rep(&s.Fetches, snap.Fetches)
+	rep(&s.SameLineHits, snap.SameLineHits)
+	rep(&s.FullSearches, snap.FullSearches)
+	rep(&s.SingleSearches, snap.SingleSearches)
+	rep(&s.LinkedAccesses, snap.LinkedAccesses)
+	rep(&s.TagComparisons, snap.TagComparisons)
+	rep(&s.Hits, snap.Hits)
+	rep(&s.Misses, snap.Misses)
+	rep(&s.LineFills, snap.LineFills)
+	rep(&s.DataReads, snap.DataReads)
+	rep(&s.DataWrites, snap.DataWrites)
+	rep(&s.Writebacks, snap.Writebacks)
+	rep(&s.LinkWrites, snap.LinkWrites)
+	rep(&s.StaleLinks, snap.StaleLinks)
+	rep(&s.Flushes, snap.Flushes)
+	rep(&s.HintCorrectWP, snap.HintCorrectWP)
+	rep(&s.HintCorrectNon, snap.HintCorrectNon)
+	rep(&s.HintMissedSaving, snap.HintMissedSaving)
+	rep(&s.HintExtraAccess, snap.HintExtraAccess)
+	rep(&s.WPAccesses, snap.WPAccesses)
+	rep(&s.WPAreaFetches, snap.WPAreaFetches)
+	rep(&s.DesignatedFills, snap.DesignatedFills)
+	rep(&s.NonDesignatedFills, snap.NonDesignatedFills)
 }
 
 // MissRate returns misses / (hits+misses).
@@ -333,6 +365,33 @@ func (c *Cache) touch(set, way int) {
 	c.tick++
 	c.sets[set][way].lastUse = c.tick
 	c.mru[set] = way
+}
+
+// RepeatSince charges n further repeats of the fetches counted since
+// snap (a copy of Stats taken before them), in closed form, and
+// reports whether it could. The caller guarantees that the fetches
+// since snap — the probe — followed an identical sequence and that n
+// identical copies follow it. The charge is exact only when the probe
+// was clean: no miss, line fill, link write, stale-link invalidation or
+// flush, so no resident line and no link changed and no victim pointer
+// moved. Every other piece of engine state the next fetch reads (the
+// line buffer and way hint, the way-memoization predecessor, the
+// baseline's last line) is then a function of the resident lines and
+// of the probe's last fetch, which equals the previous copy's, so the
+// state after the probe equals the state before it (the MRU way only
+// shortens a search and never changes an outcome) and each copy
+// repeats the probe's counts. Recency is the exception: hits advance
+// it and it is not charged here, so only round-robin caches, whose
+// victims never read it, qualify. On false nothing is charged and the
+// caller fetches the copies itself.
+func (c *Cache) RepeatSince(snap *Stats, n uint64) bool {
+	s := &c.Stats
+	if c.Cfg.Policy != RoundRobin || s.Misses != snap.Misses || s.LineFills != snap.LineFills ||
+		s.LinkWrites != snap.LinkWrites || s.StaleLinks != snap.StaleLinks || s.Flushes != snap.Flushes {
+		return false
+	}
+	s.addRepeats(snap, n)
+	return true
 }
 
 // lineRef returns the line at (set, way).

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -441,4 +442,57 @@ func must[E FetchEngine](e E, err error) E {
 		panic(err)
 	}
 	return e
+}
+
+// RepeatSince scales every Stats field by the same repeat count: a
+// field missing from addRepeats would stay at its probe value.
+func TestRepeatSinceScalesEveryField(t *testing.T) {
+	c := MustNew(xscale32())
+	sv := reflect.ValueOf(&c.Stats).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetUint(uint64(100 + i))
+	}
+	snap := c.Stats
+	// A clean probe: every counter but the dirty ones moved by i+1.
+	for i := 0; i < sv.NumField(); i++ {
+		switch sv.Type().Field(i).Name {
+		case "Misses", "LineFills", "LinkWrites", "StaleLinks", "Flushes":
+		default:
+			sv.Field(i).SetUint(sv.Field(i).Uint() + uint64(i+1))
+		}
+	}
+	probe := c.Stats
+	if !c.RepeatSince(&snap, 3) {
+		t.Fatal("RepeatSince refused a clean probe")
+	}
+	pv, snv := reflect.ValueOf(probe), reflect.ValueOf(snap)
+	for i := 0; i < sv.NumField(); i++ {
+		want := pv.Field(i).Uint() + 3*(pv.Field(i).Uint()-snv.Field(i).Uint())
+		if got := sv.Field(i).Uint(); got != want {
+			t.Errorf("%s = %d after 3 repeats, want %d", sv.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// A probe that missed, filled, wrote or invalidated a link, or
+// flushed — or any probe on an LRU cache — is not charged.
+func TestRepeatSinceRefusesDirtyProbes(t *testing.T) {
+	for _, name := range []string{"Misses", "LineFills", "LinkWrites", "StaleLinks", "Flushes"} {
+		c := MustNew(xscale32())
+		snap := c.Stats
+		c.Stats.Fetches++
+		reflect.ValueOf(&c.Stats).Elem().FieldByName(name).SetUint(1)
+		dirty := c.Stats
+		if c.RepeatSince(&snap, 5) || c.Stats != dirty {
+			t.Errorf("probe with %s charged in closed form", name)
+		}
+	}
+	cfg := xscale32()
+	cfg.Policy = LRU
+	c := MustNew(cfg)
+	snap := c.Stats
+	c.Stats.Fetches++
+	if c.RepeatSince(&snap, 5) || c.Stats.Fetches != 1 {
+		t.Error("LRU probe charged in closed form")
+	}
 }

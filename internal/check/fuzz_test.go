@@ -15,11 +15,13 @@ import (
 // and every stat invariant must hold. The seed parity picks the
 // single-pass execution shape — coalesced multi-model passes or
 // per-cell single-model passes — so both shapes of sim.RunMulti are
-// fuzzed against the coupled reference. The seed corpus runs on every
-// plain `go test`, so the harness is exercised on each tier-1 pass
-// even without -fuzz.
+// fuzzed against the coupled reference. Every third seed runs on
+// thrashGeometry, where a loop that evicts its own lines makes the
+// single pass fall back from closed-form repeats to run-by-run
+// consumption. The seed corpus runs on every plain `go test`, so the
+// harness is exercised on each tier-1 pass even without -fuzz.
 func FuzzDifferential(f *testing.F) {
-	for seed := uint64(1); seed <= 8; seed++ {
+	for seed := uint64(1); seed <= 12; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
@@ -30,6 +32,9 @@ func FuzzDifferential(f *testing.F) {
 		}
 		cfg := sim.Default()
 		cfg.MaxInstrs = 10_000_000
+		if seed%3 == 0 {
+			cfg.ICache = thrashGeometry
+		}
 		prof, _, err := sim.ProfileRun(original, cfg.MaxInstrs)
 		if err != nil {
 			// progen guarantees termination, so a budget blowout here

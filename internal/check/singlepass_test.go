@@ -10,6 +10,10 @@ import (
 	"wayplace/internal/sim"
 )
 
+// thrashGeometry is a 1 KB, 2-way, 32-byte-line round-robin I-cache:
+// small enough that most loops evict their own lines.
+var thrashGeometry = cache.Config{SizeBytes: 1 << 10, Ways: 2, LineBytes: 32, Policy: cache.RoundRobin}
+
 // TestSinglePassMatchesPerCell sweeps the whole benchmark suite on the
 // Small inputs and compares one coalesced sim.RunMulti pass per binary
 // — mixed geometries, line sizes, schemes, ablation switches and the
@@ -23,7 +27,10 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 
 	// Geometry zoo: the default 32KB/32-way, a small low-associativity
 	// corner, a wide-line configuration (line larger than the
-	// segmentation block of line-32 models), and an LRU variant.
+	// segmentation block of line-32 models), an LRU variant, and a
+	// thrashing cache on which the loops of about half the benchmarks
+	// keep missing, so the single pass falls back from closed-form
+	// repeats to run-by-run consumption.
 	geoDefault := base.ICache
 	geoSmall := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32, Policy: cache.RoundRobin}
 	geoWide := cache.Config{SizeBytes: 16 << 10, Ways: 16, LineBytes: 64, Policy: cache.RoundRobin}
@@ -38,6 +45,8 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 		{Geometry: geoLRU, Scheme: energy.Baseline},
 		{Geometry: geoDefault, Scheme: energy.WayMemoization},
 		{Geometry: geoWide, Scheme: energy.WayMemoization},
+		{Geometry: thrashGeometry, Scheme: energy.Baseline},
+		{Geometry: thrashGeometry, Scheme: energy.WayMemoization},
 	}
 	placedModels := []sim.ModelSpec{
 		{Geometry: geoDefault, Scheme: energy.WayPlacement, WPSize: 16 << 10},
@@ -46,6 +55,7 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 		{Geometry: geoDefault, Scheme: energy.WayPlacement, WPSize: 16 << 10, NoSameLine: true},
 		{Geometry: geoSmall, Scheme: energy.WayPlacement, WPSize: 4 << 10},
 		{Geometry: geoWide, Scheme: energy.WayPlacement, WPSize: 8 << 10},
+		{Geometry: thrashGeometry, Scheme: energy.WayPlacement, WPSize: 4 << 10},
 		{Geometry: geoDefault, Adaptive: &pol},
 	}
 

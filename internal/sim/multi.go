@@ -26,6 +26,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"wayplace/internal/cache"
 	"wayplace/internal/cpu"
@@ -94,10 +95,82 @@ type FetchRun struct {
 // FetchChunk is one batch of fetch events. Events holds one word per
 // retired instruction: the fetch address with cpu.EventIndirect in bit
 // 0. Runs segments the same events for bulk replay. Both slices alias
-// buffers reused by the next NextChunk call.
+// buffers reused by the next NextChunk call. Reps, filled in by the
+// consuming pass, lists the chunk's exact repeats.
 type FetchChunk struct {
 	Events []uint32
 	Runs   []FetchRun
+	Reps   []FetchRep
+}
+
+// FetchRep is an exact repeat inside a chunk, in run indices: the
+// period Runs[Probe:Skip] repeats, event for event, the period of the
+// same length just before it, and Runs[Skip:End] is a whole number
+// (at least one) of further copies of it. Reps are ordered and
+// disjoint, and never cross a chunk boundary.
+type FetchRep struct {
+	Probe, Skip, End uint32
+}
+
+// repMaxPeriod bounds the period, in runs, of a repeat.
+const repMaxPeriod = 512
+
+// repTableBits sizes the repeat finder's candidate table.
+const repTableBits = 12
+
+// repeatFinder finds a chunk's exact repeats. Its table remembers,
+// per hash of a run's first event, the last run index (plus one) that
+// started with it: a run whose first event was seen p runs ago is a
+// candidate for a period of p runs, confirmed by comparing the events
+// of the two periods. The table and the result buffer are reused
+// across chunks.
+type repeatFinder struct {
+	last [1 << repTableBits]int32
+	reps []FetchRep
+}
+
+// find returns ch's repeats; the slice is valid until the next call.
+func (f *repeatFinder) find(ch *FetchChunk) []FetchRep {
+	ev, runs := ch.Events, ch.Runs
+	clear(f.last[:])
+	slot := func(i int) *int32 { return &f.last[(ev[runs[i].Start]*0x9e3779b1)>>(32-repTableBits)] }
+	// span returns the events of runs[i:i+p].
+	span := func(i, p int) []uint32 {
+		end := uint32(len(ev))
+		if i+p < len(runs) {
+			end = runs[i+p].Start
+		}
+		return ev[runs[i].Start:end]
+	}
+	reps := f.reps[:0]
+	for i := 0; i < len(runs); i++ {
+		s := slot(i)
+		j := int(*s) - 1
+		*s = int32(i + 1)
+		p := i - j
+		if j < 0 || p > repMaxPeriod || i+2*p > len(runs) {
+			continue
+		}
+		probe := span(i, p)
+		if !slices.Equal(span(j, p), probe) {
+			continue
+		}
+		end := i + p
+		for end+p <= len(runs) && slices.Equal(span(end, p), probe) {
+			end += p
+		}
+		if end == i+p {
+			continue
+		}
+		reps = append(reps, FetchRep{Probe: uint32(i), Skip: uint32(i + p), End: uint32(end)})
+		// Resume after the repeat, remembering its last copy.
+		for k := end - p; k < end; k++ {
+			*slot(k) = int32(k + 1)
+		}
+		i = end - 1
+	}
+	f.reps = reps
+	return reps
 }
 
 // fetchChunkEvents is the production batch size: large enough to
@@ -241,6 +314,12 @@ type modelCore struct {
 	fe      cache.FetchEngine
 	ownITLB *tlb.TLB     // adaptive models only; nil means use the shared reference I-TLB
 	changes []AreaChange // adaptive resize trace
+
+	// closedForm marks a bulk model on a round-robin cache, which
+	// charges clean repeats in closed form (consumeRepeats);
+	// repeatedRuns counts the runs it charged that way.
+	closedForm   bool
+	repeatedRuns uint64
 }
 
 func (m *modelCore) core() *modelCore { return m }
@@ -260,8 +339,9 @@ func (o staticWPOracle) WayPlaced(addr uint32) bool {
 // scheme whose per-event behaviour inside a resident line is
 // state-independent (baseline, way-memoization, way-placement with the
 // same-line optimisation on). One concrete model type per engine keeps
-// the per-run calls direct (devirtualised and inlinable) — this loop
-// runs once per fetch run per model and dominates consume time.
+// the per-run calls direct (devirtualised and inlinable); the repeat
+// walk (consumeRepeats) wraps that run loop and charges repeated loop
+// iterations in closed form, which takes most runs off it.
 
 type baselineBulkModel struct {
 	modelCore
@@ -269,14 +349,18 @@ type baselineBulkModel struct {
 }
 
 func (m *baselineBulkModel) Consume(ch *FetchChunk) error {
-	for _, r := range ch.Runs {
-		ev := ch.Events[r.Start]
+	m.consumeRepeats(ch, m.fetchRuns)
+	return nil
+}
+
+func (m *baselineBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
+	for _, r := range runs {
+		ev := events[r.Start]
 		m.be.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
 		if r.N > 1 {
 			m.be.FetchSameLine(int(r.N - 1))
 		}
 	}
-	return nil
 }
 
 type wayMemoBulkModel struct {
@@ -285,14 +369,18 @@ type wayMemoBulkModel struct {
 }
 
 func (m *wayMemoBulkModel) Consume(ch *FetchChunk) error {
-	for _, r := range ch.Runs {
-		ev := ch.Events[r.Start]
+	m.consumeRepeats(ch, m.fetchRuns)
+	return nil
+}
+
+func (m *wayMemoBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
+	for _, r := range runs {
+		ev := events[r.Start]
 		m.wm.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
 		if r.N > 1 {
-			m.wm.FetchSameLine(int(r.N-1), cpu.EventAddr(ch.Events[r.Start+r.N-1]))
+			m.wm.FetchSameLine(int(r.N-1), cpu.EventAddr(events[r.Start+r.N-1]))
 		}
 	}
-	return nil
 }
 
 type wayPlaceBulkModel struct {
@@ -301,14 +389,63 @@ type wayPlaceBulkModel struct {
 }
 
 func (m *wayPlaceBulkModel) Consume(ch *FetchChunk) error {
-	for _, r := range ch.Runs {
-		ev := ch.Events[r.Start]
+	m.consumeRepeats(ch, m.fetchRuns)
+	return nil
+}
+
+func (m *wayPlaceBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
+	for _, r := range runs {
+		ev := events[r.Start]
 		m.wpe.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
 		if r.N > 1 {
-			m.wpe.FetchSameLine(int(r.N-1), cpu.EventAddr(ch.Events[r.Start+r.N-1]))
+			m.wpe.FetchSameLine(int(r.N-1), cpu.EventAddr(events[r.Start+r.N-1]))
 		}
 	}
-	return nil
+}
+
+// consumeRepeats feeds ch's runs to fetchRuns, the model's run loop,
+// charging the copies of each repeat in closed form where it can.
+//
+// A repeat's copies are consumed one at a time from its probe on.
+// After a copy whose fetches were clean — no miss, fill, link write,
+// stale link or flush — the remaining n copies are charged as n times
+// that copy's counts (cache.Cache.RepeatSince). This is exact. A clean
+// copy changes no resident line, link or round-robin pointer. The rest
+// of the engine state a fetch reads is a function of the resident
+// lines and of the last event before it: the way-placement line buffer
+// and way hint, way-memoization's predecessor (address, line and its
+// generation) and the baseline's last line. The MRU way only shortens a
+// search. The event before a copy is the previous copy's last event,
+// and every copy, the probe included, follows an identical copy, so
+// the state after a clean copy equals the state before it and every
+// later copy repeats its counts exactly. Recency (tick and lastUse)
+// does move on a hit and is not charged, which is why only
+// round-robin models qualify. A dirty copy (a cold line, a first link
+// along the loop's back edge, or a thrashing set) makes the next copy
+// the probe, and a repeat whose copies are all dirty is consumed run
+// by run.
+func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(events []uint32, runs []FetchRun)) {
+	runs := ch.Runs
+	if !m.closedForm {
+		fetchRuns(ch.Events, runs)
+		return
+	}
+	c := m.fe.Cache()
+	at := uint32(0)
+	for _, r := range ch.Reps {
+		fetchRuns(ch.Events, runs[at:r.Probe])
+		p := r.Skip - r.Probe
+		for at = r.Probe; at < r.End; {
+			snap := c.Stats
+			fetchRuns(ch.Events, runs[at:at+p])
+			at += p
+			if at < r.End && c.RepeatSince(&snap, uint64((r.End-at)/p)) {
+				m.repeatedRuns += uint64(r.End - at)
+				at = r.End
+			}
+		}
+	}
+	fetchRuns(ch.Events, runs[at:])
 }
 
 // eventModel replays every event individually — needed when the
@@ -390,6 +527,10 @@ func (m *adaptiveModel) decide() error {
 	return nil
 }
 
+// testHookRepeatedRuns, when set by a test, receives each live
+// model's spec and the number of runs it charged in closed form.
+var testHookRepeatedRuns func(spec ModelSpec, repeatedRuns uint64)
+
 // newModel builds the CacheModel for one spec.
 func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error) {
 	if err := spec.Geometry.Validate(); err != nil {
@@ -421,6 +562,7 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 		return m, nil
 	}
 
+	roundRobin := spec.Geometry.Policy == cache.RoundRobin
 	switch spec.Scheme {
 	case energy.Baseline:
 		be, err := cache.NewBaseline(spec.Geometry)
@@ -428,7 +570,7 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 			return nil, err
 		}
 		return &baselineBulkModel{
-			modelCore: modelCore{spec: spec, fe: be},
+			modelCore: modelCore{spec: spec, fe: be, closedForm: roundRobin},
 			be:        be,
 		}, nil
 
@@ -438,7 +580,7 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 			return nil, err
 		}
 		return &wayMemoBulkModel{
-			modelCore: modelCore{spec: spec, fe: wm},
+			modelCore: modelCore{spec: spec, fe: wm, closedForm: roundRobin},
 			wm:        wm,
 		}, nil
 
@@ -465,7 +607,7 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 			return &eventModel{modelCore: modelCore{spec: spec, fe: wpe}}, nil
 		}
 		return &wayPlaceBulkModel{
-			modelCore: modelCore{spec: spec, fe: wpe},
+			modelCore: modelCore{spec: spec, fe: wpe, closedForm: roundRobin},
 			wpe:       wpe,
 		}, nil
 	}
@@ -596,6 +738,7 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 	if err != nil {
 		return nil, err
 	}
+	var reps repeatFinder
 	for {
 		ch, err := src.NextChunk(ctx)
 		if err != nil {
@@ -603,6 +746,9 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		}
 		if ch == nil {
 			break
+		}
+		if slices.ContainsFunc(live, func(m CacheModel) bool { return m.core().closedForm }) {
+			ch.Reps = reps.find(ch)
 		}
 		if shared != nil {
 			for _, r := range ch.Runs {
@@ -642,6 +788,9 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			continue
 		}
 		c := m.core()
+		if testHookRepeatedRuns != nil {
+			testHookRepeatedRuns(c.spec, c.repeatedRuns)
+		}
 		results[i] = &ModelResult{
 			Stats:       c.finalize(base, &out, sharedStats),
 			AreaChanges: c.changes,
