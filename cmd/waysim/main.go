@@ -16,10 +16,8 @@ import (
 	"strings"
 
 	"wayplace/internal/cache"
-	"wayplace/internal/cpu"
 	"wayplace/internal/energy"
 	"wayplace/internal/experiment"
-	"wayplace/internal/mem"
 	"wayplace/internal/sim"
 	"wayplace/internal/trace"
 )
@@ -80,20 +78,11 @@ func main() {
 		fail(err)
 	}
 
-	var rec *trace.Recorder
+	var addrs []uint32
 	if *doTrace {
-		// Re-run with a recording engine wrapped around a fresh
-		// baseline cache (the analysis is about the address stream,
-		// which is scheme-independent).
-		inner, err := cache.NewBaseline(cfg.ICache)
-		if err != nil {
-			fail(err)
-		}
-		rec = trace.Wrap(inner)
-		m := mem.New(cfg.Mem)
-		core := cpu.New(prog, m)
-		core.IFetch = rec
-		if _, err := core.Run(cfg.MaxInstrs); err != nil {
+		// The analysis is about the address stream, which is
+		// scheme-independent.
+		if addrs, err = trace.Addrs(context.Background(), prog, cfg); err != nil {
 			fail(err)
 		}
 	}
@@ -132,9 +121,9 @@ func main() {
 	fmt.Printf("  processor total     %14.0f\n", rs.Energy.Total())
 	fmt.Printf("  ED product vs base  %14.3f\n",
 		energy.EDProduct(rs.Energy, rs.Cycles, base.Energy, base.Cycles))
-	if rec != nil {
+	if *doTrace {
 		fmt.Printf("fetch-trace analysis (%dB lines)\n", cfg.ICache.LineBytes)
-		fmt.Print(indent(trace.Summary(rec.Addrs, cfg.ICache.LineBytes, prog.Base)))
+		fmt.Print(indent(trace.Summary(addrs, cfg.ICache.LineBytes, prog.Base)))
 	}
 }
 

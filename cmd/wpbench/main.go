@@ -6,19 +6,19 @@
 // per-cell completions, and overlapping cells between figures are
 // simulated once and served from the run cache thereafter. Cells that
 // share a workload and fetch stream execute as single-pass multi-model
-// groups (sim.RunMulti); a full run submits the union of every grid as
-// a warmup batch first, so the whole evaluation costs roughly two
-// producer passes per workload. Output is byte-identical for every
-// -jobs value and with grouping disabled.
+// groups; a full run submits the union of every grid as a warmup batch
+// first, so the whole evaluation costs roughly two producer passes per
+// workload. Output is byte-identical for every -jobs value.
 //
 // Every simulation cell is additionally passed through the runtime
 // invariant checker (internal/check): a run whose statistics violate
 // the conservation laws fails its cell rather than silently feeding a
 // figure. -selfcheck goes further and runs the full differential
 // harness — every benchmark under every scheme variant on the Large
-// input, demanding architectural equivalence — plus an execution-shape
-// check that the figure 4/5 CSVs are byte-identical with single-pass
-// grouping on and off, exiting non-zero on any violation.
+// input, demanding architectural equivalence — plus a check that the
+// figure 4/5 CSVs the grouped engine renders are byte-identical to the
+// same figures computed cell by cell through the coupled reference
+// loop, exiting non-zero on any violation.
 //
 // Observability (internal/obs): -metrics writes the engine's
 // counters, gauges and latency histograms at exit (Prometheus text,
@@ -39,6 +39,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +59,7 @@ import (
 	"wayplace/internal/experiment"
 	"wayplace/internal/obs"
 	"wayplace/internal/serve"
+	"wayplace/internal/sim"
 )
 
 // exitCode aggregates emitter failures: a broken figure no longer
@@ -402,49 +404,72 @@ func runSelfCheck(ctx context.Context, names []string, jobs int) int {
 		}
 	}
 
-	// Execution-shape check: the figure CSVs must be byte-identical
-	// whether the engine coalesces cells into single-pass multi-model
-	// groups (the default) or simulates every cell separately.
-	if err := csvIdentity(ctx, suite); err != nil {
+	// Figure-level check: the CSVs the engine renders from its grouped
+	// single-pass execution must be byte-identical to the same figures
+	// computed cell by cell through the coupled oracle.
+	if err := csvIdentity(ctx, suite, jobs); err != nil {
 		fmt.Printf("FAIL %-12s %v\n", "csv-identity", err)
 		code = 1
 	} else {
-		fmt.Printf("ok   csv-identity (coalesced and per-cell figure CSVs byte-identical)\n")
+		fmt.Printf("ok   csv-identity (grouped engine and coupled oracle figure CSVs byte-identical)\n")
 	}
 	fmt.Fprintf(os.Stderr, "self-check done in %v\n", time.Since(start).Round(time.Millisecond))
 	return code
 }
 
-// engineRunner routes a suite's standard grids onto a bespoke local
-// engine (csvIdentity uses fresh engines so the comparison is not
-// served from an already-warm run cache).
-type engineRunner struct{ eng *engine.Engine }
-
-func (r engineRunner) Run(ctx context.Context, specs []engine.RunSpec, opts ...engine.Option) ([]*engine.Result, error) {
-	return r.eng.Run(ctx, specs, opts...)
+// coupledRunner computes a grid cell by cell through the coupled
+// oracle (check.Coupled), on up to jobs cells at once. Cells computed
+// by an earlier grid are reused; grids run one after another.
+type coupledRunner struct {
+	workloads map[string]*engine.Workload
+	base      sim.Config
+	jobs      int
+	done      map[engine.RunSpec]*engine.Result
 }
 
-// csvIdentity renders the figure 4 and 5 CSVs twice on fresh engines —
-// once with single-pass grouping, once per-cell — and demands the
-// bytes match exactly.
-func csvIdentity(ctx context.Context, suite *experiment.Suite) error {
+func (r *coupledRunner) Run(ctx context.Context, specs []engine.RunSpec, _ ...engine.Option) ([]*engine.Result, error) {
+	results := make([]*engine.Result, len(specs))
+	errs := make([]error, len(specs))
+	sem := make(chan struct{}, r.jobs)
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		if results[i] = r.done[spec]; results[i] != nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			stats, changes, err := check.Coupled(ctx, r.workloads[spec.Workload], r.base, spec)
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %w", spec, err)
+				return
+			}
+			results[i] = &engine.Result{Spec: spec, Stats: stats, AreaChanges: changes}
+		}()
+	}
+	wg.Wait()
+	for _, res := range results {
+		if res != nil {
+			r.done[res.Spec] = res
+		}
+	}
+	return results, errors.Join(errs...)
+}
+
+// csvIdentity renders the figure 4 and 5 CSVs twice — on a fresh
+// engine, whose cells run in single-pass groups and are verified, and
+// through the coupled oracle — and demands the bytes match exactly.
+func csvIdentity(ctx context.Context, suite *experiment.Suite, jobs int) error {
 	wl := make(map[string]*engine.Workload, len(suite.Workloads))
 	for _, w := range suite.Workloads {
 		wl[w.Name] = &engine.Workload{Name: w.Name, Original: w.Original, Placed: w.Placed}
 	}
-	provider := func(ctx context.Context, name string) (*engine.Workload, error) {
-		w, ok := wl[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown workload %q", name)
-		}
-		return w, nil
-	}
 	base := suite.Base
 	base.MaxInstrs = experiment.MaxInstrs
-	render := func(coalesce bool) ([]byte, error) {
-		eng := engine.New(provider, engine.WithBaseConfig(base),
-			engine.WithVerify(check.VerifyCell), engine.WithCoalesce(coalesce))
-		suite.SetRunner(engineRunner{eng})
+	render := func(r experiment.Runner) ([]byte, error) {
+		suite.SetRunner(r)
 		defer suite.SetRunner(nil)
 		var buf bytes.Buffer
 		r4, err := suite.Figure4(ctx)
@@ -461,24 +486,24 @@ func csvIdentity(ctx context.Context, suite *experiment.Suite) error {
 		if err := experiment.CSVFig5(&buf, r5); err != nil {
 			return nil, err
 		}
-		if coalesce && eng.Groups() == 0 {
-			return nil, fmt.Errorf("coalesced sweep formed no single-pass groups")
-		}
-		if !coalesce && eng.Groups() != 0 {
-			return nil, fmt.Errorf("per-cell sweep formed %d single-pass groups", eng.Groups())
-		}
 		return buf.Bytes(), nil
 	}
-	co, err := render(true)
+	provider := func(ctx context.Context, name string) (*engine.Workload, error) { return wl[name], nil }
+	eng := engine.New(provider, engine.WithBaseConfig(base),
+		engine.WithVerify(check.VerifyCell), engine.WithWorkers(jobs))
+	grouped, err := render(eng)
 	if err != nil {
 		return err
 	}
-	pc, err := render(false)
+	if eng.Groups() == 0 {
+		return fmt.Errorf("engine formed no single-pass groups")
+	}
+	coupled, err := render(&coupledRunner{workloads: wl, base: base, jobs: jobs, done: make(map[engine.RunSpec]*engine.Result)})
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(co, pc) {
-		return fmt.Errorf("figure CSVs differ between coalesced and per-cell execution")
+	if !bytes.Equal(grouped, coupled) {
+		return fmt.Errorf("figure CSVs differ between the grouped engine and the coupled oracle")
 	}
 	return nil
 }

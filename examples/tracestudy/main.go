@@ -11,13 +11,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
-	"wayplace/internal/cache"
-	"wayplace/internal/cpu"
 	"wayplace/internal/experiment"
-	"wayplace/internal/mem"
 	"wayplace/internal/sim"
 	"wayplace/internal/trace"
 )
@@ -37,25 +35,20 @@ func main() {
 			os.Exit(1)
 		}
 		cfg := sim.Default()
-		inner, err := cache.NewBaseline(cfg.ICache)
+		cfg.MaxInstrs = experiment.MaxInstrs
+		addrs, err := trace.Addrs(context.Background(), w.Placed, cfg)
 		if err != nil {
-			panic(err)
-		}
-		rec := trace.Wrap(inner)
-		core := cpu.New(w.Placed, mem.New(cfg.Mem))
-		core.IFetch = rec
-		if _, err := core.Run(experiment.MaxInstrs); err != nil {
 			fmt.Fprintf(os.Stderr, "tracestudy: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		lb := cfg.ICache.LineBytes
 		fmt.Printf("%-12s %9d %9d %9d %9.2f %10.1f%%\n",
 			name,
-			len(rec.Addrs),
-			trace.WorkingSet(rec.Addrs, lb),
-			trace.Concentration(rec.Addrs, lb, 0.90),
-			trace.MeanRunLength(rec.Addrs, lb),
-			100*trace.PrefixCoverage(rec.Addrs, w.Placed.Base, 1<<10))
+			len(addrs),
+			trace.WorkingSet(addrs, lb),
+			trace.Concentration(addrs, lb, 0.90),
+			trace.MeanRunLength(addrs, lb),
+			100*trace.PrefixCoverage(addrs, w.Placed.Base, 1<<10))
 	}
 	fmt.Println("\nws = working set; conc = lines covering 90% of fetches;")
 	fmt.Println("prefix coverage is over the way-placement layout, so a hot")

@@ -349,7 +349,7 @@ type RunResult struct {
 	WallSeconds float64    `json:"wall_seconds,omitempty"`
 	// GroupID names the single-pass group that simulated this cell
 	// server-side ("<workload>/original" or "<workload>/placed");
-	// empty for cache hits and uncoalesced batches. Informational —
+	// every fresh cell carries one, cache hits none. Informational —
 	// grouping never changes statistics.
 	GroupID     string        `json:"group_id,omitempty"`
 	Stats       *sim.RunStats `json:"stats"`
@@ -395,11 +395,6 @@ type BatchRequest struct {
 	// Async requests job-style execution: the server answers
 	// immediately with a job id to poll at GET /v1/runs/{id}.
 	Async bool `json:"async,omitempty"`
-	// Coalesce controls server-side single-pass grouping of the
-	// batch's cells. Omitted (nil) means the server default — grouping
-	// on. Results are bit-identical either way; disabling it forces
-	// the per-cell reference path.
-	Coalesce *bool `json:"coalesce,omitempty"`
 }
 
 // BatchResponse answers both POST /v1/runs and GET /v1/runs/{id}.

@@ -12,7 +12,9 @@ import (
 
 // FuzzBatchRequest drives arbitrary bytes through the one v1 request
 // decoder. Every body either gets a coded 400 or 429, or decodes to
-// specs whose canonical key survives a wire round trip unchanged.
+// specs whose canonical key survives a wire round trip unchanged. The
+// second seed's "coalesce" is a field v1 no longer defines; unknown
+// fields are ignored, so old clients that still send it are served.
 func FuzzBatchRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"requests":[{"workload":"sha","icache":{"size_bytes":32768,"ways":32,"line_bytes":32},"scheme":"wayplace","wp_size_bytes":16384}]}`,

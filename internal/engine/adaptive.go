@@ -8,9 +8,10 @@ import (
 // sim.AdaptivePolicy, so adaptive-OS cells can sit in the same grids,
 // dedup maps and run-cache keys as static cells instead of going
 // through a separate entry point. The zero value means "not adaptive";
-// any non-zero value routes the cell through sim.RunAdaptive with the
-// equivalent policy (the Inspect hook, being a function, cannot be part
-// of a cell identity and is deliberately absent).
+// any non-zero value makes the cell an adaptive model (sim.ModelSpec's
+// Adaptive) in its stream's single-pass group, under the equivalent
+// policy (the Inspect hook, being a function, cannot be part of a cell
+// identity and is deliberately absent).
 type AdaptiveSpec struct {
 	IntervalInstrs              uint64
 	StartSize, MinSize, MaxSize uint32

@@ -6,10 +6,16 @@
 // keyed run cache so overlapping slices (the 32KB/32-way baseline is
 // shared by figures 4, 5 and 6) are simulated exactly once.
 //
+// Every fresh cell runs the same way: the cells of a batch that share
+// a fetch stream (RunSpec.Stream) form one group, and the group is one
+// single-pass simulation (sim.RecordMulti, or sim.ReplayMulti when the
+// stream was recorded before) driving every member's cache model off
+// that stream. A batch of one cell is a group of one.
+//
 // The engine is context-aware end to end: cancellation propagates
-// into the per-cell instruction loop (sim.RunContext), progress is
-// reported through an optional callback, and per-cell failures are
-// aggregated into a MultiError instead of aborting the whole grid.
+// into the single-pass fetch loop, progress is reported through an
+// optional callback, and per-cell failures are aggregated into a
+// MultiError instead of aborting the whole grid.
 //
 // Results are deterministic: cells are pure functions of their spec
 // and the base machine configuration, and callers receive them in
@@ -165,8 +171,9 @@ type RunSpec struct {
 	OracleHint bool
 	NoSameLine bool
 	// Adaptive, when non-zero, runs the cell under the adaptive-OS
-	// area-sizing policy (sim.RunAdaptive) instead of a static WP
-	// area: the scheme is forced to way-placement and the relaid
+	// area-sizing policy instead of a static WP area: the cell's model
+	// in its single-pass group is an adaptive one (sim.ModelSpec's
+	// Adaptive), the scheme is forced to way-placement and the relaid
 	// binary is used. WPSize must be zero — the area is policy-driven.
 	Adaptive AdaptiveSpec
 }
@@ -219,10 +226,11 @@ type Result struct {
 	CacheHit bool
 	// GroupID names the single-pass group that simulated this cell:
 	// cells sharing a stream (RunSpec.Stream) within one batch execute
-	// as one multi-model pass (sim.RunMulti), and every fresh cell of
-	// that pass carries the stream as its id ("<workload>/original" or
-	// "<workload>/placed"). Empty for cache hits and for batches run
-	// with WithCoalesce(false).
+	// as one multi-model pass, and every fresh cell of that pass carries
+	// the stream as its id ("<workload>/original" or
+	// "<workload>/placed"). A result an earlier batch or the store
+	// tier settled carries none; a duplicate within the batch carries
+	// its first occurrence's.
 	GroupID string
 }
 
@@ -246,13 +254,12 @@ type Progress struct {
 type Option func(*options)
 
 type options struct {
-	workers    int
-	base       sim.Config
-	progress   func(Progress)
-	verify     func(sim.Config, *sim.RunStats) error
-	obs        *obs.Registry
-	noCoalesce bool
-	store      StoreTier
+	workers  int
+	base     sim.Config
+	progress func(Progress)
+	verify   func(sim.Config, *sim.RunStats) error
+	obs      *obs.Registry
+	store    StoreTier
 }
 
 // WithWorkers caps the number of cells simulated concurrently.
@@ -284,18 +291,6 @@ func WithProgress(fn func(Progress)) Option {
 // check.VerifyCell is the intended checker.
 func WithVerify(fn func(sim.Config, *sim.RunStats) error) Option {
 	return func(o *options) { o.verify = fn }
-}
-
-// WithCoalesce enables or disables single-pass grouping (the default
-// is on). When enabled, cells of one batch that share a workload and
-// binary — and therefore an identical fetch stream — are simulated by
-// one sim.RunMulti pass driving all their cache models at once; each
-// cell keeps its own memoization key, verify call, progress report
-// and result slot, so output is byte-identical either way (the
-// differential harness in internal/check and wpbench -selfcheck both
-// enforce this). Disable it to force the per-cell reference path.
-func WithCoalesce(on bool) Option {
-	return func(o *options) { o.noCoalesce = !on }
 }
 
 // StoreTier is a persistent result tier layered under the in-memory
@@ -407,8 +402,7 @@ func (e *Engine) TraceHits() uint64 { return e.traceHits.Load() }
 
 // Groups returns how many multi-cell single-pass groups the engine
 // has executed: batches of cells sharing one fetch stream that were
-// simulated by a single sim.RunMulti call. Single-cell passes do not
-// count.
+// simulated by one pass. Single-cell passes do not count.
 func (e *Engine) Groups() uint64 { return e.groups.Load() }
 
 // CoalescedCells returns how many fresh cells were simulated inside
@@ -416,11 +410,14 @@ func (e *Engine) Groups() uint64 { return e.groups.Load() }
 // re-executing the program.
 func (e *Engine) CoalescedCells() uint64 { return e.coalesced.Load() }
 
-// resolve applies a spec to the base machine template. Adaptive cells
-// resolve to the way-placement scheme with the policy's start size —
-// the same configuration sim.RunAdaptive installs before the first OS
-// decision, so verifiers see the machine the run actually began on.
-func resolve(base sim.Config, spec RunSpec) sim.Config {
+// Resolve applies a spec to the base machine template: the
+// configuration the cell is memoised under and verified against.
+// Adaptive cells resolve to the way-placement scheme with the policy's
+// start size — the area the adaptive model installs before the first
+// OS decision, so verifiers see the machine the run actually began on.
+// Reference runners outside the engine (check.Coupled) resolve specs
+// here too, so the two never disagree on what a spec means.
+func Resolve(base sim.Config, spec RunSpec) sim.Config {
 	base.ICache = spec.ICache
 	base.Scheme = spec.Scheme
 	base.WPSize = spec.WPSize
@@ -440,10 +437,10 @@ func resolve(base sim.Config, spec RunSpec) sim.Config {
 	return base
 }
 
-// usesPlaced reports which binary the cell fetches from: the relaid
+// UsesPlaced reports which binary the cell fetches from: the relaid
 // image for way-placement (static or adaptive), the original layout
 // otherwise.
-func usesPlaced(spec RunSpec) bool {
+func UsesPlaced(spec RunSpec) bool {
 	return spec.Scheme == energy.WayPlacement || spec.Adaptive.Enabled()
 }
 
@@ -454,7 +451,7 @@ func usesPlaced(spec RunSpec) bool {
 // name is that group's GroupID) and replay one recorded trace; the
 // fleet routes on it so each stream executes on one backend.
 func (s RunSpec) Stream() string {
-	if usesPlaced(s) {
+	if UsesPlaced(s) {
 		return s.Workload + "/placed"
 	}
 	return s.Workload + "/original"
@@ -473,11 +470,11 @@ func modelOf(spec RunSpec, cfg sim.Config) sim.ModelSpec {
 
 // Run executes a batch of cells and returns their results in input
 // order. Identical specs within the batch are simulated once; specs
-// seen in earlier batches are served from the run cache. Unless
-// WithCoalesce(false) is in force, fresh cells sharing a workload and
-// binary are planned into single-pass groups, each simulated by one
-// sim.RunMulti call driving every member's cache model off one fetch
-// stream. Per-cell failures do not abort the grid: every runnable
+// seen in earlier batches are served from the run cache. Fresh cells
+// are planned into one single-pass group per fetch stream
+// (RunSpec.Stream), each simulated by one pass driving every member's
+// cache model off that stream: recorded live the first time, replayed
+// from the engine's trace table afterwards. Per-cell failures do not abort the grid: every runnable
 // cell still runs, the failures come back as a *MultiError, and the
 // corresponding result slots are nil. Cancelling ctx stops the batch
 // promptly, abandoning unstarted cells and interrupting in-flight
@@ -534,11 +531,11 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	}
 
 	// finish books one unique cell's outcome: verify, instruments,
-	// result/error slot, progress. Shared by every execution shape.
+	// result/error slot, progress. Shared by waiters and groups.
 	finish := func(idx int, stats *sim.RunStats, changes []sim.AreaChange, hit bool, wall time.Duration, err error) {
 		spec := unique[idx]
 		if err == nil && opt.verify != nil {
-			if verr := opt.verify(resolve(opt.base, spec), stats); verr != nil {
+			if verr := opt.verify(Resolve(opt.base, spec), stats); verr != nil {
 				err = fmt.Errorf("%s: verify: %w", spec, verr)
 			}
 		}
@@ -581,24 +578,6 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		e.hits.Add(1)
 		ins.hits.Inc()
 		finish(idx, ent.stats, ent.changes, true, 0, nil)
-	}
-
-	// runCell is the per-cell reference path (WithCoalesce(false)).
-	runCell := func(idx int) {
-		spec := unique[idx]
-		if err := ctx.Err(); err != nil {
-			uniqueErr[idx] = err
-			ins.failures.Inc()
-			report(Progress{Spec: spec, Err: err})
-			return
-		}
-		start := time.Now()
-		stats, changes, hit, err := e.cell(ctx, spec, opt.base, ins, tier)
-		var wall time.Duration
-		if !hit {
-			wall = time.Since(start)
-		}
-		finish(idx, stats, changes, hit, wall, err)
 	}
 
 	type member struct {
@@ -667,7 +646,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 			return
 		}
 		prog := w.Original
-		if usesPlaced(first) {
+		if UsesPlaced(first) {
 			prog = w.Placed
 		}
 		models := make([]sim.ModelSpec, len(g.members))
@@ -724,41 +703,32 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	// so the model list — and therefore the output — is deterministic
 	// regardless of worker count.
 	var tasks []func()
-	if !opt.noCoalesce {
-		var order []*group
-		byStream := make(map[string]*group)
-		e.mu.Lock()
-		for idx, spec := range unique {
-			key := runKey{workload: spec.Workload, cfg: resolve(opt.base, spec), adaptive: spec.Adaptive}
-			if ent, ok := e.runs[key]; ok {
-				idx, ent := idx, ent
-				tasks = append(tasks, func() { runWait(idx, ent) })
-				continue
-			}
-			ent := &runEntry{done: make(chan struct{})}
-			e.runs[key] = ent
-			stream := spec.Stream()
-			g := byStream[stream]
-			if g == nil {
-				g = &group{stream: stream}
-				byStream[stream] = g
-				order = append(order, g)
-			}
-			g.members = append(g.members, member{idx: idx, key: key, ent: ent})
+	var order []*group
+	byStream := make(map[string]*group)
+	e.mu.Lock()
+	for idx, spec := range unique {
+		key := runKey{workload: spec.Workload, cfg: Resolve(opt.base, spec), adaptive: spec.Adaptive}
+		if ent, ok := e.runs[key]; ok {
+			tasks = append(tasks, func() { runWait(idx, ent) })
+			continue
 		}
-		e.mu.Unlock()
-		for _, g := range order {
-			for _, m := range g.members {
-				groupIDs[m.idx] = g.stream
-			}
-			g := g
-			tasks = append(tasks, func() { runGroup(g) })
+		ent := &runEntry{done: make(chan struct{})}
+		e.runs[key] = ent
+		stream := spec.Stream()
+		g := byStream[stream]
+		if g == nil {
+			g = &group{stream: stream}
+			byStream[stream] = g
+			order = append(order, g)
 		}
-	} else {
-		for idx := range unique {
-			idx := idx
-			tasks = append(tasks, func() { runCell(idx) })
+		g.members = append(g.members, member{idx: idx, key: key, ent: ent})
+	}
+	e.mu.Unlock()
+	for _, g := range order {
+		for _, m := range g.members {
+			groupIDs[m.idx] = g.stream
 		}
+		tasks = append(tasks, func() { runGroup(g) })
 	}
 
 	if workers > len(tasks) {
@@ -888,87 +858,6 @@ func (e *Engine) Prepare(ctx context.Context, names []string, opts ...Option) er
 		return &merr
 	}
 	return nil
-}
-
-// cell returns the memoised stats for one spec, simulating it if this
-// is the first time the resolved configuration is seen. Concurrent
-// requests for the same cell coalesce onto a single simulation.
-func (e *Engine) cell(ctx context.Context, spec RunSpec, base sim.Config, ins instruments, tier StoreTier) (*sim.RunStats, []sim.AreaChange, bool, error) {
-	key := runKey{workload: spec.Workload, cfg: resolve(base, spec), adaptive: spec.Adaptive}
-
-	e.mu.Lock()
-	if ent, ok := e.runs[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-ent.done:
-		case <-ctx.Done():
-			return nil, nil, false, ctx.Err()
-		}
-		if ent.err != nil {
-			return nil, nil, false, ent.err
-		}
-		e.hits.Add(1)
-		ins.hits.Inc()
-		return ent.stats, ent.changes, true, nil
-	}
-	ent := &runEntry{done: make(chan struct{})}
-	e.runs[key] = ent
-	e.mu.Unlock()
-
-	if tier != nil {
-		// Read-through: a result durable from an earlier process is a
-		// hit, not a simulation.
-		if stats, changes, ok := tier.Load(spec.Key()); ok {
-			ent.stats, ent.changes = stats, changes
-			close(ent.done)
-			e.hits.Add(1)
-			ins.hits.Inc()
-			return ent.stats, ent.changes, true, nil
-		}
-	}
-
-	e.misses.Add(1)
-	ins.misses.Inc()
-	ins.inflight.Add(1)
-	ent.stats, ent.changes, ent.err = e.exec(ctx, spec, key.cfg)
-	ins.inflight.Add(-1)
-	if ent.err == nil && tier != nil {
-		tier.Save(spec.Key(), ent.stats, ent.changes)
-	}
-	if ent.err != nil {
-		// Failed cells are evicted so a later batch can retry (a
-		// cancelled run must not poison the cache).
-		e.mu.Lock()
-		delete(e.runs, key)
-		e.mu.Unlock()
-	}
-	close(ent.done)
-	return ent.stats, ent.changes, false, ent.err
-}
-
-// exec simulates one cell. Adaptive cells run the relaid binary under
-// the OS area-sizing policy and also return the resize trace.
-func (e *Engine) exec(ctx context.Context, spec RunSpec, cfg sim.Config) (*sim.RunStats, []sim.AreaChange, error) {
-	w, err := e.workload(ctx, spec.Workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	if spec.Adaptive.Enabled() {
-		rs, changes, aerr := sim.RunAdaptive(ctx, w.Placed, cfg, spec.Adaptive.Policy())
-		if aerr != nil {
-			return nil, nil, fmt.Errorf("%s: %w", spec, aerr)
-		}
-		return rs, changes, nil
-	}
-	prog := w.Original
-	if spec.Scheme == energy.WayPlacement {
-		prog = w.Placed
-	}
-	rs, err := sim.RunContext(ctx, prog, cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", spec, err)
-	}
-	return rs, nil, nil
 }
 
 // workload returns the memoised prepared workload, invoking the

@@ -567,8 +567,9 @@ func TestObserverPrepareSpan(t *testing.T) {
 }
 
 // TestAdaptiveCells: an adaptive-OS cell is a first-class grid member:
-// it runs the relaid binary under sim.RunAdaptive, returns the resize
-// trace, matches a direct sim.RunAdaptive call, and is memoised like
+// it runs the relaid binary under the adaptive policy, returns the
+// resize trace, matches a direct call of the coupled reference
+// (sim.RunAdaptive), and is memoised like
 // any other cell — distinct from the static cell at the policy's
 // start size.
 func TestAdaptiveCells(t *testing.T) {
@@ -626,33 +627,20 @@ func TestAdaptiveCells(t *testing.T) {
 }
 
 // TestCoalescedMatchesPerCell: grouping is a scheduling optimisation,
-// not a model change — a grid run coalesced (the default) and one run
-// through the per-cell reference path must produce identical
-// statistics, and only the coalesced run reports groups.
+// not a model change — a grid run coalesced must produce, cell for
+// cell, the statistics of running each cell alone through the coupled
+// oracle (check.Coupled), and every fresh cell carries its group id.
 func TestCoalescedMatchesPerCell(t *testing.T) {
-	provider := testProvider(t)
 	specs := grid()
-
-	co := engine.New(provider, engine.WithWorkers(4))
+	co := engine.New(testProvider(t), engine.WithWorkers(4))
 	coRes, err := co.Run(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := engine.New(provider, engine.WithWorkers(4), engine.WithCoalesce(false))
-	pcRes, err := pc.Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	sameStats(t, coRes, reference(t, sim.Default(), specs))
 	for i := range specs {
-		if !reflect.DeepEqual(coRes[i].Stats, pcRes[i].Stats) {
-			t.Errorf("%v: coalesced stats diverge from per-cell", specs[i])
-		}
-		if coRes[i].GroupID == "" {
-			t.Errorf("%v: coalesced result carries no group id", specs[i])
-		}
-		if pcRes[i].GroupID != "" {
-			t.Errorf("%v: per-cell result carries group id %q", specs[i], pcRes[i].GroupID)
+		if coRes[i].GroupID != specs[i].Stream() {
+			t.Errorf("%v: group id %q, want %q", specs[i], coRes[i].GroupID, specs[i].Stream())
 		}
 	}
 	// grid() is 2 workloads x (2 geometries x {baseline, waymem}) on
@@ -663,9 +651,6 @@ func TestCoalescedMatchesPerCell(t *testing.T) {
 	}
 	if co.CoalescedCells() != uint64(len(specs)) {
 		t.Errorf("CoalescedCells() = %d, want %d", co.CoalescedCells(), len(specs))
-	}
-	if pc.Groups() != 0 || pc.CoalescedCells() != 0 {
-		t.Errorf("per-cell engine reports groups: %d/%d", pc.Groups(), pc.CoalescedCells())
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"wayplace/internal/asm"
 	"wayplace/internal/cache"
+	"wayplace/internal/check"
 	"wayplace/internal/energy"
 	"wayplace/internal/engine"
 	"wayplace/internal/isa"
@@ -51,23 +52,33 @@ func traceProvider(t *testing.T) engine.Provider {
 	}
 }
 
-// reference simulates specs on a fresh engine through the per-cell
-// path, which never records or replays.
-func reference(t *testing.T, specs []engine.RunSpec, opts ...engine.Option) []*engine.Result {
+// reference computes specs on the engine base configuration base
+// through the coupled oracle (check.Coupled), which shares nothing
+// with the engine's grouped, recorded and replayed passes past spec
+// resolution.
+func reference(t *testing.T, base sim.Config, specs []engine.RunSpec) []*engine.Result {
 	t.Helper()
-	opts = append(opts, engine.WithCoalesce(false))
-	res, err := engine.New(traceProvider(t)).Run(context.Background(), specs, opts...)
-	if err != nil {
-		t.Fatal(err)
+	provider := traceProvider(t)
+	out := make([]*engine.Result, len(specs))
+	for i, spec := range specs {
+		w, err := provider(context.Background(), spec.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, changes, err := check.Coupled(context.Background(), w, base, spec)
+		if err != nil {
+			t.Fatalf("%v: coupled reference: %v", spec, err)
+		}
+		out[i] = &engine.Result{Spec: spec, Stats: stats, AreaChanges: changes}
 	}
-	return res
+	return out
 }
 
 func sameStats(t *testing.T, got, want []*engine.Result) {
 	t.Helper()
 	for i := range want {
 		if !reflect.DeepEqual(got[i].Stats, want[i].Stats) || !reflect.DeepEqual(got[i].AreaChanges, want[i].AreaChanges) {
-			t.Errorf("%v: replayed result differs from the per-cell reference", want[i].Spec)
+			t.Errorf("%v: engine result differs from the coupled reference", want[i].Spec)
 		}
 	}
 }
@@ -115,7 +126,7 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 			t.Errorf("%v: hit %v, wall %v, group %q; a replayed cell is a simulated cell", r.Spec, r.CacheHit, r.Wall, r.GroupID)
 		}
 	}
-	sameStats(t, got, reference(t, later))
+	sameStats(t, got, reference(t, sim.Default(), later))
 
 	if n := reg.Counter(engine.MetricTraceHits).Value(); n != 1 {
 		t.Errorf("%s = %d, want 1", engine.MetricTraceHits, n)
@@ -222,7 +233,7 @@ func TestTraceReplayCancelled(t *testing.T) {
 	if e.TraceHits() != 2 {
 		t.Errorf("trace hits %d, want 2: the trace was lost", e.TraceHits())
 	}
-	sameStats(t, got, reference(t, specs))
+	sameStats(t, got, reference(t, sim.Default(), specs))
 }
 
 // A trace is reused only under the producer-side configuration it was
@@ -247,7 +258,7 @@ func TestTraceKeyedByStreamConfig(t *testing.T) {
 		if e.TraceHits() != 0 {
 			t.Fatalf("trace reused across producer configurations (d-cache %+v, budget %d)", base.DCache, base.MaxInstrs)
 		}
-		sameStats(t, got, reference(t, spec, engine.WithBaseConfig(base)))
+		sameStats(t, got, reference(t, base, spec))
 	}
 	ram := sim.Default()
 	ram.Style = energy.RAMTag
@@ -258,21 +269,7 @@ func TestTraceKeyedByStreamConfig(t *testing.T) {
 	if e.TraceHits() != 1 {
 		t.Errorf("trace hits %d, want 1: an instruction-side base change must replay", e.TraceHits())
 	}
-	sameStats(t, got, reference(t, spec, engine.WithBaseConfig(ram)))
-}
-
-// The per-cell reference path never records or replays.
-func TestUncoalescedPathStaysLive(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := engine.New(traceProvider(t), engine.WithObserver(reg), engine.WithCoalesce(false))
-	for _, s := range []cache.Config{geo8, geo16} {
-		if _, err := e.Run(context.Background(), []engine.RunSpec{{Workload: "tiny1", ICache: s, Scheme: energy.Baseline}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.TraceHits() != 0 || reg.Counter(engine.MetricTraceMisses).Value() != 0 || reg.Gauge(engine.MetricTraceBytes).Value() != 0 {
-		t.Error("the uncoalesced path touched the trace table")
-	}
+	sameStats(t, got, reference(t, ram, spec))
 }
 
 // Concurrent batches over shared streams record, store and replay
@@ -309,7 +306,7 @@ func TestTraceConcurrentBatches(t *testing.T) {
 		}
 	}
 	for i, b := range batches {
-		sameStats(t, results[i], reference(t, b))
+		sameStats(t, results[i], reference(t, sim.Default(), b))
 	}
 	if e.Misses() != uint64(len(batches)) {
 		t.Errorf("misses %d, want %d", e.Misses(), len(batches))

@@ -353,7 +353,7 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	outs := c.scatter(r.Context(), tenant, breq, subs, streams, false)
+	outs := c.scatter(r.Context(), tenant, subs, streams, false)
 	if c.propagateBusy(w, outs) {
 		return
 	}
@@ -376,14 +376,14 @@ type subOutcome struct {
 // quota and weighted-fair scheduler sees the originating client, not
 // the coordinator's address. async selects the backend-side execution
 // mode (the 202 responses then carry each backend's sub job id).
-func (c *Coordinator) scatter(ctx context.Context, tenant string, breq *api.BatchRequest, subs []api.SubBatch, streams []string, async bool) []subOutcome {
+func (c *Coordinator) scatter(ctx context.Context, tenant string, subs []api.SubBatch, streams []string, async bool) []subOutcome {
 	outs := make([]subOutcome, len(subs))
 	var wg sync.WaitGroup
 	for si := range subs {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			outs[si] = c.runSub(ctx, tenant, breq, subs[si], streams, async)
+			outs[si] = c.runSub(ctx, tenant, subs[si], streams, async)
 		}(si)
 	}
 	wg.Wait()
@@ -398,12 +398,11 @@ func (c *Coordinator) scatter(ctx context.Context, tenant string, breq *api.Batc
 // second time and melt the neighbour too — backpressure propagates to
 // the client instead. The failover order is the ring sequence of the
 // sub-batch's first stream.
-func (c *Coordinator) runSub(ctx context.Context, tenant string, breq *api.BatchRequest, sub api.SubBatch, streams []string, async bool) subOutcome {
+func (c *Coordinator) runSub(ctx context.Context, tenant string, sub api.SubBatch, streams []string, async bool) subOutcome {
 	body, err := json.Marshal(api.BatchRequest{
 		APIVersion: api.Version,
 		Requests:   sub.Requests,
 		Async:      async,
-		Coalesce:   breq.Coalesce,
 	})
 	if err != nil {
 		return subOutcome{err: err}

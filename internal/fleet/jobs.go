@@ -61,7 +61,7 @@ func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, ten
 	// permanently-failed job under this batch's deterministic id the
 	// moment a submitter disconnects mid-scatter — every later
 	// submission of the same batch would then attach to the corpse.
-	outs := c.scatter(context.WithoutCancel(ctx), tenant, breq, subs, streams, true)
+	outs := c.scatter(context.WithoutCancel(ctx), tenant, subs, streams, true)
 	if c.propagateBusy(w, outs) {
 		return
 	}

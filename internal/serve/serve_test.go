@@ -622,19 +622,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestCoalesceField: the optional batch "coalesce" field selects
-// server-side single-pass grouping per batch. Results must be
-// identical either way (the v1 contract is unchanged), group ids
-// appear only on coalesced fresh cells, and omitting the field means
-// grouping is on.
+// TestCoalesceField: "coalesce" was a v1 batch field that turned
+// single-pass grouping off per batch. The engine now has one execution
+// path and the decoder ignores fields v1 does not define, so a batch
+// still carrying the field, either way, is served exactly like the
+// same batch without it: a 200, the same statistics and the same group
+// ids.
 func TestCoalesceField(t *testing.T) {
 	reqs := smallBatch()
-	post := func(env *testEnv, coalesce *bool) *api.BatchResponse {
+	plain, err := json.Marshal(api.BatchRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) *api.BatchResponse {
 		t.Helper()
-		body, err := json.Marshal(api.BatchRequest{Requests: reqs, Coalesce: coalesce})
-		if err != nil {
-			t.Fatal(err)
-		}
+		env := newEnv(t, nil) // a fresh engine: every cell simulated
 		httpResp, err := http.Post(env.http.URL+"/v1/runs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -642,7 +644,7 @@ func TestCoalesceField(t *testing.T) {
 		defer httpResp.Body.Close()
 		if httpResp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(httpResp.Body)
-			t.Fatalf("status %d: %s", httpResp.StatusCode, b)
+			t.Fatalf("%s: status %d: %s", body, httpResp.StatusCode, b)
 		}
 		var resp api.BatchResponse
 		if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
@@ -654,33 +656,23 @@ func TestCoalesceField(t *testing.T) {
 		return &resp
 	}
 
-	off := false
-	envDefault := newEnv(t, nil)
-	envOff := newEnv(t, nil)
-	got := post(envDefault, nil)
-	want := post(envOff, &off)
-
-	for i := range reqs {
-		if !reflect.DeepEqual(got.Results[i].Stats, want.Results[i].Stats) {
-			t.Errorf("cell %d: coalesced stats diverge from uncoalesced", i)
-		}
-		if got.Results[i].GroupID == "" {
-			t.Errorf("cell %d: coalesced result missing group_id", i)
-		}
-		if want.Results[i].GroupID != "" {
-			t.Errorf("cell %d: uncoalesced result carries group_id %q", i, want.Results[i].GroupID)
+	want := post(plain)
+	for i, r := range want.Results {
+		if r.GroupID == "" {
+			t.Errorf("cell %d: fresh result missing group_id", i)
 		}
 	}
-	// smallBatch is tiny1 {baseline, wayplace} + tiny2 {waymem,
-	// adaptive}: one multi-cell group per workload binary pair that
-	// shares a stream — tiny1's two cells use different binaries, so
-	// only tiny2's waymem does not group either. Count what actually
-	// coalesced instead of hard-coding.
-	if envDefault.eng.CoalescedCells() != 0 && envDefault.eng.Groups() == 0 {
-		t.Error("coalesced cells without groups")
-	}
-	if envOff.eng.Groups() != 0 {
-		t.Errorf("uncoalesced engine formed %d groups", envOff.eng.Groups())
+	for _, v := range []string{"false", "true"} {
+		body := append([]byte(`{"coalesce":`+v+`,`), plain[1:]...)
+		got := post(body)
+		for i := range reqs {
+			if !reflect.DeepEqual(got.Results[i].Stats, want.Results[i].Stats) {
+				t.Errorf("coalesce %s, cell %d: stats differ from the batch without the field", v, i)
+			}
+			if got.Results[i].GroupID != want.Results[i].GroupID {
+				t.Errorf("coalesce %s, cell %d: group_id %q, want %q", v, i, got.Results[i].GroupID, want.Results[i].GroupID)
+			}
+		}
 	}
 }
 

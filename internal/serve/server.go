@@ -264,7 +264,7 @@ func (s *Server) replayJournal() error {
 			defer s.wg.Done()
 			defer s.replaying.Add(-1)
 			j.setStatus(api.StatusRunning)
-			resp := s.runBatch(context.Background(), &jj.Batch, specs)
+			resp := s.runBatch(context.Background(), jj.Batch.Requests, specs)
 			j.finish(resp)
 			if !jj.Done {
 				if err := s.opt.Journal.Done(jj.ID); err != nil {
@@ -380,7 +380,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	// Run under the request context so a disconnected client cancels
 	// its own cells; Shutdown still drains connected clients because
 	// http.Server.Shutdown leaves active request contexts alone.
-	resp := s.runBatch(r.Context(), breq, specs)
+	resp := s.runBatch(r.Context(), breq.Requests, specs)
 	resp.Tenant = echo
 	s.out.Batch(w, http.StatusOK, resp)
 }
@@ -441,7 +441,7 @@ func (s *Server) startAsync(w http.ResponseWriter, r *http.Request, tenant api.T
 		j.setStatus(api.StatusRunning)
 		// Async jobs outlive their submitting request, so they run
 		// under the background context; Shutdown waits for them.
-		resp := s.runBatch(context.Background(), breq, specs)
+		resp := s.runBatch(context.Background(), breq.Requests, specs)
 		j.finish(resp)
 		if s.opt.Journal != nil {
 			if err := s.opt.Journal.Done(id); err != nil {
@@ -475,20 +475,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // runBatch executes one validated batch on the shared engine and maps
 // the outcome onto the wire schema. Per-cell failures become indexed
-// CellFailures; the batch itself always yields a BatchResponse. The
-// optional coalesce field selects single-pass grouping per batch; the
-// v1 semantics — results, ordering, statistics — are identical either
-// way, so v1 clients that never send the field see no change.
-func (s *Server) runBatch(ctx context.Context, breq *api.BatchRequest, specs []engine.RunSpec) *api.BatchResponse {
-	reqs := breq.Requests
+// CellFailures; the batch itself always yields a BatchResponse.
+func (s *Server) runBatch(ctx context.Context, reqs []api.RunRequest, specs []engine.RunSpec) *api.BatchResponse {
 	if s.opt.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opt.RunTimeout)
 		defer cancel()
-	}
-	var opts []engine.Option
-	if breq.Coalesce != nil {
-		opts = append(opts, engine.WithCoalesce(*breq.Coalesce))
 	}
 	if s.opt.ServiceDelay > 0 {
 		t := time.NewTimer(time.Duration(len(specs)) * s.opt.ServiceDelay)
@@ -498,7 +490,7 @@ func (s *Server) runBatch(ctx context.Context, breq *api.BatchRequest, specs []e
 			t.Stop()
 		}
 	}
-	results, err := s.opt.Engine.Run(ctx, specs, opts...)
+	results, err := s.opt.Engine.Run(ctx, specs)
 	resp := &api.BatchResponse{
 		APIVersion: api.Version,
 		JobID:      api.BatchKey(reqs),

@@ -73,10 +73,14 @@ type AreaChange struct {
 // decision intervals. It returns the run statistics and the resize
 // trace.
 //
-// Most callers should not invoke this directly: adaptive cells are
-// first-class grid cells — set engine.RunSpec.Adaptive (or the
-// Adaptive field of an api.RunRequest) and the engine routes the cell
-// here, memoised and deduplicated like any static cell.
+// RunAdaptive is the coupled reference for adaptive runs, kept as an
+// independent implementation: the OS loop runs in line with the CPU,
+// where production runs evaluate the policy as an adaptive model of a
+// single-pass group (ModelSpec.Adaptive). internal/check compares the
+// two bit for bit. Grids should not call it: set
+// engine.RunSpec.Adaptive (or the Adaptive field of an api.RunRequest)
+// and the engine runs the cell, memoised and deduplicated like any
+// static cell.
 func RunAdaptive(ctx context.Context, prog *obj.Program, cfg Config, pol AdaptivePolicy) (*RunStats, []AreaChange, error) {
 	if pol.IntervalInstrs == 0 || pol.StartSize == 0 {
 		return nil, nil, fmt.Errorf("sim: adaptive policy needs an interval and a start size")

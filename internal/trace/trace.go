@@ -1,40 +1,45 @@
 // Package trace captures and analyses instruction-fetch address
 // streams. The paper's argument rests on properties of the fetch
 // stream — hot-line concentration, sequential run lengths, working-set
-// size — and this package makes them measurable on any simulated run:
-// wrap the fetch engine in a Recorder, run, then analyse.
+// size — and this package makes them measurable on any program: read
+// its stream with Addrs, then analyse.
 package trace
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
-	"wayplace/internal/cache"
+	"wayplace/internal/cpu"
+	"wayplace/internal/obj"
+	"wayplace/internal/sim"
 )
 
-// Recorder wraps a fetch engine and records every fetched address.
-type Recorder struct {
-	inner cache.FetchEngine
-	Addrs []uint32
+// Addrs executes prog on the machine base describes and returns its
+// fetch addresses, one per retired instruction in execution order. It
+// reads the simulator's own fetch source (sim.NewFetchSource), so the
+// stream is exactly the one every fetch scheme's model consumes; the
+// addresses do not depend on the scheme or the I-cache.
+func Addrs(ctx context.Context, prog *obj.Program, base sim.Config) ([]uint32, error) {
+	src, err := sim.NewFetchSource(prog, base, base.ICache.LineBytes)
+	if err != nil {
+		return nil, err
+	}
+	var addrs []uint32
+	for {
+		ch, err := src.NextChunk(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if ch == nil {
+			return addrs, nil
+		}
+		for _, ev := range ch.Events {
+			addrs = append(addrs, cpu.EventAddr(ev))
+		}
+	}
 }
-
-// Wrap returns a recording engine delegating to e.
-func Wrap(e cache.FetchEngine) *Recorder {
-	return &Recorder{inner: e}
-}
-
-// Fetch records and delegates.
-func (r *Recorder) Fetch(addr uint32, indirect bool) cache.FetchResult {
-	r.Addrs = append(r.Addrs, addr)
-	return r.inner.Fetch(addr, indirect)
-}
-
-// Cache delegates to the wrapped engine.
-func (r *Recorder) Cache() *cache.Cache { return r.inner.Cache() }
-
-// Name identifies the recorder and its inner engine.
-func (r *Recorder) Name() string { return "trace(" + r.inner.Name() + ")" }
 
 // lineOf returns the line address for the given line size.
 func lineOf(addr uint32, lineBytes int) uint32 {
