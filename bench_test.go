@@ -390,6 +390,28 @@ func BenchmarkRunMultiGrid(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(tr.Instrs())*float64(b.N*len(models))), "ns/instr/model")
 }
 
+// BenchmarkReplayGroup is a fleet-cold-shaped replay: the figure
+// workload's recorded placed stream replayed through a small group
+// (an 8 KB 8-way baseline and way-placement with a 4 KB area), so
+// stream decoding and analysis weigh as they do for a served cell,
+// reported per instruction.
+func BenchmarkReplayGroup(b *testing.B) {
+	w := suite(b).Workloads[0]
+	tr := recordTrace(b, w.Placed)
+	icfg := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32}
+	models := []sim.ModelSpec{
+		{Geometry: icfg, Scheme: energy.Baseline},
+		{Geometry: icfg, Scheme: energy.WayPlacement, WPSize: 4 << 10},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.ReplayMulti(context.Background(), tr, w.Placed, streamBase(), models); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(tr.Instrs())*float64(b.N)), "ns/instr")
+}
+
 // TestFetchTracesFitBudget records the reference-input stream of every
 // benchmark, original and placed layout — every stream the paper grid
 // and the serving sweeps simulate — and requires the recordings to

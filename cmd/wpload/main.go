@@ -5,7 +5,8 @@
 // backpressure with capped Retry-After backoff and (with -churn)
 // hanging up mid-request to exercise abandoned-connection paths. The
 // run's latency quantiles, 429/retry/error rates and throughput land
-// in a machine-readable BENCH_wpload.json snapshot, optionally
+// in a machine-readable snapshot when -snapshot names a file
+// (-snapshot BENCH_wpload.json refreshes the committed one), optionally
 // checked against p50/p99 SLOs.
 //
 // Usage:
@@ -170,7 +171,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&c.queue, "queue", 64, "loopback server queue depth")
 	fs.IntVar(&c.jobs, "jobs", 0, "loopback engine workers (0 = GOMAXPROCS)")
 	fs.Int64Var(&c.opt.Seed, "seed", 1, "client RNG seed")
-	fs.StringVar(&c.snapshot, "snapshot", "BENCH_wpload.json", "write the run snapshot here (empty = skip)")
+	fs.StringVar(&c.snapshot, "snapshot", "", "write the run snapshot here, e.g. BENCH_wpload.json (empty = skip)")
 	fs.StringVar(&c.metrics, "metrics", "", "also dump the client-side load_* registry as JSON here")
 	fs.Bool("smoke", false, "CI smoke: loopback, 200 clients, 2s, SLOs asserted, exit 1 on violation")
 	fs.Bool("crash", false, "kill/restart durability choreography: SIGKILL a store-backed daemon mid-load, restart, assert nothing observable was lost")

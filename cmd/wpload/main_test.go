@@ -32,9 +32,18 @@ func TestScenarioTable(t *testing.T) {
 		if cfg.row != &scenarios[c.row] {
 			t.Errorf("%v selected row %+v, want row %d", c.args, *cfg.row, c.row)
 		}
+		// The tier-1 gates must not rewrite the committed snapshot.
+		if cfg.snapshot != "" {
+			t.Errorf("%v writes a snapshot to %q; only an explicit -snapshot may", c.args, cfg.snapshot)
+		}
 	}
 
-	cfg, err := parseFlags([]string{"-smoke", "-clients", "500"})
+	cfg, err := parseFlags([]string{"-smoke", "-snapshot", "BENCH_wpload.json"})
+	if err != nil || cfg.snapshot != "BENCH_wpload.json" {
+		t.Errorf("-smoke -snapshot BENCH_wpload.json: snapshot %q, err %v", cfg.snapshot, err)
+	}
+
+	cfg, err = parseFlags([]string{"-smoke", "-clients", "500"})
 	if err != nil {
 		t.Fatal(err)
 	}

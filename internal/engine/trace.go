@@ -8,9 +8,9 @@ import (
 
 // Fetch-trace reuse. Every cell of one fetch stream — a workload's
 // binary under one producer-side configuration — sees the same
-// instruction stream and the same CPU, D-cache, D-TLB and memory
-// outcome. The first single-pass group of a stream records it
-// (sim.RecordMulti); later groups of the stream on the same engine,
+// instruction stream and the same CPU, D-cache, D-TLB, reference I-TLB
+// and memory outcome. The first single-pass group of a stream records
+// it (sim.RecordMulti); later groups of the stream on the same engine,
 // typically cells arriving in later batches, replay the recording
 // (sim.ReplayMulti) instead of re-executing the program. Results are
 // bit-identical either way (internal/check proves it), so reuse is

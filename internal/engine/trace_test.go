@@ -237,8 +237,8 @@ func TestTraceReplayCancelled(t *testing.T) {
 }
 
 // A trace is reused only under the producer-side configuration it was
-// recorded with: another D-cache or budget executes live, while a base
-// differing only on the instruction side (array style) replays.
+// recorded with: another D-cache, I-TLB or budget executes live, while
+// a base differing only on the instruction side (array style) replays.
 func TestTraceKeyedByStreamConfig(t *testing.T) {
 	e := engine.New(traceProvider(t))
 	ctx := context.Background()
@@ -250,13 +250,15 @@ func TestTraceKeyedByStreamConfig(t *testing.T) {
 	dcache.DCache = geo8
 	budget := sim.Default()
 	budget.MaxInstrs = 50_000_000
-	for _, base := range []sim.Config{dcache, budget} {
+	itlb := sim.Default()
+	itlb.ITLB.Entries = 8
+	for _, base := range []sim.Config{dcache, budget, itlb} {
 		got, err := e.Run(ctx, spec, engine.WithBaseConfig(base))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if e.TraceHits() != 0 {
-			t.Fatalf("trace reused across producer configurations (d-cache %+v, budget %d)", base.DCache, base.MaxInstrs)
+			t.Fatalf("trace reused across producer configurations (d-cache %+v, i-tlb %+v, budget %d)", base.DCache, base.ITLB, base.MaxInstrs)
 		}
 		sameStats(t, got, reference(t, base, spec))
 	}

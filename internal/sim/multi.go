@@ -3,11 +3,16 @@ package sim
 // Single-pass multi-model simulation. The detailed run of a program is
 // split into two halves:
 //
-//   - a FetchSource: CPU + memory image + data-side hierarchy
-//     executing the program once and emitting the instruction-fetch
-//     event stream (address + indirect-transfer flag per instruction);
+//   - a stream source: a FetchSource executing the program once — CPU,
+//     memory image and data-side hierarchy — or a TraceSource replaying
+//     a recording of such a pass. Either emits the instruction-fetch
+//     event stream (address + indirect-transfer flag per instruction)
+//     and analyses it once for every consumer: it segments the events
+//     into same-block runs, finds their exact repeats, and (live) drives
+//     the reference I-TLB, whose outcome every non-adaptive model
+//     reports;
 //   - N CacheModels: independent instruction-side models (I-cache
-//     fetch engine, I-TLB, energy accounting) replaying that stream.
+//     fetch engine, energy accounting) consuming that analysed stream.
 //
 // Every figure-6 style sweep re-executes the same program under
 // configurations that differ only in the instruction side, so one
@@ -17,10 +22,10 @@ package sim
 // coupled loop as the reference implementation for internal/check.
 //
 // What is fetch-relevant in a Config — i.e. what must be shared by
-// models driven from one source — is exactly what the producer owns:
-// the program binary, Mem, Timing, DCache, DTLB, the I-TLB geometry
-// and MaxInstrs. Everything instruction-side (ICache geometry, scheme,
-// array style, WP size, ablation switches, adaptive policy) is
+// models driven from one source — is exactly what the producer owns
+// (StreamConfig): the program binary, Mem, Timing, DCache, DTLB, the
+// I-TLB and MaxInstrs. Everything instruction-side (ICache geometry,
+// scheme, array style, WP size, ablation switches, adaptive policy) is
 // per-model, carried by a ModelSpec.
 
 import (
@@ -94,9 +99,9 @@ type FetchRun struct {
 
 // FetchChunk is one batch of fetch events. Events holds one word per
 // retired instruction: the fetch address with cpu.EventIndirect in bit
-// 0. Runs segments the same events for bulk replay. Both slices alias
-// buffers reused by the next NextChunk call. Reps, filled in by the
-// consuming pass, lists the chunk's exact repeats.
+// 0. Runs segments the same events for bulk replay, and Reps lists the
+// chunk's exact repeats in those runs. The source fills in all three,
+// and all three alias buffers reused by its next NextChunk call.
 type FetchChunk struct {
 	Events []uint32
 	Runs   []FetchRun
@@ -129,7 +134,8 @@ type repeatFinder struct {
 	reps []FetchRep
 }
 
-// find returns ch's repeats; the slice is valid until the next call.
+// find returns ch's repeats, nil if there are none; the slice is valid
+// until the next call.
 func (f *repeatFinder) find(ch *FetchChunk) []FetchRep {
 	ev, runs := ch.Events, ch.Runs
 	clear(f.last[:])
@@ -170,6 +176,9 @@ func (f *repeatFinder) find(ch *FetchChunk) []FetchRep {
 		i = end - 1
 	}
 	f.reps = reps
+	if len(reps) == 0 {
+		return nil
+	}
 	return reps
 }
 
@@ -180,25 +189,30 @@ const fetchChunkEvents = 64 << 10
 
 // FetchSource executes a program once — CPU, memory image and
 // data-side hierarchy live; instruction side detached — and emits the
-// fetch-event stream in chunks.
+// fetch-event stream in analysed chunks: segmented into runs, with
+// their repeats found and the reference I-TLB driven over them.
 type FetchSource struct {
 	cpu    *cpu.CPU
 	mem    *mem.Memory
 	dcache *cache.DataCache
 	dtlb   *tlb.TLB
+	itlb   *tlb.TLB // the reference I-TLB, whose stats every non-adaptive model reports
+	page   uint32   // the page of itlb's last Lookup; noPage before the first
 
 	maxInstrs uint64
 	blockNeg  uint32 // blockBytes-1: events with equal ev&^blockNeg share a run
 	events    []uint32
 	runs      []FetchRun
+	reps      repeatFinder
 	done      bool
 }
 
 // NewFetchSource builds the producer half of a single-pass run.
-// blockBytes (a power of two ≥ 4) is the run-segmentation granule; it
-// must not exceed any consuming model's line size or the I-TLB page.
+// blockBytes (a power of two ≥ 4, at most the I-TLB page) is the
+// run-segmentation granule; it must not exceed any consuming model's
+// line size.
 func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSource, error) {
-	if err := checkBlockBytes(blockBytes); err != nil {
+	if err := checkBlockBytes(blockBytes, base.ITLB); err != nil {
 		return nil, err
 	}
 	m := mem.New(base.Mem)
@@ -206,6 +220,10 @@ func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSourc
 	c.DisableInstrCounts() // event production never builds a profile
 	c.Timing = base.Timing
 	dtlb, err := tlb.New(base.DTLB)
+	if err != nil {
+		return nil, err
+	}
+	itlb, err := tlb.New(base.ITLB)
 	if err != nil {
 		return nil, err
 	}
@@ -224,15 +242,22 @@ func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSourc
 		mem:       m,
 		dcache:    dcache,
 		dtlb:      dtlb,
+		itlb:      itlb,
+		page:      noPage,
 		maxInstrs: maxInstrs,
 		blockNeg:  uint32(blockBytes - 1),
 		events:    make([]uint32, fetchChunkEvents),
 	}, nil
 }
 
-func checkBlockBytes(blockBytes int) error {
+// checkBlockBytes validates a run-segmentation granule: a run must
+// stay on one page of itlb, whose lookups it shares.
+func checkBlockBytes(blockBytes int, itlb tlb.Config) error {
 	if blockBytes < 4 || blockBytes&(blockBytes-1) != 0 {
 		return fmt.Errorf("sim: fetch-run block size must be a power of two ≥ 4, got %d", blockBytes)
+	}
+	if blockBytes > itlb.PageBytes {
+		return fmt.Errorf("sim: fetch-run block size %d exceeds the %d-byte I-TLB page", blockBytes, itlb.PageBytes)
 	}
 	return nil
 }
@@ -257,7 +282,34 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	}
 	ev := s.events[:n]
 	s.runs = segmentRuns(ev, s.blockNeg, s.runs[:0])
-	return &FetchChunk{Events: ev, Runs: s.runs}, nil
+	ch := &FetchChunk{Events: ev, Runs: s.runs}
+	ch.Reps = s.reps.find(ch)
+	s.translate(ch)
+	return ch, nil
+}
+
+// noPage is never a page number: pages are at least 4 bytes.
+const noPage = ^uint32(0)
+
+// translate drives the reference I-TLB over a chunk. A run never
+// leaves its page, and while the stream stays on one page every lookup
+// takes the TLB's last-page fast path, so each page change costs one
+// Lookup and the hits on that page are charged in bulk.
+func (s *FetchSource) translate(ch *FetchChunk) {
+	shift := s.itlb.Cfg.PageShift()
+	hits := uint64(0)
+	for _, r := range ch.Runs {
+		addr := cpu.EventAddr(ch.Events[r.Start])
+		if addr>>shift == s.page {
+			hits += uint64(r.N)
+			continue
+		}
+		s.itlb.BulkHits(hits)
+		s.itlb.Lookup(addr)
+		s.page = addr >> shift
+		hits = uint64(r.N - 1)
+	}
+	s.itlb.BulkHits(hits)
 }
 
 // segmentRuns splits a non-empty chunk into same-block runs, appending
@@ -282,16 +334,18 @@ func (s *FetchSource) outcome() producerOutcome {
 		cycles:    s.cpu.Cycles,
 		dstats:    s.dcache.Cache().Stats,
 		dtlbStats: s.dtlb.Stats,
+		itlbStats: s.itlb.Stats,
 		memStats:  s.mem.Stats,
 		checksum:  s.cpu.Regs[0],
 		memHash:   s.mem.Hash(cpu.StackRegionBase),
 	}
 }
 
-// streamSource is the seam between runMulti and where its fetch
-// stream comes from: a live FetchSource, a recording wrapped around
-// one, or the replay of a recorded trace (TraceSource). outcome is
-// read once, after NextChunk has reported the end of the stream.
+// streamSource is the seam between runMulti and where its analysed
+// fetch stream comes from: a live FetchSource, a recording wrapped
+// around one, or the replay of a recorded trace (TraceSource). Every
+// chunk comes with its Runs and Reps filled in. outcome is read once,
+// after NextChunk has reported the end of the stream.
 type streamSource interface {
 	NextChunk(ctx context.Context) (*FetchChunk, error)
 	outcome() producerOutcome
@@ -312,7 +366,7 @@ type CacheModel interface {
 type modelCore struct {
 	spec    ModelSpec
 	fe      cache.FetchEngine
-	ownITLB *tlb.TLB     // adaptive models only; nil means use the shared reference I-TLB
+	ownITLB *tlb.TLB     // adaptive models only; nil means report the source's reference I-TLB
 	changes []AreaChange // adaptive resize trace
 
 	// closedForm marks a bulk model on a round-robin cache, which
@@ -463,7 +517,7 @@ func (m *eventModel) Consume(ch *FetchChunk) error {
 }
 
 // adaptiveModel replays events under the adaptive OS policy: a private
-// I-TLB (OS invalidations make its stats diverge from the shared one)
+// I-TLB (OS invalidations make its stats diverge from the reference one)
 // and an OS decision point every IntervalInstrs consumed events,
 // reproducing sim.RunAdaptive's coupled loop bit for bit.
 type adaptiveModel struct {
@@ -681,7 +735,6 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 	// coupled path) but aliases are then discarded rather than driven.
 	built := make([]CacheModel, len(models))
 	live := make([]CacheModel, 0, len(models))
-	needShared := false
 	block := base.ITLB.PageBytes
 	for i, spec := range models {
 		aliasOf[i] = -1
@@ -711,9 +764,6 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		}
 		built[i] = m
 		live = append(live, m)
-		if m.core().ownITLB == nil {
-			needShared = true
-		}
 		if lb := m.core().spec.Geometry.LineBytes; lb < block {
 			block = lb
 		}
@@ -722,23 +772,14 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		return results, nil
 	}
 
-	// Shared reference I-TLB: lookup outcomes depend only on the
-	// address stream and the TLB geometry — never on the WP area — so
-	// one replay serves every non-adaptive model.
-	var shared *tlb.TLB
-	if needShared {
-		t, err := tlb.New(base.ITLB)
-		if err != nil {
-			return nil, err
-		}
-		shared = t
-	}
-
+	// The source analyses the stream: runs, repeats and the reference
+	// I-TLB, whose lookup outcomes depend only on the address stream
+	// and the TLB geometry — never on the WP area — so one pass serves
+	// every non-adaptive model. The models only consume.
 	src, err := open(block)
 	if err != nil {
 		return nil, err
 	}
-	var reps repeatFinder
 	for {
 		ch, err := src.NextChunk(ctx)
 		if err != nil {
@@ -746,17 +787,6 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		}
 		if ch == nil {
 			break
-		}
-		if slices.ContainsFunc(live, func(m CacheModel) bool { return m.core().closedForm }) {
-			ch.Reps = reps.find(ch)
-		}
-		if shared != nil {
-			for _, r := range ch.Runs {
-				shared.Lookup(cpu.EventAddr(ch.Events[r.Start]))
-				if r.N > 1 {
-					shared.BulkHits(uint64(r.N - 1))
-				}
-			}
 		}
 		n := 0
 		for _, m := range live {
@@ -779,10 +809,6 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 	}
 
 	out := src.outcome()
-	var sharedStats tlb.Stats
-	if shared != nil {
-		sharedStats = shared.Stats
-	}
 	for i, m := range built {
 		if m == nil {
 			continue
@@ -792,7 +818,7 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			testHookRepeatedRuns(c.spec, c.repeatedRuns)
 		}
 		results[i] = &ModelResult{
-			Stats:       c.finalize(base, &out, sharedStats),
+			Stats:       c.finalize(base, &out),
 			AreaChanges: c.changes,
 		}
 	}
@@ -807,7 +833,7 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			continue
 		}
 		results[i] = &ModelResult{
-			Stats: built[p].core().finalizeAs(models[i], base, &out, sharedStats),
+			Stats: built[p].core().finalizeAs(models[i], base, &out),
 		}
 	}
 	return results, nil
@@ -823,8 +849,8 @@ func runMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 //	       + TLBWalkPenalty × I-TLB misses
 //	       + LineFillCycles(line) × I-cache line fills
 //	       + HintExtraPenalty × way-hint extra accesses
-func (m *modelCore) finalize(base Config, out *producerOutcome, shared tlb.Stats) *RunStats {
-	return m.finalizeAs(m.spec, base, out, shared)
+func (m *modelCore) finalize(base Config, out *producerOutcome) *RunStats {
+	return m.finalizeAs(m.spec, base, out)
 }
 
 // finalizeAs assembles RunStats for spec from m's consumed state. spec
@@ -832,9 +858,9 @@ func (m *modelCore) finalize(base Config, out *producerOutcome, shared tlb.Stats
 // effective WP area); it may differ in array style and in the exact WP
 // size when both areas cover the text image, neither of which affects
 // the counted events — only the energy model reads them.
-func (m *modelCore) finalizeAs(spec ModelSpec, base Config, out *producerOutcome, shared tlb.Stats) *RunStats {
+func (m *modelCore) finalizeAs(spec ModelSpec, base Config, out *producerOutcome) *RunStats {
 	istats := m.fe.Cache().Stats
-	itlbStats := shared
+	itlbStats := out.itlbStats
 	if m.ownITLB != nil {
 		itlbStats = m.ownITLB.Stats
 	}

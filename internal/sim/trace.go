@@ -2,12 +2,20 @@ package sim
 
 // Fetch-trace recording and replay. Every cell of one fetch stream —
 // a program under one producer-side configuration — sees the same
-// event sequence and the same producer outcome, so a pass can record
-// them once and later passes can evaluate further models against the
-// recording instead of re-executing the CPU, D-cache, D-TLB and memory
-// image. RecordMulti and ReplayMulti are RunMulti with a recording and
-// a replaying stream source; all three share runMulti's consume, alias
-// and finalize code.
+// event sequence, the same analysis of it and the same producer
+// outcome, so a pass can record them once and later passes can
+// evaluate further models against the recording instead of
+// re-executing the CPU, D-cache, D-TLB, I-TLB and memory image or
+// re-analysing the stream. RecordMulti and ReplayMulti are RunMulti
+// with a recording and a replaying stream source; all three share
+// runMulti's consume, alias and finalize code.
+//
+// A recording holds the events, each chunk's repeats at the recording
+// pass's run-segmentation granule, and the producer outcome, the
+// reference I-TLB's stats included. Runs are not stored: a replay
+// cuts them from each decoded segment in a few steps, and at any
+// granule. At the recorded granule it re-emits the stored repeats; at
+// another it finds its own.
 //
 // Encoding. Fetch streams are long runs of sequential PCs broken by
 // control transfers, so the stream is stored as segments: one segment
@@ -15,10 +23,13 @@ package sim
 // previous one at +4 with no flag bits. A segment is two uvarints —
 // the zigzagged word distance of its first address from the end of
 // the previous segment with the first event's two flag bits below it,
-// then the length minus one. The segment bytes are compressed with
-// compress/flate at BestSpeed in blocks of up to traceBlockBytes, each
-// block an independent flate stream, so concurrent recordings can share
-// one writer.
+// then the length minus one. A chunk's repeats are a uvarint count,
+// then three uvarints per repeat: the runs from the previous repeat's
+// End (or the chunk start) to its Probe, its period minus one, and its
+// copies after the probe minus one. Segments and repeats are two byte
+// streams, each compressed with compress/flate at BestSpeed in blocks
+// of up to traceBlockBytes, each block an independent flate stream, so
+// concurrent recordings can share one writer.
 
 import (
 	"bytes"
@@ -39,18 +50,20 @@ import (
 
 // StreamConfig is the producer-side half of a Config: together with
 // the program it determines the fetch stream and the producer outcome
-// of a pass. Two Configs with equal StreamConfigs may share a trace.
+// of a pass, the reference I-TLB's included. Two Configs with equal
+// StreamConfigs may share a trace.
 type StreamConfig struct {
 	Mem       mem.Config
 	Timing    cpu.Timing
 	DCache    cache.Config
 	DTLB      tlb.Config
+	ITLB      tlb.Config
 	MaxInstrs uint64
 }
 
 // StreamConfigOf extracts the producer-side half of a Config.
 func StreamConfigOf(c Config) StreamConfig {
-	return StreamConfig{Mem: c.Mem, Timing: c.Timing, DCache: c.DCache, DTLB: c.DTLB, MaxInstrs: c.MaxInstrs}
+	return StreamConfig{Mem: c.Mem, Timing: c.Timing, DCache: c.DCache, DTLB: c.DTLB, ITLB: c.ITLB, MaxInstrs: c.MaxInstrs}
 }
 
 // producerOutcome is what a complete producer pass hands to finalize:
@@ -60,24 +73,27 @@ type producerOutcome struct {
 	cycles    uint64
 	dstats    cache.Stats
 	dtlbStats tlb.Stats
+	itlbStats tlb.Stats // the reference I-TLB's
 	memStats  mem.Stats
 	checksum  uint32
 	memHash   uint64
 }
 
 // FetchTrace is the immutable, compressed record of one complete
-// producer pass: its fetch-event stream and its producer outcome. It
-// is safe for concurrent replay.
+// producer pass: its fetch-event stream, the stream's repeats and its
+// producer outcome. It is safe for concurrent replay.
 type FetchTrace struct {
-	prog    *obj.Program
-	stream  StreamConfig
-	out     producerOutcome
-	events  uint64
-	encoded []byte // flate-compressed segments
+	prog   *obj.Program
+	stream StreamConfig
+	out    producerOutcome
+	events uint64
+	block  int    // the run-segmentation granule reps were found at
+	segs   []byte // flate-compressed segments
+	reps   []byte // flate-compressed repeats, one record per chunk
 }
 
-// Bytes is the trace's compressed size.
-func (t *FetchTrace) Bytes() int { return len(t.encoded) }
+// Bytes is the trace's compressed size, segments and repeats.
+func (t *FetchTrace) Bytes() int { return len(t.segs) + len(t.reps) }
 
 // Instrs is the number of events (retired instructions) recorded.
 func (t *FetchTrace) Instrs() uint64 { return t.events }
@@ -91,7 +107,7 @@ func (t *FetchTrace) matches(prog *obj.Program, base Config) bool {
 // traceMaxBytes caps one recording: a stream whose compressed trace
 // passes it is abandoned mid-pass and never replayed. Every
 // benchmark's reference stream is far below it (all 46 together take
-// about 0.64 MB).
+// about 0.75 MB).
 const traceMaxBytes = 4 << 20
 
 // RecordMulti is RunMulti that also records the pass's fetch stream.
@@ -111,7 +127,7 @@ func recordMulti(ctx context.Context, prog *obj.Program, base Config, models []M
 		if err != nil {
 			return nil, err
 		}
-		rec = newTraceRecorder(src, prog, base, maxBytes)
+		rec = newTraceRecorder(src, prog, StreamConfigOf(base), block, maxBytes)
 		return rec, nil
 	})
 	if rec == nil || err != nil {
@@ -124,8 +140,8 @@ func recordMulti(ctx context.Context, prog *obj.Program, base Config, models []M
 // executing the program: results are bit-identical to RunMulti's for
 // the same program, base configuration and models. The trace must
 // have been recorded from prog under base's producer-side fields
-// (StreamConfig); any other trace is rejected. Cancellation is
-// checked once per chunk.
+// (StreamConfig, the I-TLB included); any other trace is rejected.
+// Cancellation is checked once per chunk.
 func ReplayMulti(ctx context.Context, trace *FetchTrace, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, error) {
 	if !trace.matches(prog, base) {
 		return nil, errors.New("sim: fetch trace was recorded for another program or producer configuration")
@@ -135,13 +151,16 @@ func ReplayMulti(ctx context.Context, trace *FetchTrace, prog *obj.Program, base
 	})
 }
 
-// traceBlockBytes is the raw segment bytes a recording buffers before
-// compressing them as one block.
+// traceBlockBytes is the raw bytes a recording buffers, per stream,
+// before compressing them as one block.
 const traceBlockBytes = 64 << 10
 
-// traceReplayWindow is the decoder's view of the inflated segment
-// bytes; refills keep at least two maximal varints ahead.
-const traceReplayWindow = 32 << 10
+// traceReplayWindow and repReplayWindow are a replay's views of the
+// inflated segment and repeat bytes; the repeats are far sparser.
+const (
+	traceReplayWindow = 32 << 10
+	repReplayWindow   = 4 << 10
+)
 
 // traceFlate is the one flate writer every recording compresses its
 // blocks with, a block at a time: a writer holds about 1 MB of state,
@@ -152,19 +171,43 @@ var traceFlate struct {
 	w *flate.Writer
 }
 
+// flateBlocks is one byte stream of a recording: raw bytes buffered,
+// then compressed as independent flate blocks.
+type flateBlocks struct {
+	out bytes.Buffer // compressed blocks
+	raw []byte       // bytes not yet compressed
+}
+
+// compress appends the buffered bytes to the output as one flate block.
+func (b *flateBlocks) compress() error {
+	traceFlate.Lock()
+	if traceFlate.w == nil {
+		traceFlate.w, _ = flate.NewWriter(nil, flate.BestSpeed) // BestSpeed is a valid level
+	}
+	fw := traceFlate.w
+	fw.Reset(&b.out)
+	_, werr := fw.Write(b.raw)
+	cerr := fw.Close()
+	fw.Reset(nil) // drop the reference to b.out
+	traceFlate.Unlock()
+	b.raw = b.raw[:0]
+	return errors.Join(werr, cerr)
+}
+
 // traceRecorder wraps a live source, encoding every chunk it passes on.
 // Recording stops for good (the trace stays nil) once the compressed
 // output passes maxBytes or the source reports an error.
 type traceRecorder struct {
-	*FetchSource
+	src      streamSource
 	prog     *obj.Program
 	stream   StreamConfig
+	block    int
 	maxBytes int
 
-	out    bytes.Buffer // compressed blocks
-	raw    []byte       // segment bytes not yet compressed; nil once sealed or abandoned
-	events uint64
-	trace  *FetchTrace
+	segs, reps flateBlocks
+	recording  bool
+	events     uint64
+	trace      *FetchTrace
 
 	// The open segment: its first event and the event that would
 	// extend it (noEvent before the first segment), and where the
@@ -176,14 +219,18 @@ type traceRecorder struct {
 // only bit 0 carries a flag.
 const noEvent = ^uint32(0)
 
-func newTraceRecorder(src *FetchSource, prog *obj.Program, base Config, maxBytes int) *traceRecorder {
-	return &traceRecorder{FetchSource: src, prog: prog, stream: StreamConfigOf(base), maxBytes: maxBytes,
-		raw: make([]byte, 0, traceBlockBytes+2*binary.MaxVarintLen64), segNext: noEvent}
+// newTraceRecorder records src, a source of prog's stream under stream
+// whose chunks are segmented at block bytes.
+func newTraceRecorder(src streamSource, prog *obj.Program, stream StreamConfig, block, maxBytes int) *traceRecorder {
+	r := &traceRecorder{src: src, prog: prog, stream: stream, block: block, maxBytes: maxBytes,
+		recording: true, segNext: noEvent}
+	r.segs.raw = make([]byte, 0, traceBlockBytes+2*binary.MaxVarintLen64)
+	return r
 }
 
 func (r *traceRecorder) NextChunk(ctx context.Context) (*FetchChunk, error) {
-	ch, err := r.FetchSource.NextChunk(ctx)
-	if r.raw == nil {
+	ch, err := r.src.NextChunk(ctx)
+	if !r.recording {
 		return ch, err
 	}
 	if err != nil {
@@ -194,8 +241,30 @@ func (r *traceRecorder) NextChunk(ctx context.Context) (*FetchChunk, error) {
 		r.seal()
 		return nil, nil
 	}
-	r.encode(ch.Events)
+	r.encodeReps(ch)
+	if r.recording {
+		r.encode(ch.Events)
+	}
 	return ch, nil
+}
+
+func (r *traceRecorder) outcome() producerOutcome { return r.src.outcome() }
+
+// encodeReps appends one chunk's repeat record.
+func (r *traceRecorder) encodeReps(ch *FetchChunk) {
+	raw := binary.AppendUvarint(r.reps.raw, uint64(len(ch.Reps)))
+	end := uint32(0)
+	for _, rp := range ch.Reps {
+		p := rp.Skip - rp.Probe
+		raw = binary.AppendUvarint(raw, uint64(rp.Probe-end))
+		raw = binary.AppendUvarint(raw, uint64(p-1))
+		raw = binary.AppendUvarint(raw, uint64((rp.End-rp.Skip)/p-1))
+		end = rp.End
+	}
+	r.reps.raw = raw
+	if len(raw) >= traceBlockBytes {
+		r.compress(&r.reps)
+	}
 }
 
 // encode appends one chunk's events to the segment stream. The open
@@ -225,77 +294,67 @@ func (r *traceRecorder) closeSegment() bool {
 	addr := cpu.EventAddr(r.segFirst)
 	delta := int32(addr-r.prevEnd) >> 2
 	zz := uint64(uint32(delta<<1) ^ uint32(delta>>31))
-	r.raw = binary.AppendUvarint(r.raw, zz<<2|uint64(r.segFirst&3))
-	r.raw = binary.AppendUvarint(r.raw, uint64((r.segNext-addr)>>2-1))
+	r.segs.raw = binary.AppendUvarint(r.segs.raw, zz<<2|uint64(r.segFirst&3))
+	r.segs.raw = binary.AppendUvarint(r.segs.raw, uint64((r.segNext-addr)>>2-1))
 	r.prevEnd = r.segNext
-	if len(r.raw) >= traceBlockBytes {
-		r.compress()
+	if len(r.segs.raw) >= traceBlockBytes {
+		r.compress(&r.segs)
 	}
-	return r.raw != nil
+	return r.recording
 }
 
-// compress appends the buffered segment bytes to the output as one
-// flate block, abandoning the recording once the output passes
-// maxBytes.
-func (r *traceRecorder) compress() {
-	traceFlate.Lock()
-	if traceFlate.w == nil {
-		traceFlate.w, _ = flate.NewWriter(nil, flate.BestSpeed) // BestSpeed is a valid level
-	}
-	fw := traceFlate.w
-	fw.Reset(&r.out)
-	_, werr := fw.Write(r.raw)
-	cerr := fw.Close()
-	fw.Reset(nil) // drop the reference to r.out
-	traceFlate.Unlock()
-	r.raw = r.raw[:0]
-	if werr != nil || cerr != nil || r.out.Len() > r.maxBytes {
+// compress compresses one of the recording's streams, abandoning the
+// recording once the two outputs together pass maxBytes.
+func (r *traceRecorder) compress(b *flateBlocks) {
+	if err := b.compress(); err != nil || r.segs.out.Len()+r.reps.out.Len() > r.maxBytes {
 		r.abandon() // writing to a bytes.Buffer cannot fail
 	}
 }
 
-// seal compresses the last segment and freezes the trace.
+// seal compresses the last segment and repeats and freezes the trace.
 func (r *traceRecorder) seal() {
 	if r.segNext != noEvent && !r.closeSegment() {
 		return
 	}
-	if len(r.raw) > 0 {
-		r.compress()
+	for _, b := range []*flateBlocks{&r.segs, &r.reps} {
+		if r.recording && len(b.raw) > 0 {
+			r.compress(b)
+		}
 	}
-	if r.raw == nil {
+	if !r.recording {
 		return
 	}
 	r.trace = &FetchTrace{
-		prog:    r.prog,
-		stream:  r.stream,
-		out:     r.FetchSource.outcome(),
-		events:  r.events,
-		encoded: bytes.Clone(r.out.Bytes()),
+		prog:   r.prog,
+		stream: r.stream,
+		out:    r.src.outcome(),
+		events: r.events,
+		block:  r.block,
+		segs:   bytes.Clone(r.segs.out.Bytes()),
+		reps:   bytes.Clone(r.reps.out.Bytes()),
 	}
 	r.abandon()
 }
 
 // abandon stops recording and drops its buffers.
 func (r *traceRecorder) abandon() {
-	r.out = bytes.Buffer{}
-	r.raw = nil
+	r.recording = false
+	r.segs, r.reps = flateBlocks{}, flateBlocks{}
 }
 
 // TraceSource re-emits a recorded trace in exactly the chunks a live
-// FetchSource produces for the same stream: the replaying counterpart
-// of FetchSource.
+// FetchSource produces for the same stream, runs and repeats included:
+// the replaying counterpart of FetchSource.
 type TraceSource struct {
 	t        *FetchTrace
 	blockNeg uint32
 	left     uint64        // events still to emit
-	src      *bytes.Reader // the encoded blocks
-	fr       io.ReadCloser // nil before the first chunk
-	win      []byte        // inflated segment bytes
+	segs     inflater      // opened with the first chunk, like reps
+	reps     inflater      // read only at the recorded granule
+	find     *repeatFinder // at any other granule, finds the repeats
 	events   []uint32
 	runs     []FetchRun
-
-	pos, end int // undecoded bytes in win
-	eof      bool
+	repBuf   []FetchRep
 
 	segNext, segLeft, prevEnd uint32
 	segFlags                  uint32 // flag bits of the segment's first event, not yet emitted
@@ -304,10 +363,14 @@ type TraceSource struct {
 // NewTraceSource builds a replaying stream source over t. blockBytes
 // is the run-segmentation granule, as for NewFetchSource.
 func NewTraceSource(t *FetchTrace, blockBytes int) (*TraceSource, error) {
-	if err := checkBlockBytes(blockBytes); err != nil {
+	if err := checkBlockBytes(blockBytes, t.stream.ITLB); err != nil {
 		return nil, err
 	}
-	return &TraceSource{t: t, blockNeg: uint32(blockBytes - 1), left: t.events}, nil
+	r := &TraceSource{t: t, blockNeg: uint32(blockBytes - 1), left: t.events}
+	if blockBytes != t.block {
+		r.find = new(repeatFinder)
+	}
+	return r, nil
 }
 
 var errCorruptTrace = errors.New("sim: corrupt fetch trace")
@@ -322,10 +385,11 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.fr == nil {
-		r.src = bytes.NewReader(r.t.encoded)
-		r.fr = flate.NewReader(r.src)
-		r.win = make([]byte, traceReplayWindow)
+	if r.events == nil {
+		r.segs.open(r.t.segs, traceReplayWindow)
+		if r.find == nil {
+			r.reps.open(r.t.reps, repReplayWindow)
+		}
 		r.events = make([]uint32, fetchChunkEvents)
 	}
 	n := fetchChunkEvents
@@ -333,78 +397,179 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 		n = int(r.left)
 	}
 	ev := r.events[:n]
+	runs := r.runs[:0]
+	blockNeg := r.blockNeg
+	lastBlock := noEvent // the open run's block; noEvent is no block
+	addr, left, flags := r.segNext, r.segLeft, r.segFlags
 	for i := 0; i < n; {
-		if r.segLeft == 0 {
-			if err := r.nextSegment(); err != nil {
+		if left == 0 {
+			var err error
+			if addr, left, flags, err = r.nextSegment(); err != nil {
 				return nil, err
 			}
 		}
-		k := r.segLeft
-		if rest := uint32(n - i); rest < k {
-			k = rest
+		piece := ev[i : i+int(min(left, uint32(n-i)))]
+		for j := range piece {
+			piece[j] = addr + 4*uint32(j)
 		}
-		addr := r.segNext
-		ev[i] = addr | r.segFlags
-		r.segFlags = 0
-		for j := 1; j < int(k); j++ {
-			ev[i+j] = addr + 4*uint32(j)
+		piece[0] |= flags
+		flags = 0
+		// The piece's events are sequential, so its runs break only at
+		// block boundaries, and its first event extends the open run
+		// when it stays in that run's block (a short jump or a flagged
+		// fall-through).
+		for at, rest := uint32(i), uint32(len(piece)); rest > 0; {
+			block := addr &^ blockNeg
+			m := min((block+blockNeg-addr)>>2+1, rest) // events to the end of the block
+			if block == lastBlock {
+				runs[len(runs)-1].N += m
+			} else {
+				runs = append(runs, FetchRun{Start: at, N: m})
+				lastBlock = block
+			}
+			at, rest, addr = at+m, rest-m, addr+4*m
 		}
-		i += int(k)
-		r.segLeft -= k
-		r.segNext = addr + 4*k
+		i += len(piece)
+		left -= uint32(len(piece))
 	}
+	r.segNext, r.segLeft, r.segFlags = addr, left, flags
 	r.left -= uint64(n)
-	r.runs = segmentRuns(ev, r.blockNeg, r.runs[:0])
-	return &FetchChunk{Events: ev, Runs: r.runs}, nil
+	r.runs = runs
+	ch := &FetchChunk{Events: ev, Runs: runs}
+	if r.find != nil {
+		ch.Reps = r.find.find(ch)
+		return ch, nil
+	}
+	reps, err := r.nextReps(len(runs))
+	if err != nil {
+		return nil, err
+	}
+	ch.Reps = reps
+	return ch, nil
 }
 
-// nextSegment decodes one segment header.
-func (r *TraceSource) nextSegment() error {
-	if r.end-r.pos < 2*binary.MaxVarintLen64 && !r.eof {
-		if err := r.refill(); err != nil {
-			return err
-		}
+// nextSegment decodes one segment header: the segment's first
+// address, its length and the first event's flag bits.
+func (r *TraceSource) nextSegment() (addr, n, flags uint32, err error) {
+	in := &r.segs
+	if err := in.need(2 * binary.MaxVarintLen64); err != nil {
+		return 0, 0, 0, err
 	}
-	win := r.win
-	head, k := binary.Uvarint(win[r.pos:r.end])
+	win := in.win[in.pos:in.end]
+	head, k := binary.Uvarint(win)
 	if k <= 0 {
-		return errCorruptTrace
+		return 0, 0, 0, errCorruptTrace
 	}
-	length, k2 := binary.Uvarint(win[r.pos+k : r.end])
+	length, k2 := binary.Uvarint(win[k:])
 	if k2 <= 0 || length >= 1<<32-1 {
-		return errCorruptTrace
+		return 0, 0, 0, errCorruptTrace
 	}
-	r.pos += k + k2
+	in.pos += k + k2
 	zz := uint32(head >> 2)
 	delta := int32(zz>>1) ^ -int32(zz&1)
-	addr := r.prevEnd + uint32(delta)<<2
-	r.segNext, r.segLeft, r.segFlags = addr, uint32(length)+1, uint32(head&3)
-	r.prevEnd = addr + 4*r.segLeft
-	return nil
+	addr = r.prevEnd + uint32(delta)<<2
+	n = uint32(length) + 1
+	r.prevEnd = addr + 4*n
+	return addr, n, uint32(head & 3), nil
+}
+
+// nextReps decodes one chunk's repeat record, checking that it fits
+// the chunk's nRuns runs; nil when the chunk has none.
+func (r *TraceSource) nextReps(nRuns int) ([]FetchRep, error) {
+	count, err := r.reps.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	if count > uint64(nRuns) {
+		return nil, errCorruptTrace
+	}
+	reps := r.repBuf[:0]
+	end := uint64(0)
+	for ; count > 0; count-- {
+		var v [3]uint64
+		for j := range v {
+			if v[j], err = r.reps.uvarint(); err != nil {
+				return nil, err
+			}
+		}
+		gap, p, copies := v[0], v[1]+1, v[2]+1
+		if gap > uint64(nRuns) || p > repMaxPeriod || copies > uint64(nRuns) {
+			return nil, errCorruptTrace
+		}
+		probe := end + gap
+		end = probe + p + p*copies
+		if end > uint64(nRuns) {
+			return nil, errCorruptTrace
+		}
+		reps = append(reps, FetchRep{Probe: uint32(probe), Skip: uint32(probe + p), End: uint32(end)})
+	}
+	r.repBuf = reps
+	return reps, nil
+}
+
+func (r *TraceSource) outcome() producerOutcome { return r.t.out }
+
+// inflater decodes uvarints from a sequence of independent flate
+// blocks through a window of inflated bytes.
+type inflater struct {
+	src      *bytes.Reader // the encoded blocks
+	fr       io.ReadCloser
+	win      []byte
+	pos, end int // undecoded bytes in win
+	eof      bool
+}
+
+func (in *inflater) open(blocks []byte, window int) {
+	in.src = bytes.NewReader(blocks)
+	in.fr = flate.NewReader(in.src)
+	in.win = make([]byte, window)
+}
+
+// need refills the window when fewer than n undecoded bytes are left
+// in it and more are to come.
+func (in *inflater) need(n int) error {
+	if in.end-in.pos >= n || in.eof {
+		return nil
+	}
+	return in.refill()
+}
+
+// uvarint decodes the next uvarint.
+func (in *inflater) uvarint() (uint64, error) {
+	if err := in.need(binary.MaxVarintLen64); err != nil {
+		return 0, err
+	}
+	v, k := binary.Uvarint(in.win[in.pos:in.end])
+	if k <= 0 {
+		return 0, errCorruptTrace
+	}
+	in.pos += k
+	return v, nil
 }
 
 // refill moves the undecoded bytes to the front of the window and
 // inflates behind them, moving on to the next block at the end of
 // each one.
-func (r *TraceSource) refill() error {
-	win, fr := r.win, r.fr
-	n := copy(win, win[r.pos:r.end])
+func (in *inflater) refill() error {
+	win, fr := in.win, in.fr
+	n := copy(win, win[in.pos:in.end])
 	for n < len(win) {
 		m, err := fr.Read(win[n:])
 		n += m
 		if err == io.EOF {
-			if r.src.Len() == 0 {
-				r.eof = true
+			if in.src.Len() == 0 {
+				in.eof = true
 				break
 			}
-			err = fr.(flate.Resetter).Reset(r.src, nil)
+			err = fr.(flate.Resetter).Reset(in.src, nil)
 		}
 		if err != nil {
 			return fmt.Errorf("%w: %v", errCorruptTrace, err)
 		}
 	}
-	r.pos, r.end = 0, n
+	in.pos, in.end = 0, n
 	return nil
 }
-
-func (r *TraceSource) outcome() producerOutcome { return r.t.out }

@@ -3,11 +3,15 @@ package sim
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wayplace/internal/cache"
+	"wayplace/internal/cpu"
 	"wayplace/internal/energy"
 	"wayplace/internal/layout"
 	"wayplace/internal/obj"
@@ -116,7 +120,8 @@ func TestTraceSourceMatchesFetchSource(t *testing.T) {
 }
 
 // A trace only replays for the program and producer-side configuration
-// it was recorded under; the instruction side is free to differ.
+// it was recorded under, the I-TLB included (the recording holds the
+// reference I-TLB's outcome); the I-cache is free to differ.
 func TestReplayRejectsOtherStreams(t *testing.T) {
 	prog := linkTestBench(t, 5)
 	cfg := Default()
@@ -128,7 +133,6 @@ func TestReplayRejectsOtherStreams(t *testing.T) {
 	}
 	other := cfg
 	other.ICache.Ways = 8
-	other.ITLB.Entries = 16
 	if !tr.matches(prog, other) {
 		t.Error("instruction-side change rejected")
 	}
@@ -144,7 +148,9 @@ func TestReplayRejectsOtherStreams(t *testing.T) {
 	dc.DCache.Ways = 8
 	budget := cfg
 	budget.MaxInstrs--
-	for name, c := range map[string]Config{"d-cache": dc, "budget": budget} {
+	itlb := cfg
+	itlb.ITLB.Entries = 16
+	for name, c := range map[string]Config{"d-cache": dc, "budget": budget, "i-tlb": itlb} {
 		if tr.matches(prog, c) {
 			t.Errorf("%s change accepted", name)
 		}
@@ -213,10 +219,243 @@ func TestReplayCorruptTrace(t *testing.T) {
 	if err != nil || tr == nil {
 		t.Fatalf("record: trace %v, err %v", tr, err)
 	}
-	bad := *tr
-	bad.encoded = bad.encoded[:len(bad.encoded)/2]
-	_, err = ReplayMulti(context.Background(), &bad, prog, cfg, models)
-	if err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("truncated trace: %v", err)
+	segs, reps := *tr, *tr
+	segs.segs = segs.segs[:len(segs.segs)/2]
+	reps.reps = reps.reps[:len(reps.reps)/2]
+	for name, bad := range map[string]*FetchTrace{"segments": &segs, "repeats": &reps} {
+		_, err = ReplayMulti(context.Background(), bad, prog, cfg, models)
+		if err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("truncated %s: %v", name, err)
+		}
+	}
+}
+
+// plantedSource emits a fixed event stream in production-sized chunks,
+// analysed as a FetchSource analyses its own.
+type plantedSource struct {
+	ev       []uint32
+	blockNeg uint32
+	runs     []FetchRun
+	reps     repeatFinder
+}
+
+func (s *plantedSource) NextChunk(context.Context) (*FetchChunk, error) {
+	if len(s.ev) == 0 {
+		return nil, nil
+	}
+	n := min(len(s.ev), fetchChunkEvents)
+	ev := s.ev[:n]
+	s.ev = s.ev[n:]
+	s.runs = segmentRuns(ev, s.blockNeg, s.runs[:0])
+	ch := &FetchChunk{Events: ev, Runs: s.runs}
+	ch.Reps = s.reps.find(ch)
+	return ch, nil
+}
+
+func (s *plantedSource) outcome() producerOutcome { return producerOutcome{} }
+
+// recordPlanted records ev as a trace whose repeats were found at
+// block bytes.
+func recordPlanted(t *testing.T, ev []uint32, block int) *FetchTrace {
+	t.Helper()
+	rec := newTraceRecorder(&plantedSource{ev: ev, blockNeg: uint32(block - 1)}, nil, StreamConfigOf(Default()), block, traceMaxBytes)
+	for {
+		ch, err := rec.NextChunk(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch == nil {
+			break
+		}
+	}
+	if rec.trace == nil {
+		t.Fatal("planted stream recorded no trace")
+	}
+	return rec.trace
+}
+
+// plantStream draws a fetch stream of a little over two chunks from
+// seed: straight-line code, tight loops that jump back inside one
+// block, repeated loop bodies, indirect transfers (some of them to the
+// next word), and one long straight segment across the first chunk
+// boundary.
+func plantStream(seed int64) []uint32 {
+	rng := rand.New(rand.NewSource(seed))
+	var ev []uint32
+	addr := uint32(0x10000)
+	straight := func(n int) {
+		for ; n > 0; n-- {
+			ev = append(ev, addr)
+			addr += 4
+		}
+	}
+	for len(ev) < 2*fetchChunkEvents+5000 {
+		if d := fetchChunkEvents - len(ev); d > 0 && d < 600 {
+			straight(1000)
+			continue
+		}
+		switch rng.Intn(5) {
+		case 0:
+			straight(1 + rng.Intn(40))
+		case 1: // a tight loop: 2-4 words, jumping back inside a block
+			body := 2 + rng.Intn(3)
+			start := addr
+			for k := 1 + rng.Intn(30); k > 0; k-- {
+				addr = start
+				straight(body)
+			}
+		case 2: // a repeated loop body with an internal branch
+			start, skip := addr, uint32(4*(1+rng.Intn(8)))
+			for k := 2 + rng.Intn(20); k > 0; k-- {
+				addr = start
+				straight(3 + rng.Intn(2))
+				addr += skip
+				straight(2)
+			}
+		case 3: // an indirect transfer, sometimes to the next word
+			if rng.Intn(2) == 0 {
+				addr = 0x10000 + 4*uint32(rng.Intn(1<<14))
+			}
+			ev = append(ev, addr|cpu.EventIndirect)
+			addr += 4
+		default: // a direct jump, forward or back
+			addr = 0x10000 + 4*uint32(rng.Intn(1<<14))
+		}
+	}
+	return ev
+}
+
+// A TraceSource cuts runs per decoded segment; on planted streams they
+// equal segmentRuns on the same events, at every granule from a word
+// to a page, and its repeats equal a fresh finder's whether it
+// re-emits the recorded ones (at the recorded granule) or finds its
+// own (at any other).
+func FuzzTraceSourceRuns(f *testing.F) {
+	for lg := uint8(2); lg <= 10; lg++ {
+		f.Add(int64(lg), lg)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, blockLog uint8) {
+		block := 4 << (blockLog % 9)
+		ev := plantStream(seed)
+		tr := recordPlanted(t, ev, block)
+		for _, replay := range []int{block, 4 << ((blockLog + 3) % 9)} {
+			src, err := NewTraceSource(tr, replay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused := replay == block; reused != (src.find == nil) {
+				t.Fatalf("replay at %d of a trace recorded at %d: reuses the recorded repeats %v", replay, block, !reused)
+			}
+			var finder repeatFinder
+			at := 0
+			for n := 0; ; n++ {
+				ch, err := src.NextChunk(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ch == nil {
+					break
+				}
+				if !slices.Equal(ch.Events, ev[at:at+len(ch.Events)]) {
+					t.Fatalf("block %d: chunk %d events differ from the planted stream", replay, n)
+				}
+				at += len(ch.Events)
+				if want := segmentRuns(ch.Events, uint32(replay-1), nil); !slices.Equal(ch.Runs, want) {
+					t.Fatalf("block %d: chunk %d has %d runs, segmentRuns %d", replay, n, len(ch.Runs), len(want))
+				}
+				if want := finder.find(ch); !slices.Equal(ch.Reps, want) {
+					t.Fatalf("block %d: chunk %d has %d repeats, the finder %d", replay, n, len(ch.Reps), len(want))
+				}
+			}
+			if at != len(ev) {
+				t.Fatalf("block %d: replayed %d of %d events", replay, at, len(ev))
+			}
+		}
+	})
+}
+
+// A replay whose group segments at a finer granule than the recording
+// pass finds its own repeats: a trace recorded by 32-byte-line models,
+// replayed by a group with 16-byte-line models, matches RunMulti and
+// charges the same runs in closed form.
+func TestReplayAtAnotherGranule(t *testing.T) {
+	prog := crcProgram(t)
+	cfg := Default()
+	ctx := context.Background()
+	recorded := []ModelSpec{
+		{Geometry: cfg.ICache, Scheme: energy.Baseline},
+		{Geometry: cfg.ICache, Scheme: energy.WayPlacement, WPSize: 4 << 10},
+	}
+	_, tr, err := RecordMulti(ctx, prog, cfg, recorded)
+	if err != nil || tr == nil {
+		t.Fatalf("record: trace %v, err %v", tr, err)
+	}
+	if tr.block != 32 {
+		t.Fatalf("recorded at a %d-byte granule, want 32", tr.block)
+	}
+	narrow := cache.Config{SizeBytes: 8 << 10, Ways: 4, LineBytes: 16}
+	models := append(slices.Clone(recorded),
+		ModelSpec{Geometry: narrow, Scheme: energy.Baseline},
+		ModelSpec{Geometry: narrow, Scheme: energy.WayMemoization})
+	repeated := make(map[ModelSpec]uint64)
+	testHookRepeatedRuns = func(spec ModelSpec, n uint64) { repeated[spec] += n }
+	defer func() { testHookRepeatedRuns = nil }()
+	got, err := ReplayMulti(ctx, tr, prog, cfg, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := repeated
+	repeated = make(map[ModelSpec]uint64)
+	want, err := RunMulti(ctx, prog, cfg, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("replay at a 16-byte granule differs from the live pass")
+	}
+	if !reflect.DeepEqual(replayed, repeated) {
+		t.Errorf("closed-form runs: replay %v, live %v", replayed, repeated)
+	}
+	if repeated[models[2]] == 0 {
+		t.Error("the 16-byte baseline charged no run in closed form: no repeats were found")
+	}
+}
+
+// Replays of one trace from several goroutines at once (run under
+// -race) share its recorded repeats, and each matches the live pass;
+// half of them segment at another granule and find their own.
+func TestConcurrentReplays(t *testing.T) {
+	prog := linkTestBench(t, 200)
+	cfg := Default()
+	ctx := context.Background()
+	same := traceModels(cfg)
+	finer := append(slices.Clone(same), ModelSpec{Geometry: cache.Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 16}, Scheme: energy.Baseline})
+	_, tr, err := RecordMulti(ctx, prog, cfg, same)
+	if err != nil || tr == nil {
+		t.Fatalf("record: trace %v, err %v", tr, err)
+	}
+	sets := [][]ModelSpec{same, finer, same, finer}
+	got := make([][]*ModelResult, len(sets))
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i, models := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = ReplayMulti(ctx, tr, prog, cfg, models)
+		}()
+	}
+	wg.Wait()
+	for i, models := range sets {
+		if errs[i] != nil {
+			t.Fatalf("replay %d: %v", i, errs[i])
+		}
+		want, err := RunMulti(ctx, prog, cfg, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("concurrent replay %d differs from the live pass", i)
+		}
 	}
 }

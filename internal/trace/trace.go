@@ -22,7 +22,7 @@ import (
 // stream is exactly the one every fetch scheme's model consumes; the
 // addresses do not depend on the scheme or the I-cache.
 func Addrs(ctx context.Context, prog *obj.Program, base sim.Config) ([]uint32, error) {
-	src, err := sim.NewFetchSource(prog, base, base.ICache.LineBytes)
+	src, err := sim.NewFetchSource(prog, base, min(base.ICache.LineBytes, base.ITLB.PageBytes))
 	if err != nil {
 		return nil, err
 	}
