@@ -55,14 +55,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"reflect"
 	"strings"
 	"syscall"
 	"time"
@@ -199,36 +197,12 @@ func runOneshot() int {
 
 	// Ground truth: the same cells on one fresh local engine.
 	ref := engine.New(load.SyntheticProvider(workloads), engine.WithBaseConfig(sim.Default()))
-	want, err := ref.Run(ctx, specs)
-	if err != nil {
-		fail(err)
-	}
 
 	code := 0
 	check := func(leg string, resp *api.BatchResponse) {
-		if resp.Status != api.StatusDone || len(resp.Errors) != 0 {
-			fmt.Fprintf(os.Stderr, "wpcoordd: oneshot %s: batch ended %q: %+v\n", leg, resp.Status, resp.Errors)
+		if err := api.CheckIdentical(ctx, ref, reqs, resp); err != nil {
+			fmt.Fprintf(os.Stderr, "wpcoordd: oneshot %s: %v\n", leg, err)
 			code = 1
-			return
-		}
-		if len(resp.Results) != len(specs) {
-			fmt.Fprintf(os.Stderr, "wpcoordd: oneshot %s: %d results for %d cells\n", leg, len(resp.Results), len(specs))
-			code = 1
-			return
-		}
-		for i := range specs {
-			got := resp.Results[i]
-			if got.Key != specs[i].Key() {
-				fmt.Fprintf(os.Stderr, "wpcoordd: oneshot %s: cell %d key %q != %q (merge order broken)\n",
-					leg, i, got.Key, specs[i].Key())
-				code = 1
-			}
-			if !reflect.DeepEqual(got.Stats, want[i].Stats) {
-				g, _ := json.Marshal(got.Stats)
-				w, _ := json.Marshal(want[i].Stats)
-				fmt.Fprintf(os.Stderr, "wpcoordd: oneshot %s: cell %d stats diverge:\n  fleet %s\n direct %s\n", leg, i, g, w)
-				code = 1
-			}
 		}
 	}
 

@@ -51,7 +51,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -59,7 +58,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
@@ -304,47 +302,27 @@ func runOneshot(srv *serve.Server, eng *engine.Engine, base sim.Config) int {
 	if err != nil {
 		fail(err)
 	}
-	if resp.Status != api.StatusDone || len(resp.Errors) != 0 {
-		fmt.Fprintf(os.Stderr, "wpserved: oneshot batch ended %q: %+v\n", resp.Status, resp.Errors)
+
+	// Reference: the same cells on a fresh engine.
+	ref := engine.New(provider, engine.WithBaseConfig(base), engine.WithVerify(check.VerifyCell))
+	if err := api.CheckIdentical(ctx, ref, reqs, resp); err != nil {
+		fmt.Fprintf(os.Stderr, "wpserved: oneshot: %v\n", err)
 		return 1
 	}
+	code := 0
 	if eng.Groups() != 2 {
 		fmt.Fprintf(os.Stderr, "wpserved: oneshot: server formed %d single-pass groups, want 2\n", eng.Groups())
-		return 1
+		code = 1
 	}
-
-	// Reference: the same cells on a fresh engine, no HTTP involved.
-	specs, err := api.ToSpecs(reqs)
-	if err != nil {
-		fail(err)
-	}
-	ref := engine.New(provider, engine.WithBaseConfig(base), engine.WithVerify(check.VerifyCell))
-	want, err := ref.Run(ctx, specs)
-	if err != nil {
-		fail(err)
-	}
-
-	code := 0
-	for i := range specs {
-		got := resp.Results[i]
-		if got.Key != specs[i].Key() {
-			fmt.Fprintf(os.Stderr, "wpserved: oneshot: cell %d key %q != %q\n", i, got.Key, specs[i].Key())
-			code = 1
-		}
+	for i, got := range resp.Results {
 		if got.GroupID == "" {
 			fmt.Fprintf(os.Stderr, "wpserved: oneshot: cell %d missing group_id\n", i)
-			code = 1
-		}
-		if !reflect.DeepEqual(got.Stats, want[i].Stats) {
-			g, _ := json.Marshal(got.Stats)
-			w, _ := json.Marshal(want[i].Stats)
-			fmt.Fprintf(os.Stderr, "wpserved: oneshot: cell %d stats diverge over the wire:\n served %s\n direct %s\n", i, g, w)
 			code = 1
 		}
 	}
 	if code == 0 {
 		fmt.Fprintf(os.Stderr, "wpserved: oneshot ok (%d cells in %d single-pass groups, byte-identical to a direct engine run)\n",
-			len(specs), eng.Groups())
+			len(reqs), eng.Groups())
 	}
 	return code
 }

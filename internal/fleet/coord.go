@@ -435,25 +435,25 @@ func (c *Coordinator) runSub(ctx context.Context, tenant string, sub api.SubBatc
 	return last
 }
 
-// trySubmit performs one sub-batch POST against one backend with a
-// bounded 429-retry loop honouring Retry-After (capped at
-// backendRetryBackoff).
+// trySubmit performs one sub-batch POST against one backend,
+// retrying up to BackendRetries 429s on their Retry-After hint capped
+// at backendRetryBackoff. A backend still busy past that budget
+// answers a retryable *api.BusyError carrying its code and hint.
 func (c *Coordinator) trySubmit(ctx context.Context, b *backend, tenant string, body []byte) (*api.BatchResponse, error) {
+	retry := api.RetryPolicy{Retries: c.opt.BackendRetries, Ceiling: backendRetryBackoff}
 	for attempt := 0; ; attempt++ {
 		resp, err := c.send(ctx, b, http.MethodPost, "/v1/runs", tenant, body)
-		var busy *api.BusyError
-		if !errors.As(err, &busy) || busy.Permanent {
-			return resp, err
-		}
-		if attempt >= c.opt.BackendRetries {
+		switch v, werr := retry.Wait(ctx, err, attempt); {
+		case werr != nil:
+			return nil, werr
+		case v == api.GaveUp:
+			var busy *api.BusyError
+			errors.As(err, &busy)
 			return nil, &api.BusyError{
 				Msg: "backend busy past the retry budget", Code: busy.Code, RetryAfter: busy.RetryAfter,
 			}
-		}
-		select {
-		case <-time.After(min(busy.RetryAfter, backendRetryBackoff)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		case v == api.Done:
+			return resp, err
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
@@ -74,41 +73,11 @@ func testPool(w int) []api.RunRequest {
 		[]uint32{1 << 10, 4 << 10, 8 << 10, 16 << 10})
 }
 
-// directRun executes the same cells on a plain local engine — the
-// ground truth a fleet answer must match.
-func directRun(t *testing.T, workloads int, reqs []api.RunRequest) []*engine.Result {
-	t.Helper()
-	specs, err := api.ToSpecs(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(load.SyntheticProvider(workloads), engine.WithBaseConfig(sim.Default()))
-	results, err := eng.Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results
-}
-
-// assertIdentical checks a fleet batch answer cell-by-cell against the
-// direct engine run: same order, same canonical keys, same stats.
-func assertIdentical(t *testing.T, reqs []api.RunRequest, resp *api.BatchResponse, direct []*engine.Result) {
-	t.Helper()
-	if resp.Status != api.StatusDone || len(resp.Errors) != 0 {
-		t.Fatalf("batch status %q errors %v, want done/none", resp.Status, resp.Errors)
-	}
-	if len(resp.Results) != len(reqs) {
-		t.Fatalf("%d results for %d cells", len(resp.Results), len(reqs))
-	}
-	specs, _ := api.ToSpecs(reqs)
-	for i, rr := range resp.Results {
-		if rr.Key != specs[i].Key() {
-			t.Fatalf("cell %d out of order: key %q want %q", i, rr.Key, specs[i].Key())
-		}
-		if rr.Stats == nil || !reflect.DeepEqual(rr.Stats, direct[i].Stats) {
-			t.Fatalf("cell %d stats differ from direct run:\n fleet: %+v\ndirect: %+v", i, rr.Stats, direct[i].Stats)
-		}
-	}
+// directEngine is a plain local engine over the same workloads: the
+// ground truth a fleet answer must match byte for byte
+// (api.CheckIdentical).
+func directEngine(workloads int) *engine.Engine {
+	return engine.New(load.SyntheticProvider(workloads), engine.WithBaseConfig(sim.Default()))
 }
 
 // spread counts how many backends simulated at least one cell.
@@ -135,14 +104,16 @@ func TestCoordinatorSyncIdenticalToDirectRun(t *testing.T) {
 	backs := startBackends(t, 3, workloads)
 	_, srv := startCoordinator(t, backs, fleet.Options{})
 	reqs := testPool(workloads)
-	direct := directRun(t, workloads, reqs)
+	direct := directEngine(workloads)
 
 	client := serve.NewClient(srv.URL)
 	resp, err := client.Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, reqs, resp, direct)
+	if err := api.CheckIdentical(context.Background(), direct, reqs, resp); err != nil {
+		t.Fatal(err)
+	}
 	if resp.JobID != api.BatchKey(reqs) {
 		t.Errorf("job id %q, want deterministic %q", resp.JobID, api.BatchKey(reqs))
 	}
@@ -264,7 +235,7 @@ func TestCoordinatorAsyncIdenticalToDirectRun(t *testing.T) {
 	backs := startBackends(t, 3, workloads)
 	_, srv := startCoordinator(t, backs, fleet.Options{})
 	reqs := testPool(workloads)
-	direct := directRun(t, workloads, reqs)
+	direct := directEngine(workloads)
 
 	httpResp, shell := postBatch(t, srv.URL, api.BatchRequest{Requests: reqs, Async: true})
 	if httpResp.StatusCode != http.StatusAccepted {
@@ -274,31 +245,15 @@ func TestCoordinatorAsyncIdenticalToDirectRun(t *testing.T) {
 		t.Fatalf("async job id %q, want %q", shell.JobID, api.BatchKey(reqs))
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	var final *api.BatchResponse
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish in 30s")
-		}
-		httpResp, err := http.Get(srv.URL + "/v1/runs/" + shell.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp api.BatchResponse
-		if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		httpResp.Body.Close()
-		if httpResp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status %d", httpResp.StatusCode)
-		}
-		if resp.Status == api.StatusDone || resp.Status == api.StatusFailed {
-			final = &resp
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := serve.NewClient(srv.URL).Poll(ctx, shell.JobID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertIdentical(t, reqs, final, direct)
+	if err := api.CheckIdentical(ctx, direct, reqs, final); err != nil {
+		t.Fatal(err)
+	}
 	if got, want := sumMisses(backs), uint64(len(reqs)); got != want {
 		t.Errorf("fleet simulated %d cells for %d unique cells", got, want)
 	}
@@ -325,13 +280,15 @@ func TestCoordinatorFailsOverDeadBackend(t *testing.T) {
 		Failover: 1,
 	})
 	reqs := testPool(workloads)
-	direct := directRun(t, workloads, reqs)
+	direct := directEngine(workloads)
 
 	resp, err := serve.NewClient(srv.URL).Run(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, reqs, resp, direct)
+	if err := api.CheckIdentical(context.Background(), direct, reqs, resp); err != nil {
+		t.Fatal(err)
+	}
 	if v := reg.Counter(fleet.MetricFailovers).Value(); v == 0 {
 		t.Error("no failovers recorded despite a dead ring member")
 	}

@@ -3,7 +3,6 @@ package load
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -151,6 +150,10 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 		batches[i] = append(append([]api.RunRequest{}, pool[r:]...), pool[:r]...)
 	}
 
+	// The byte-identity oracle: a fresh in-process engine, no HTTP,
+	// no store.
+	ref := engine.New(SyntheticProvider(crashWorkloads), engine.WithBaseConfig(sim.Default()))
+
 	// Phase 1: daemon up, async batches in, ids durable.
 	fmt.Fprintf(logw, "crash: phase 1: starting daemon child on %s\n", dir)
 	child, url, err := startCrashChild(ctx, exe, opt.Log, dir)
@@ -179,11 +182,6 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 	if err != nil {
 		return err
 	}
-	want, err := referenceResults(ctx, pool)
-	if err != nil {
-		child.kill()
-		return err
-	}
 	client = serve.NewClient(url)
 	for i, id := range ids {
 		resp, err := client.Poll(ctx, id)
@@ -191,7 +189,7 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 			child.kill()
 			return fmt.Errorf("crash: job %s (batch %d): %w", id, i, err)
 		}
-		if err := checkBatch(batches[i], resp, want); err != nil {
+		if err := api.CheckIdentical(ctx, ref, batches[i], resp); err != nil {
 			child.kill()
 			return fmt.Errorf("crash: job %s (batch %d): %w", id, i, err)
 		}
@@ -210,7 +208,7 @@ func RunCrash(ctx context.Context, opt CrashOptions) (err error) {
 	client = serve.NewClient(url)
 	resp, err := client.Run(ctx, pool)
 	if err == nil {
-		err = checkBatch(pool, resp, want)
+		err = api.CheckIdentical(ctx, ref, pool, resp)
 	}
 	if err != nil {
 		child.kill()
@@ -295,60 +293,4 @@ func startCrashChild(ctx context.Context, exe string, log io.Writer, dir string)
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-}
-
-// referenceResults runs the whole pool on a fresh in-process engine —
-// no HTTP, no store — and indexes the marshalled stats by cell key.
-// This is the byte-identity oracle the replayed results must match.
-func referenceResults(ctx context.Context, pool []api.RunRequest) (map[string][]byte, error) {
-	specs, err := api.ToSpecs(pool)
-	if err != nil {
-		return nil, fmt.Errorf("crash: reference: %w", err)
-	}
-	eng := engine.New(SyntheticProvider(crashWorkloads), engine.WithBaseConfig(sim.Default()))
-	results, err := eng.Run(ctx, specs)
-	if err != nil {
-		return nil, fmt.Errorf("crash: reference: %w", err)
-	}
-	want := make(map[string][]byte, len(results))
-	for i, res := range results {
-		data, err := json.Marshal(res.Stats)
-		if err != nil {
-			return nil, fmt.Errorf("crash: reference: %w", err)
-		}
-		want[specs[i].Key()] = data
-	}
-	return want, nil
-}
-
-// checkBatch verifies a batch response is done, complete, error-free
-// and byte-identical to the reference results, request by request.
-func checkBatch(reqs []api.RunRequest, resp *api.BatchResponse, want map[string][]byte) error {
-	if resp.Status != api.StatusDone {
-		return fmt.Errorf("status %q, want %q", resp.Status, api.StatusDone)
-	}
-	if len(resp.Errors) != 0 {
-		return fmt.Errorf("%d cell errors: %+v", len(resp.Errors), resp.Errors)
-	}
-	if len(resp.Results) != len(reqs) {
-		return fmt.Errorf("%d results for %d requests", len(resp.Results), len(reqs))
-	}
-	for i, rr := range resp.Results {
-		key := reqs[i].Key()
-		if rr.Key != key {
-			return fmt.Errorf("cell %d: key %q, want %q", i, rr.Key, key)
-		}
-		ref, ok := want[key]
-		if !ok {
-			return fmt.Errorf("cell %d: key %q not in reference set", i, key)
-		}
-		got, err := json.Marshal(rr.Stats)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, ref) {
-			return fmt.Errorf("cell %d (%s): stats diverge from direct engine run:\n got  %s\n want %s", i, key, got, ref)
-		}
-	}
-	return nil
 }

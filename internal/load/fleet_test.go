@@ -63,7 +63,7 @@ func TestFleetOncePerFleetUnderLoad(t *testing.T) {
 	gen, err := load.New(load.Options{
 		BaseURL: f.URL, Pool: pool,
 		Clients: 16, Duration: 600 * time.Millisecond,
-		AsyncFraction: 0.3, MaxBatchCells: 4, PollInterval: 2 * time.Millisecond,
+		AsyncFraction: 0.3, MaxBatchCells: 4,
 		Seed: 11,
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestGeneratorReusesConnections(t *testing.T) {
 	lb := startLoopback(t, load.LoopbackOptions{Workloads: 2})
 	_, r := run(t, lb, load.Options{
 		Clients: 16, Duration: 600 * time.Millisecond,
-		AsyncFraction: 0.3, MaxBatchCells: 4, PollInterval: 2 * time.Millisecond,
+		AsyncFraction: 0.3, MaxBatchCells: 4,
 		Churn: 0, Seed: 13,
 	})
 	conns := lb.Conns()

@@ -50,6 +50,9 @@ const (
 // included.
 const batchTimeout = 60 * time.Second
 
+// pollInterval spaces a client's async status polls.
+const pollInterval = 5 * time.Millisecond
+
 // Options configures a Generator. Zero values pick the documented
 // defaults, except AsyncFraction and Churn, where zero means none;
 // only Pool and BaseURL are mandatory.
@@ -91,8 +94,6 @@ type Options struct {
 	// is not parked forever by a 1s hint (default 250ms).
 	MaxRetries      int
 	MaxRetryBackoff time.Duration
-	// PollInterval spaces async status polls (default 5ms).
-	PollInterval time.Duration
 
 	// Registry receives the load_* instruments (default: a private
 	// registry, readable via Generator.Registry).
@@ -119,9 +120,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxRetryBackoff == 0 {
 		o.MaxRetryBackoff = 250 * time.Millisecond
-	}
-	if o.PollInterval == 0 {
-		o.PollInterval = 5 * time.Millisecond
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -286,7 +284,7 @@ func (g *Generator) oneBatch(ctx context.Context, client *http.Client, rng *rand
 		return // counted as dropped or errored inside
 	}
 	if async {
-		if resp, ok = g.pollUntilDone(bctx, client, resp.JobID); !ok {
+		if resp, ok = g.pollUntilDone(bctx, client, resp); !ok {
 			return
 		}
 	}
@@ -305,69 +303,49 @@ func (g *Generator) oneBatch(ctx context.Context, client *http.Client, rng *rand
 }
 
 // submitWithRetry POSTs the batch, resubmitting after a retryable
-// 429 with the server's Retry-After (capped at MaxRetryBackoff,
-// jittered ±50% so retries from a fleet of clients do not re-align
-// into the next burst). Returns ok=false once the batch is accounted
-// for as dropped or errored.
+// 429 with the server's Retry-After capped at MaxRetryBackoff, each
+// wait drawn from [½, 1] of the capped hint with the client's RNG
+// (api.RetryPolicy). Returns ok=false once the batch is accounted for
+// as dropped or errored.
 func (g *Generator) submitWithRetry(ctx context.Context, client *http.Client, rng *rand.Rand, body []byte) (*api.BatchResponse, bool) {
+	retry := api.RetryPolicy{Retries: g.opt.MaxRetries, Ceiling: g.opt.MaxRetryBackoff, Jitter: rng}
 	for attempt := 0; ; attempt++ {
 		br, err := g.send(ctx, client, http.MethodPost, "/v1/runs", body)
+		v, werr := retry.Wait(ctx, err, attempt)
 		var busy *api.BusyError
 		switch {
+		case v == api.Waited:
+			g.retries.Inc()
+			if werr == nil {
+				continue
+			}
+		case v == api.GaveUp:
+			g.dropped.Inc()
 		case err == nil:
 			return br, true
-		case !errors.As(err, &busy):
-			if ctx.Err() == nil {
-				g.errors.Inc()
-			}
-			return nil, false
-		case busy.Permanent:
-			// The server's "never" (an oversized batch): resubmitting
-			// cannot help.
+		case errors.As(err, &busy) || ctx.Err() == nil:
+			// A permanent 429 (an oversized batch) is the server's
+			// "never"; anything else counts unless this batch's own
+			// deadline cut it off.
 			g.errors.Inc()
-			return nil, false
-		case attempt >= g.opt.MaxRetries:
-			g.dropped.Inc()
-			return nil, false
 		}
-		g.retries.Inc()
-		backoff := min(busy.RetryAfter, g.opt.MaxRetryBackoff)
-		if backoff > 0 {
-			backoff = backoff/2 + time.Duration(rng.Int63n(int64(backoff)+1))/2
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, false
-		}
+		return nil, false
 	}
 }
 
-// pollUntilDone follows an accepted async job until it reports done
-// or failed. A 404 here is exactly the orphaned-202 bug the harness
-// exists to catch, and lands in load_errors_total.
-func (g *Generator) pollUntilDone(ctx context.Context, client *http.Client, jobID string) (*api.BatchResponse, bool) {
-	for {
-		select {
-		case <-time.After(g.opt.PollInterval):
-		case <-ctx.Done():
-			return nil, false
-		}
+// pollUntilDone follows an accepted async job from its 202 answer
+// until it reports done or failed (api.Poll). A 404 here is exactly
+// the orphaned-202 bug the harness exists to catch, and lands in
+// load_errors_total.
+func (g *Generator) pollUntilDone(ctx context.Context, client *http.Client, accepted *api.BatchResponse) (*api.BatchResponse, bool) {
+	br, err := api.Poll(ctx, pollInterval, accepted, func(ctx context.Context) (*api.BatchResponse, error) {
 		g.polls.Inc()
-		br, err := g.send(ctx, client, http.MethodGet, "/v1/runs/"+jobID, nil)
-		var busy *api.BusyError
-		switch {
-		case errors.As(err, &busy):
-			continue
-		case err != nil:
-			if ctx.Err() == nil {
-				g.errors.Inc()
-			}
-			return nil, false
-		case br.Status == api.StatusDone, br.Status == api.StatusFailed:
-			return br, true
-		}
+		return g.send(ctx, client, http.MethodGet, "/v1/runs/"+accepted.JobID, nil)
+	})
+	if err != nil && ctx.Err() == nil {
+		g.errors.Inc()
 	}
+	return br, err == nil
 }
 
 // send is one instrumented round trip through api.Exchange. 429s are

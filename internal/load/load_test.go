@@ -55,7 +55,7 @@ func TestMixedLoadAgainstLoopback(t *testing.T) {
 	lb := startLoopback(t, load.LoopbackOptions{Workloads: 2})
 	gen, r := run(t, lb, load.Options{
 		Clients: 16, Duration: 600 * time.Millisecond,
-		AsyncFraction: 0.4, MaxBatchCells: 4, PollInterval: 2 * time.Millisecond,
+		AsyncFraction: 0.4, MaxBatchCells: 4,
 		Seed: 7,
 	})
 
@@ -177,8 +177,7 @@ func TestAsyncOnly(t *testing.T) {
 	lb := startLoopback(t, load.LoopbackOptions{Workloads: 1, Registry: reg})
 	_, r := run(t, lb, load.Options{
 		Clients: 8, Duration: 500 * time.Millisecond,
-		AsyncFraction: 1, PollInterval: 2 * time.Millisecond,
-		Seed: 19,
+		AsyncFraction: 1, Seed: 19,
 	})
 	if r.Batches == 0 {
 		t.Fatal("no async batch completed")

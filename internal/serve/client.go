@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,9 +45,9 @@ func NewTransport(perHost int) *http.Transport {
 // default clients in a process pool their connections.
 var defaultClient = &http.Client{Transport: NewTransport(0)}
 
-// clientRetries bounds how many 429 answers a Client retries
-// (honouring Retry-After) before returning the *api.BusyError.
-const clientRetries = 4
+// clientRetry retries up to 4 429 answers on the server's
+// Retry-After hint, as sent, before returning the *api.BusyError.
+var clientRetry = api.RetryPolicy{Retries: 4}
 
 // pollInterval spaces a Client's async job polls.
 const pollInterval = 20 * time.Millisecond
@@ -98,23 +97,13 @@ func (c *Client) Submit(ctx context.Context, reqs []api.RunRequest) (*api.BatchR
 	return resp, err
 }
 
-// Poll follows the async job id until it reports done or failed. An
-// unknown id (404 job_unknown) is an error, not a wait.
+// Poll follows the async job id until it reports done or failed
+// (api.Poll, GETting at once). An unknown id (404 job_unknown) is an
+// error, not a wait.
 func (c *Client) Poll(ctx context.Context, id string) (*api.BatchResponse, error) {
-	for {
-		resp, err := api.Exchange(ctx, c.httpClient(), http.MethodGet, c.BaseURL+"/v1/runs/"+id, c.Tenant, nil)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Status == api.StatusDone || resp.Status == api.StatusFailed {
-			return resp, nil
-		}
-		select {
-		case <-time.After(pollInterval):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("job %s still %q: %w", id, resp.Status, ctx.Err())
-		}
-	}
+	return api.Poll(ctx, pollInterval, nil, func(ctx context.Context) (*api.BatchResponse, error) {
+		return api.Exchange(ctx, c.httpClient(), http.MethodGet, c.BaseURL+"/v1/runs/"+id, c.Tenant, nil)
+	})
 }
 
 func (c *Client) post(ctx context.Context, breq api.BatchRequest) (*api.BatchResponse, error) {
@@ -124,20 +113,11 @@ func (c *Client) post(ctx context.Context, breq api.BatchRequest) (*api.BatchRes
 	}
 	for attempt := 0; ; attempt++ {
 		resp, err := api.Exchange(ctx, c.httpClient(), http.MethodPost, c.BaseURL+"/v1/runs", c.Tenant, body)
-		var busy *api.BusyError
-		if !errors.As(err, &busy) || busy.Permanent || attempt >= clientRetries {
+		switch v, werr := clientRetry.Wait(ctx, err, attempt); {
+		case werr != nil:
+			return nil, werr
+		case v != api.Waited:
 			return resp, err
-		}
-		if busy.RetryAfter > 0 {
-			select {
-			case <-time.After(busy.RetryAfter):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		} else if err := ctx.Err(); err != nil {
-			// Retry-After: 0 means retry immediately — but never spin
-			// past a cancelled context.
-			return nil, err
 		}
 	}
 }

@@ -457,31 +457,17 @@ func TestAsyncJobLifecycle(t *testing.T) {
 		t.Errorf("identical resubmission got a new job: %q vs %q", second.JobID, first.JobID)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		jr, err := http.Get(env.http.URL + "/v1/runs/" + first.JobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var br api.BatchResponse
-		err = json.NewDecoder(jr.Body).Decode(&br)
-		jr.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if br.Status == api.StatusDone {
-			if len(br.Results) != len(reqs) {
-				t.Fatalf("job finished with %d results for %d requests", len(br.Results), len(reqs))
-			}
-			break
-		}
-		if br.Status == api.StatusFailed {
-			t.Fatalf("job failed: %+v", br.Errors)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", br.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	br, err := serve.NewClient(env.http.URL).Poll(ctx, first.JobID)
+	if err != nil {
+		t.Fatalf("job stuck: %v", err)
+	}
+	if br.Status == api.StatusFailed {
+		t.Fatalf("job failed: %+v", br.Errors)
+	}
+	if len(br.Results) != len(reqs) {
+		t.Fatalf("job finished with %d results for %d requests", len(br.Results), len(reqs))
 	}
 
 	jr, err := http.Get(env.http.URL + "/v1/runs/job-doesnotexist")
@@ -795,28 +781,17 @@ func TestDuplicateAsyncSubmissionsRace(t *testing.T) {
 		t.Errorf("%d batches accepted for 6 identical submissions, want 1 (the rest attach)", got)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		jr, err := http.Get(env.http.URL + "/v1/runs/" + want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var br api.BatchResponse
-		err = json.NewDecoder(jr.Body).Decode(&br)
-		jr.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if br.Status == api.StatusDone {
-			if len(br.Results) != len(reqs) {
-				t.Fatalf("deduplicated job finished with %d results, want %d", len(br.Results), len(reqs))
-			}
-			return
-		}
-		if br.Status == api.StatusFailed || time.Now().After(deadline) {
-			t.Fatalf("deduplicated job ended %q", br.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	br, err := serve.NewClient(env.http.URL).Poll(ctx, want)
+	if err != nil {
+		t.Fatalf("deduplicated job: %v", err)
+	}
+	if br.Status != api.StatusDone {
+		t.Fatalf("deduplicated job ended %q", br.Status)
+	}
+	if len(br.Results) != len(reqs) {
+		t.Fatalf("deduplicated job finished with %d results, want %d", len(br.Results), len(reqs))
 	}
 }
 
