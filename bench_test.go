@@ -390,6 +390,29 @@ func BenchmarkRunMultiGrid(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(tr.Instrs())*float64(b.N*len(models))), "ns/instr/model")
 }
 
+// BenchmarkRunMultiAblations is the consume side of the paper's two
+// event-sensitive experiments: the figure workload's recorded placed
+// stream replayed through the same-line ablation (way-placement with
+// the tag-check skip off) and the default OS-adaptive area policy, in
+// one pass, reported per instruction per model.
+func BenchmarkRunMultiAblations(b *testing.B) {
+	w := suite(b).Workloads[0]
+	tr := recordTrace(b, w.Placed)
+	icfg := experiment.XScaleICache()
+	pol := sim.DefaultAdaptivePolicy(icfg, streamBase().ITLB.PageBytes)
+	models := []sim.ModelSpec{
+		{Geometry: icfg, Scheme: energy.WayPlacement, WPSize: 2 << 10, NoSameLine: true},
+		{Geometry: icfg, Adaptive: &pol},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.ReplayMulti(context.Background(), tr, w.Placed, streamBase(), models); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(tr.Instrs())*float64(b.N*len(models))), "ns/instr/model")
+}
+
 // BenchmarkReplayGroup is a fleet-cold-shaped replay: the figure
 // workload's recorded placed stream replayed through a small group
 // (an 8 KB 8-way baseline and way-placement with a 4 KB area), so

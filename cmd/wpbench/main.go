@@ -355,7 +355,7 @@ func writeCSV(dir, name string, emit func(io.Writer) error) error {
 
 // runSelfCheck prepares the named benchmarks and pushes each one, on
 // its Large (reference) input, through the differential harness: all
-// five scheme variants must agree architecturally, every runtime
+// six scheme variants must agree architecturally, every runtime
 // invariant must hold, and every variant replayed from its binary's
 // recorded fetch trace must match the live pass bit for bit. Returns
 // the process exit code: 0 only if every benchmark passes.

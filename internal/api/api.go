@@ -251,6 +251,17 @@ func (r RunRequest) validate(prefix string) error {
 		if r.WPSizeBytes > 0 {
 			verr.add(prefix, "wp_size_bytes", "must be 0 for adaptive cells (the area is policy-driven)")
 		}
+		// An adaptive cell models the paper's scheme as is: the
+		// ablation switches and the RAM-tag array do not apply.
+		if r.OracleHint {
+			verr.add(prefix, "oracle_hint", "not valid for adaptive cells")
+		}
+		if r.NoSameLine {
+			verr.add(prefix, "no_same_line", "not valid for adaptive cells")
+		}
+		if r.Style == StyleRAMTag {
+			verr.add(prefix, "style", "%q not valid for adaptive cells", StyleRAMTag)
+		}
 		if r.Adaptive.IntervalInstrs == 0 {
 			verr.add(prefix, "adaptive.interval_instrs", "must be positive")
 		}

@@ -132,6 +132,18 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"nosameline-on-waymem",
 			api.RunRequest{Workload: "sha", ICache: xscale(), Scheme: "waymem", NoSameLine: true},
 			"no_same_line"},
+		{"adaptive-with-oracle",
+			api.RunRequest{Workload: "sha", ICache: xscale(), Scheme: "wayplace", OracleHint: true,
+				Adaptive: &api.AdaptivePolicySpec{IntervalInstrs: 1, StartSizeBytes: 1024}},
+			"oracle_hint"},
+		{"adaptive-with-nosameline",
+			api.RunRequest{Workload: "sha", ICache: xscale(), Scheme: "wayplace", NoSameLine: true,
+				Adaptive: &api.AdaptivePolicySpec{IntervalInstrs: 1, StartSizeBytes: 1024}},
+			"no_same_line"},
+		{"adaptive-with-ram-tag",
+			api.RunRequest{Workload: "sha", ICache: xscale(), Scheme: "wayplace", Style: "ram-tag",
+				Adaptive: &api.AdaptivePolicySpec{IntervalInstrs: 1, StartSizeBytes: 1024}},
+			"style"},
 	} {
 		err := tc.req.Validate()
 		if err == nil {

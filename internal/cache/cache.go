@@ -367,6 +367,10 @@ func (c *Cache) touch(set, way int) {
 	c.mru[set] = way
 }
 
+// Repeatable reports whether RepeatSince can ever charge: only a
+// round-robin cache qualifies.
+func (c *Cache) Repeatable() bool { return c.Cfg.Policy == RoundRobin }
+
 // RepeatSince charges n further repeats of the fetches counted since
 // snap (a copy of Stats taken before them), in closed form, and
 // reports whether it could. The caller guarantees that the fetches
@@ -386,7 +390,7 @@ func (c *Cache) touch(set, way int) {
 // caller fetches the copies itself.
 func (c *Cache) RepeatSince(snap *Stats, n uint64) bool {
 	s := &c.Stats
-	if c.Cfg.Policy != RoundRobin || s.Misses != snap.Misses || s.LineFills != snap.LineFills ||
+	if !c.Repeatable() || s.Misses != snap.Misses || s.LineFills != snap.LineFills ||
 		s.LinkWrites != snap.LinkWrites || s.StaleLinks != snap.StaleLinks || s.Flushes != snap.Flushes {
 		return false
 	}

@@ -251,9 +251,10 @@ func (e *WayPlacementEngine) Fetch(addr uint32, indirect bool) FetchResult {
 // buffer, in bulk. The caller guarantees every address lies in the
 // line of the previous fetch, on the same page (lastAddr is one of
 // them, used for the way-placement-area check — the whole run shares
-// its page, so one oracle consultation covers all n), and that the
-// engine's same-line optimisation is enabled. Each fetch would take
-// the SameLineHits path: no tag check, hint unchanged.
+// its page, so one oracle consultation covers all n). Each fetch hits
+// with no tag check, or, under NoSameLine, with the hint (either kind)
+// equal to the page's way-placement bit: a single-way probe on a
+// way-placed page, a full search elsewhere.
 func (e *WayPlacementEngine) FetchSameLine(n int, lastAddr uint32) {
 	c := e.c
 	un := uint64(n)
@@ -261,7 +262,19 @@ func (e *WayPlacementEngine) FetchSameLine(n int, lastAddr uint32) {
 	if e.oracle.WayPlaced(lastAddr) {
 		c.Stats.WPAreaFetches += un
 	}
-	c.Stats.SameLineHits += un
+	switch {
+	case !e.NoSameLine:
+		c.Stats.SameLineHits += un
+	case e.hint:
+		c.Stats.HintCorrectWP += un
+		c.Stats.WPAccesses += un
+		c.Stats.SingleSearches += un
+		c.Stats.TagComparisons += un
+	default:
+		c.Stats.HintCorrectNon += un
+		c.Stats.FullSearches += un
+		c.Stats.TagComparisons += uint64(c.Cfg.Ways) * un
+	}
 	c.Stats.Hits += un
 	c.Stats.DataReads += un
 	c.tick += un

@@ -42,9 +42,10 @@ type Variant struct {
 }
 
 // Differential runs original and placed images of one program under
-// all five scheme variants — baseline, way-memoization, way-placement,
-// way-placement with the oracle hint, and way-placement under the
-// OS-adaptive area policy — and checks per-variant invariants,
+// all six scheme variants — baseline, way-memoization, way-placement,
+// way-placement with the oracle hint, way-placement without the
+// same-line tag-check skip, and way-placement under the OS-adaptive
+// area policy — and checks per-variant invariants,
 // cross-variant architectural equivalence, and coupled-vs-single-pass
 // implementation agreement. The returned variants are always complete
 // when err reports only check violations; a shorter slice means a
@@ -74,21 +75,24 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		model    sim.ModelSpec
 		adaptive bool
 	}
-	mk := func(name string, prog *obj.Program, scheme energy.Scheme, wp uint32, oracle bool) variantSpec {
+	mk := func(name string, prog *obj.Program, scheme energy.Scheme, wp uint32, mutate func(*sim.Config)) variantSpec {
 		cfg := base
 		cfg.Scheme = scheme
 		cfg.WPSize = wp
-		cfg.OracleHint = oracle
+		if mutate != nil {
+			mutate(&cfg)
+		}
 		return variantSpec{name: name, prog: prog, cfg: cfg, model: sim.ModelSpecOf(cfg)}
 	}
 	acfg := base
 	acfg.Scheme = energy.WayPlacement
 	acfg.WPSize = pol.StartSize
 	specs := []variantSpec{
-		mk("baseline", original, energy.Baseline, 0, false),
-		mk("waymem", original, energy.WayMemoization, 0, false),
-		mk("wayplace", placed, energy.WayPlacement, wpSize, false),
-		mk("wayplace-oracle", placed, energy.WayPlacement, wpSize, true),
+		mk("baseline", original, energy.Baseline, 0, nil),
+		mk("waymem", original, energy.WayMemoization, 0, nil),
+		mk("wayplace", placed, energy.WayPlacement, wpSize, nil),
+		mk("wayplace-oracle", placed, energy.WayPlacement, wpSize, func(c *sim.Config) { c.OracleHint = true }),
+		mk("wayplace-nosameline", placed, energy.WayPlacement, wpSize, func(c *sim.Config) { c.NoSameLine = true }),
 		{name: "wayplace-adaptive", prog: placed, cfg: acfg,
 			model: sim.ModelSpec{Geometry: base.ICache, Adaptive: &pol}, adaptive: true},
 	}
@@ -306,6 +310,19 @@ func equivalence(vs []Variant) []error {
 	if oracle.IStats.Misses != wp.IStats.Misses {
 		errs = append(errs, fmt.Errorf("oracle hint saw %d I$ misses, 1-bit hint %d — cache contents diverged",
 			oracle.IStats.Misses, wp.IStats.Misses))
+	}
+	// The same-line skip only drops tag checks of fetches that hit
+	// anyway: without it the misses are the same and the comparisons
+	// no fewer.
+	if nsl := byName["wayplace-nosameline"]; nsl != nil {
+		if nsl.IStats.Misses != wp.IStats.Misses {
+			errs = append(errs, fmt.Errorf("same-line skip off saw %d I$ misses, on %d — cache contents diverged",
+				nsl.IStats.Misses, wp.IStats.Misses))
+		}
+		if nsl.IStats.TagComparisons < wp.IStats.TagComparisons {
+			errs = append(errs, fmt.Errorf("same-line skip off performed %d tag comparisons, on %d",
+				nsl.IStats.TagComparisons, wp.IStats.TagComparisons))
+		}
 	}
 	return errs
 }

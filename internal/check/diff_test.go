@@ -22,7 +22,7 @@ var shortSuite = map[string]bool{
 
 // TestDifferentialAllBenchmarks is the acceptance gate: every
 // benchmark in the suite, on its Small input, must be architecturally
-// identical under all five scheme variants and satisfy every stat
+// identical under all six scheme variants and satisfy every stat
 // invariant. Small is the profiling input, so the runs are quick
 // enough to sweep the whole suite here; the Large input is swept by
 // `wpbench -selfcheck`.
@@ -41,8 +41,8 @@ func TestDifferentialAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("differential: %v", err)
 			}
-			if len(vs) != 5 {
-				t.Fatalf("got %d variants, want 5", len(vs))
+			if len(vs) != 6 {
+				t.Fatalf("got %d variants, want 6", len(vs))
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 
 // FuzzDifferential drives randomly generated programs through the
 // full differential harness: whatever control flow and memory traffic
-// progen emits, all five scheme variants must agree architecturally
+// progen emits, all six scheme variants must agree architecturally
 // and every stat invariant must hold. The seed parity picks the
 // single-pass execution shape — coalesced multi-model passes or
 // per-cell single-model passes — so both shapes of sim.RunMulti are

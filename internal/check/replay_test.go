@@ -17,8 +17,8 @@ import (
 // one live sim.RecordMulti pass per binary, then a sim.ReplayMulti of
 // the same models from the recording. Every model — baseline,
 // way-memoization, way-placement at several areas including one that
-// saturates the text image, the oracle hint, the per-event NoSameLine
-// model, the adaptive policy and one invalid spec — must come back
+// saturates the text image, the oracle hint, the same-line ablation
+// (NoSameLine), the adaptive policy and one invalid spec — must come back
 // with the same per-model error or deep-equal statistics and area
 // trace.
 func TestReplayMatchesLive(t *testing.T) {

@@ -30,13 +30,17 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 	// segmentation block of line-32 models), an LRU variant, and a
 	// thrashing cache on which the loops of about half the benchmarks
 	// keep missing, so the single pass falls back from closed-form
-	// repeats to run-by-run consumption.
+	// repeats to run-by-run consumption, the same-line ablation
+	// included.
 	geoDefault := base.ICache
 	geoSmall := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32, Policy: cache.RoundRobin}
 	geoWide := cache.Config{SizeBytes: 16 << 10, Ways: 16, LineBytes: 64, Policy: cache.RoundRobin}
 	geoLRU := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32, Policy: cache.LRU}
 
 	pol := sim.DefaultAdaptivePolicy(geoDefault, base.ITLB.PageBytes)
+	// On thrashGeometry the policy resizes the area, and flushes the
+	// cache, at decision points that fall inside runs.
+	thrashPol := sim.DefaultAdaptivePolicy(thrashGeometry, base.ITLB.PageBytes)
 
 	originalModels := []sim.ModelSpec{
 		{Geometry: geoDefault, Scheme: energy.Baseline},
@@ -56,7 +60,9 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 		{Geometry: geoSmall, Scheme: energy.WayPlacement, WPSize: 4 << 10},
 		{Geometry: geoWide, Scheme: energy.WayPlacement, WPSize: 8 << 10},
 		{Geometry: thrashGeometry, Scheme: energy.WayPlacement, WPSize: 4 << 10},
+		{Geometry: thrashGeometry, Scheme: energy.WayPlacement, WPSize: 4 << 10, NoSameLine: true},
 		{Geometry: geoDefault, Adaptive: &pol},
+		{Geometry: thrashGeometry, Adaptive: &thrashPol},
 	}
 
 	for _, b := range bench.All() {
@@ -92,11 +98,11 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 					}
 					var want *sim.RunStats
 					var wantChanges []sim.AreaChange
+					cfg := base
+					cfg.ICache = spec.Geometry
 					if spec.Adaptive != nil {
-						want, wantChanges, err = sim.RunAdaptive(ctx, prog, base, *spec.Adaptive)
+						want, wantChanges, err = sim.RunAdaptive(ctx, prog, cfg, *spec.Adaptive)
 					} else {
-						cfg := base
-						cfg.ICache = spec.Geometry
 						cfg.Scheme = spec.Scheme
 						cfg.Style = spec.Style
 						cfg.WPSize = spec.WPSize

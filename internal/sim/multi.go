@@ -369,11 +369,7 @@ type modelCore struct {
 	ownITLB *tlb.TLB     // adaptive models only; nil means report the source's reference I-TLB
 	changes []AreaChange // adaptive resize trace
 
-	// closedForm marks a bulk model on a round-robin cache, which
-	// charges clean repeats in closed form (consumeRepeats);
-	// repeatedRuns counts the runs it charged that way.
-	closedForm   bool
-	repeatedRuns uint64
+	repeatedRuns uint64 // runs consumeRepeats charged in closed form
 }
 
 func (m *modelCore) core() *modelCore { return m }
@@ -389,13 +385,13 @@ func (o staticWPOracle) WayPlaced(addr uint32) bool {
 }
 
 // The bulk models replay runs in bulk: one real Fetch per run, then
-// the engine's FetchSameLine fast path for the rest. Valid for every
-// scheme whose per-event behaviour inside a resident line is
-// state-independent (baseline, way-memoization, way-placement with the
-// same-line optimisation on). One concrete model type per engine keeps
-// the per-run calls direct (devirtualised and inlinable); the repeat
-// walk (consumeRepeats) wraps that run loop and charges repeated loop
-// iterations in closed form, which takes most runs off it.
+// the engine's FetchSameLine fast path for the rest, which the first
+// fetch settles for every scheme (NoSameLine included: the way hint
+// then equals the page's way-placement bit). One concrete model type
+// per engine keeps the per-run calls direct (devirtualised and
+// inlinable); the repeat walk (consumeRepeats) wraps that run loop and
+// charges repeated loop iterations in closed form, which takes most
+// runs off it.
 
 type baselineBulkModel struct {
 	modelCore
@@ -474,17 +470,18 @@ func (m *wayPlaceBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
 // the state after a clean copy equals the state before it and every
 // later copy repeats its counts exactly. Recency (tick and lastUse)
 // does move on a hit and is not charged, which is why only
-// round-robin models qualify. A dirty copy (a cold line, a first link
-// along the loop's back edge, or a thrashing set) makes the next copy
-// the probe, and a repeat whose copies are all dirty is consumed run
-// by run.
+// round-robin caches qualify (cache.Cache.Repeatable); any other cache
+// gets the whole chunk in one fetchRuns call. A dirty copy (a cold
+// line, a first link along the loop's back edge, or a thrashing set)
+// makes the next copy the probe, and a repeat whose copies are all
+// dirty is consumed run by run.
 func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(events []uint32, runs []FetchRun)) {
 	runs := ch.Runs
-	if !m.closedForm {
+	c := m.fe.Cache()
+	if !c.Repeatable() {
 		fetchRuns(ch.Events, runs)
 		return
 	}
-	c := m.fe.Cache()
 	at := uint32(0)
 	for _, r := range ch.Reps {
 		fetchRuns(ch.Events, runs[at:r.Probe])
@@ -502,24 +499,12 @@ func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(events []uint3
 	fetchRuns(ch.Events, runs[at:])
 }
 
-// eventModel replays every event individually — needed when the
-// same-line shortcut is ablated away (NoSameLine), where even
-// intra-line fetches change hint state and tag-check counts.
-type eventModel struct {
-	modelCore
-}
-
-func (m *eventModel) Consume(ch *FetchChunk) error {
-	for _, ev := range ch.Events {
-		m.fe.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
-	}
-	return nil
-}
-
-// adaptiveModel replays events under the adaptive OS policy: a private
+// adaptiveModel consumes runs under the adaptive OS policy: a private
 // I-TLB (OS invalidations make its stats diverge from the reference one)
 // and an OS decision point every IntervalInstrs consumed events,
-// reproducing sim.RunAdaptive's coupled loop bit for bit.
+// reproducing sim.RunAdaptive's coupled loop bit for bit. A run is
+// split at each decision point; a piece is one Lookup and one Fetch,
+// then bulk I-TLB hits and same-line fetches.
 type adaptiveModel struct {
 	modelCore
 	wpe      *cache.WayPlacementEngine
@@ -532,16 +517,26 @@ type adaptiveModel struct {
 
 func (m *adaptiveModel) Consume(ch *FetchChunk) error {
 	interval := m.pol.IntervalInstrs
-	for _, ev := range ch.Events {
-		if m.consumed > 0 && m.consumed%interval == 0 {
-			if err := m.decide(); err != nil {
-				return err
+	for _, r := range ch.Runs {
+		for at, end := uint64(r.Start), uint64(r.Start+r.N); at < end; {
+			k := m.consumed % interval
+			if k == 0 && m.consumed > 0 {
+				if err := m.decide(); err != nil {
+					return err
+				}
 			}
+			n := min(end-at, interval-k)
+			ev := ch.Events[at]
+			addr := cpu.EventAddr(ev)
+			m.ownITLB.Lookup(addr)
+			m.ownITLB.BulkHits(n - 1)
+			m.wpe.Fetch(addr, ev&cpu.EventIndirect != 0)
+			if n > 1 {
+				m.wpe.FetchSameLine(int(n-1), cpu.EventAddr(ch.Events[at+n-1]))
+			}
+			m.consumed += n
+			at += n
 		}
-		addr := cpu.EventAddr(ev)
-		m.ownITLB.Lookup(addr)
-		m.wpe.Fetch(addr, ev&cpu.EventIndirect != 0)
-		m.consumed++
 	}
 	return nil
 }
@@ -608,35 +603,27 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 		}
 		spec.Scheme = energy.WayPlacement
 		spec.WPSize = pol.StartSize
-		m := &adaptiveModel{
+		return &adaptiveModel{
 			modelCore: modelCore{spec: spec, fe: wpe, ownITLB: itlb,
 				changes: []AreaChange{{AtInstr: 0, Size: pol.StartSize}}},
 			wpe: wpe, pol: pol, progBase: prog.Base, size: pol.StartSize,
-		}
-		return m, nil
+		}, nil
 	}
 
-	roundRobin := spec.Geometry.Policy == cache.RoundRobin
 	switch spec.Scheme {
 	case energy.Baseline:
 		be, err := cache.NewBaseline(spec.Geometry)
 		if err != nil {
 			return nil, err
 		}
-		return &baselineBulkModel{
-			modelCore: modelCore{spec: spec, fe: be, closedForm: roundRobin},
-			be:        be,
-		}, nil
+		return &baselineBulkModel{modelCore: modelCore{spec: spec, fe: be}, be: be}, nil
 
 	case energy.WayMemoization:
 		wm, err := cache.NewWayMemoization(spec.Geometry)
 		if err != nil {
 			return nil, err
 		}
-		return &wayMemoBulkModel{
-			modelCore: modelCore{spec: spec, fe: wm, closedForm: roundRobin},
-			wm:        wm,
-		}, nil
+		return &wayMemoBulkModel{modelCore: modelCore{spec: spec, fe: wm}, wm: wm}, nil
 
 	case energy.WayPlacement:
 		if spec.WPSize > 0 {
@@ -657,13 +644,7 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 		}
 		wpe.OracleHint = spec.OracleHint
 		wpe.NoSameLine = spec.NoSameLine
-		if spec.NoSameLine {
-			return &eventModel{modelCore: modelCore{spec: spec, fe: wpe}}, nil
-		}
-		return &wayPlaceBulkModel{
-			modelCore: modelCore{spec: spec, fe: wpe, closedForm: roundRobin},
-			wpe:       wpe,
-		}, nil
+		return &wayPlaceBulkModel{modelCore: modelCore{spec: spec, fe: wpe}, wpe: wpe}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown scheme %v", spec.Scheme)
 }

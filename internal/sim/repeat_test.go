@@ -162,6 +162,7 @@ func checkClosedFormExact(t *testing.T, ch *FetchChunk) uint64 {
 			{Geometry: geo, Scheme: energy.Baseline},
 			{Geometry: geo, Scheme: energy.WayMemoization},
 			{Geometry: geo, Scheme: energy.WayPlacement, WPSize: 1 << 10},
+			{Geometry: geo, Scheme: energy.WayPlacement, WPSize: 1 << 10, NoSameLine: true},
 		} {
 			var got [2]cache.Stats
 			for k, c := range []*FetchChunk{ch, &plain} {
@@ -266,7 +267,7 @@ func repeatedRunsOf(t *testing.T, prog *obj.Program, cfg Config, models []ModelS
 			t.Fatalf("model %d: %v", i, res[i].Err)
 		}
 		c := cfg
-		c.ICache, c.Scheme, c.WPSize = spec.Geometry, spec.Scheme, spec.WPSize
+		c.ICache, c.Scheme, c.WPSize, c.NoSameLine = spec.Geometry, spec.Scheme, spec.WPSize, spec.NoSameLine
 		want, err := RunCoupled(ctx, prog, c)
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +295,7 @@ func repeatedRunsOf(t *testing.T, prog *obj.Program, cfg Config, models []ModelS
 }
 
 // On crc, a 32 KB round-robin cache charges most of the stream in
-// closed form, for every bulk scheme.
+// closed form, for every bulk scheme and for the same-line ablation.
 func TestRepeatsSkipMostOfCRC(t *testing.T) {
 	cfg := Default()
 	geo := cfg.ICache
@@ -302,12 +303,13 @@ func TestRepeatsSkipMostOfCRC(t *testing.T) {
 		{Geometry: geo, Scheme: energy.Baseline},
 		{Geometry: geo, Scheme: energy.WayMemoization},
 		{Geometry: geo, Scheme: energy.WayPlacement, WPSize: 4 << 10},
+		{Geometry: geo, Scheme: energy.WayPlacement, WPSize: 4 << 10, NoSameLine: true},
 	}
 	repeated, runs := repeatedRunsOf(t, crcProgram(t), cfg, models)
 	for i, n := range repeated {
-		t.Logf("%v: %d of %d runs in closed form", models[i].Scheme, n, runs)
+		t.Logf("%+v: %d of %d runs in closed form", models[i], n, runs)
 		if 2*n <= runs {
-			t.Errorf("%v: %d of %d runs in closed form, want more than half", models[i].Scheme, n, runs)
+			t.Errorf("%+v: %d of %d runs in closed form, want more than half", models[i], n, runs)
 		}
 	}
 }

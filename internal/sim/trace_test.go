@@ -18,8 +18,8 @@ import (
 )
 
 // traceModels mixes every model shape a replay has to drive: the bulk
-// engines at two line sizes, the per-event NoSameLine model and the
-// adaptive policy.
+// engines at two line sizes, the same-line ablation (NoSameLine) and
+// the adaptive policy.
 func traceModels(cfg Config) []ModelSpec {
 	wide := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 64}
 	pol := DefaultAdaptivePolicy(cfg.ICache, cfg.ITLB.PageBytes)
