@@ -55,14 +55,11 @@ func runScheme(b *testing.B, icfg cache.Config, scheme energy.Scheme, wp uint32)
 	b.Helper()
 	s := suite(b)
 	w := s.Workloads[0]
-	cfg, err := sim.New(
-		sim.WithICache(icfg),
-		sim.WithMaxInstrs(experiment.MaxInstrs),
-		sim.WithScheme(scheme),
-		sim.WithWPSize(wp))
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := sim.Default()
+	cfg.ICache = icfg
+	cfg.MaxInstrs = experiment.MaxInstrs
+	cfg.Scheme = scheme
+	cfg.WPSize = wp
 	baseRes, err := s.RunSpec(context.Background(),
 		engine.RunSpec{Workload: w.Name, ICache: icfg, Scheme: energy.Baseline})
 	if err != nil {

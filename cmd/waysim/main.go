@@ -15,8 +15,10 @@ import (
 	"os"
 	"strings"
 
+	"wayplace/internal/api"
 	"wayplace/internal/cache"
 	"wayplace/internal/energy"
+	"wayplace/internal/engine"
 	"wayplace/internal/experiment"
 	"wayplace/internal/sim"
 	"wayplace/internal/trace"
@@ -32,28 +34,34 @@ func main() {
 	doTrace := flag.Bool("trace", false, "record the fetch stream and print a trace analysis")
 	flag.Parse()
 
+	// The cell is validated before anything is built: a bad geometry or
+	// scheme fails at once, not after the workload is prepared.
+	spec := engine.RunSpec{
+		Workload: *name,
+		ICache:   cache.Config{SizeBytes: *sizeKB << 10, Ways: *ways, LineBytes: 32, Policy: cache.RoundRobin},
+	}
+	var err error
+	if spec.Scheme, err = api.ParseScheme(*scheme); err != nil {
+		fail(err)
+	}
+	if spec.Scheme == energy.WayPlacement {
+		spec.WPSize = uint32(*wpKB) << 10
+	}
+	if err := spec.Validate(); err != nil {
+		fail(err)
+	}
+	base := sim.Default()
+	base.MaxInstrs = experiment.MaxInstrs
+	cfg := engine.Resolve(base, spec)
+	baseCfg := engine.Resolve(base, engine.RunSpec{Workload: spec.Workload, ICache: spec.ICache, Scheme: energy.Baseline})
+
 	w, err := experiment.Prepare(*name)
 	if err != nil {
 		fail(err)
 	}
-
-	icfg := cache.Config{SizeBytes: *sizeKB << 10, Ways: *ways, LineBytes: 32, Policy: cache.RoundRobin}
-	opts := []sim.Option{sim.WithICache(icfg), sim.WithMaxInstrs(experiment.MaxInstrs)}
 	prog := w.Original
-	switch *scheme {
-	case "baseline":
-		opts = append(opts, sim.WithScheme(energy.Baseline))
-	case "waymem":
-		opts = append(opts, sim.WithScheme(energy.WayMemoization))
-	case "wayplace":
-		opts = append(opts, sim.WithScheme(energy.WayPlacement), sim.WithWPSize(uint32(*wpKB)<<10))
+	if engine.UsesPlaced(spec) {
 		prog = w.Placed
-	default:
-		fail(fmt.Errorf("unknown scheme %q", *scheme))
-	}
-	cfg, err := sim.New(opts...)
-	if err != nil {
-		fail(err)
 	}
 	switch *layoutSel {
 	case "":
@@ -69,11 +77,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	baseCfg, err := sim.New(sim.WithICache(icfg), sim.WithMaxInstrs(experiment.MaxInstrs))
-	if err != nil {
-		fail(err)
-	}
-	base, err := sim.RunContext(context.Background(), w.Original, baseCfg)
+	baseRun, err := sim.RunContext(context.Background(), w.Original, baseCfg)
 	if err != nil {
 		fail(err)
 	}
@@ -113,14 +117,14 @@ func main() {
 	}
 	fmt.Printf("energy (arbitrary units)\n")
 	fmt.Printf("  I-cache             %14.0f  (%.1f%% of baseline I-cache)\n",
-		rs.Energy.ICache(), 100*energy.NormICache(rs.Energy, base.Energy))
+		rs.Energy.ICache(), 100*energy.NormICache(rs.Energy, baseRun.Energy))
 	fmt.Printf("    tag               %14.0f\n", rs.Energy.ICacheTag)
 	fmt.Printf("    data              %14.0f\n", rs.Energy.ICacheData)
 	fmt.Printf("    fills             %14.0f\n", rs.Energy.ICacheFill)
 	fmt.Printf("    links             %14.0f\n", rs.Energy.ICacheLink)
 	fmt.Printf("  processor total     %14.0f\n", rs.Energy.Total())
 	fmt.Printf("  ED product vs base  %14.3f\n",
-		energy.EDProduct(rs.Energy, rs.Cycles, base.Energy, base.Cycles))
+		energy.EDProduct(rs.Energy, rs.Cycles, baseRun.Energy, baseRun.Cycles))
 	if *doTrace {
 		fmt.Printf("fetch-trace analysis (%dB lines)\n", cfg.ICache.LineBytes)
 		fmt.Print(indent(trace.Summary(addrs, cfg.ICache.LineBytes, prog.Base)))

@@ -31,21 +31,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg, err := sim.New(sim.WithMaxInstrs(experiment.MaxInstrs))
-	if err != nil {
-		panic(err)
-	}
+	cfg := sim.Default()
+	cfg.MaxInstrs = experiment.MaxInstrs
 	base, err := sim.RunContext(context.Background(), w.Original, cfg)
 	if err != nil {
 		panic(err)
 	}
-	staticCfg, err := sim.New(
-		sim.WithMaxInstrs(experiment.MaxInstrs),
-		sim.WithScheme(energy.WayPlacement),
-		sim.WithWPSize(experiment.InitialWPSize))
-	if err != nil {
-		panic(err)
-	}
+	staticCfg := cfg
+	staticCfg.Scheme = energy.WayPlacement
+	staticCfg.WPSize = experiment.InitialWPSize
 	static, err := sim.RunContext(context.Background(), w.Placed, staticCfg)
 	if err != nil {
 		panic(err)

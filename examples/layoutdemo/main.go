@@ -121,21 +121,15 @@ func main() {
 
 	// 3. Simulate both layouts under the way-placement scheme with a
 	// deliberately small 1KB area, plus the baseline.
-	cfg, err := sim.New(sim.WithMaxInstrs(100_000_000))
-	if err != nil {
-		panic(err)
-	}
+	cfg := sim.Default()
+	cfg.MaxInstrs = 100_000_000
 	baseRun, err := sim.RunContext(context.Background(), orig, cfg)
 	if err != nil {
 		panic(err)
 	}
-	wpCfg, err := sim.New(
-		sim.WithMaxInstrs(100_000_000),
-		sim.WithScheme(energy.WayPlacement),
-		sim.WithWPSize(1<<10))
-	if err != nil {
-		panic(err)
-	}
+	wpCfg := cfg
+	wpCfg.Scheme = energy.WayPlacement
+	wpCfg.WPSize = 1 << 10
 	origRun, err := sim.RunContext(context.Background(), orig, wpCfg)
 	if err != nil {
 		panic(err)

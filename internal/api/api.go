@@ -214,74 +214,46 @@ func (e *ValidationError) or() error {
 
 // Validate checks the request and returns a *ValidationError listing
 // every invalid field (paths relative to the request object).
-func (r RunRequest) Validate() error { return r.validate("") }
+func (r RunRequest) Validate() error {
+	_, err := r.spec("")
+	return err
+}
 
-func (r RunRequest) validate(prefix string) error {
+// wireFields maps the RunSpec fields named by engine.Violation to
+// their JSON paths.
+var wireFields = map[string]string{
+	"ICache":                  "icache",
+	"WPSize":                  "wp_size_bytes",
+	"Style":                   "style",
+	"OracleHint":              "oracle_hint",
+	"NoSameLine":              "no_same_line",
+	"Adaptive":                "adaptive",
+	"Adaptive.IntervalInstrs": "adaptive.interval_instrs",
+	"Adaptive.StartSize":      "adaptive.start_size_bytes",
+}
+
+// spec parses the request into its engine cell and checks it, with
+// field errors under prefix. The api checks only the wire form — a
+// workload, and scheme, style and policy names it knows; which cells
+// exist is engine.RunSpec.Validate's to say, and each rule it reports
+// lands on the field's JSON path.
+func (r RunRequest) spec(prefix string) (engine.RunSpec, error) {
 	var verr ValidationError
 	if r.Workload == "" {
 		verr.add(prefix, "workload", "must be set")
 	}
-	if _, err := ParseScheme(r.Scheme); err != nil {
+	// An unknown scheme parses as the baseline, so the rules that
+	// need way-placement report against it too.
+	scheme, err := ParseScheme(r.Scheme)
+	if err != nil {
 		verr.add(prefix, "scheme", "%v", err)
 	}
-	if _, err := ParsePolicy(r.ICache.Policy); err != nil {
-		verr.add(prefix, "icache.policy", "%v", err)
+	icfg, policyErr := r.ICache.Config()
+	if policyErr != nil {
+		verr.add(prefix, "icache.policy", "%v", policyErr)
 	}
-	if icfg, err := r.ICache.Config(); err == nil {
-		if err := icfg.Validate(); err != nil {
-			verr.add(prefix, "icache", "%v", err)
-		}
-	}
-	if r.WPSizeBytes > 0 && r.Scheme != SchemeWayPlacement {
-		verr.add(prefix, "wp_size_bytes", "only valid with scheme %q", SchemeWayPlacement)
-	}
-	if _, err := ParseStyle(r.Style); err != nil {
-		verr.add(prefix, "style", "%v", err)
-	}
-	if r.OracleHint && r.Scheme != SchemeWayPlacement {
-		verr.add(prefix, "oracle_hint", "only valid with scheme %q", SchemeWayPlacement)
-	}
-	if r.NoSameLine && r.Scheme != SchemeWayPlacement {
-		verr.add(prefix, "no_same_line", "only valid with scheme %q", SchemeWayPlacement)
-	}
-	if r.Adaptive != nil {
-		if r.Scheme != SchemeWayPlacement {
-			verr.add(prefix, "adaptive", "only valid with scheme %q", SchemeWayPlacement)
-		}
-		if r.WPSizeBytes > 0 {
-			verr.add(prefix, "wp_size_bytes", "must be 0 for adaptive cells (the area is policy-driven)")
-		}
-		// An adaptive cell models the paper's scheme as is: the
-		// ablation switches and the RAM-tag array do not apply.
-		if r.OracleHint {
-			verr.add(prefix, "oracle_hint", "not valid for adaptive cells")
-		}
-		if r.NoSameLine {
-			verr.add(prefix, "no_same_line", "not valid for adaptive cells")
-		}
-		if r.Style == StyleRAMTag {
-			verr.add(prefix, "style", "%q not valid for adaptive cells", StyleRAMTag)
-		}
-		if r.Adaptive.IntervalInstrs == 0 {
-			verr.add(prefix, "adaptive.interval_instrs", "must be positive")
-		}
-		if r.Adaptive.StartSizeBytes == 0 {
-			verr.add(prefix, "adaptive.start_size_bytes", "must be positive")
-		}
-	}
-	return verr.or()
-}
-
-// Spec converts a validated request to the engine cell. It validates
-// first, so conversion of a malformed request fails with the same
-// field-level error the wire surface reports.
-func (r RunRequest) Spec() (engine.RunSpec, error) {
-	if err := r.Validate(); err != nil {
-		return engine.RunSpec{}, err
-	}
-	scheme, _ := ParseScheme(r.Scheme)
-	icfg, _ := r.ICache.Config()
-	style, _ := ParseStyle(r.Style)
+	// An unknown style parses as CAM-tag, which no rule refuses.
+	style, styleErr := ParseStyle(r.Style)
 	spec := engine.RunSpec{
 		Workload:   r.Workload,
 		ICache:     icfg,
@@ -293,9 +265,44 @@ func (r RunRequest) Spec() (engine.RunSpec, error) {
 	}
 	if r.Adaptive != nil {
 		spec.Adaptive = r.Adaptive.EngineSpec()
+		if !spec.Adaptive.Enabled() {
+			// An empty policy object still asks for an adaptive cell,
+			// but a zero AdaptiveSpec is a static one: check the rules
+			// on a stand-in policy that is adaptive yet names neither
+			// an interval nor a start size. The engine refuses it, so
+			// the stand-in never leaves this function.
+			spec.Adaptive.MinSize = 1
+		}
+	}
+	var violations []engine.Violation
+	if err := spec.Validate(); err != nil {
+		violations = err.(*engine.SpecError).Violations
+	}
+	for _, v := range violations {
+		if styleErr != nil && v.Field != "ICache" && (v.Field != "WPSize" || scheme == energy.WayPlacement) {
+			// The style error sits after the geometry and static-area
+			// errors and before the switch and policy ones.
+			verr.add(prefix, "style", "%v", styleErr)
+			styleErr = nil
+		}
+		if v.Field == "ICache" && policyErr != nil {
+			continue // no geometry to check without a policy
+		}
+		verr.add(prefix, wireFields[v.Field], "%s", v.Message)
+	}
+	if styleErr != nil {
+		verr.add(prefix, "style", "%v", styleErr)
+	}
+	if err := verr.or(); err != nil {
+		return engine.RunSpec{}, err
 	}
 	return spec, nil
 }
+
+// Spec converts a request to the engine cell. It validates first, so
+// conversion of a malformed request fails with the same field-level
+// error the wire surface reports.
+func (r RunRequest) Spec() (engine.RunSpec, error) { return r.spec("") }
 
 // Key returns the engine's canonical cell key for a valid request and
 // "" for an invalid one.
@@ -307,8 +314,8 @@ func (r RunRequest) Key() string {
 	return spec.Key()
 }
 
-// RequestOf captures an engine cell on the wire. FromSpec∘Spec is the
-// identity on valid specs.
+// RequestOf captures an engine cell on the wire. Spec undoes it: for
+// every valid spec s, RequestOf(s).Spec() is s.
 func RequestOf(s engine.RunSpec) RunRequest {
 	req := RunRequest{
 		Workload:    s.Workload,
@@ -332,12 +339,12 @@ func ToSpecs(reqs []RunRequest) ([]engine.RunSpec, error) {
 	specs := make([]engine.RunSpec, len(reqs))
 	var verr ValidationError
 	for i, r := range reqs {
-		prefix := fmt.Sprintf("requests[%d]", i)
-		if err := r.validate(prefix); err != nil {
+		spec, err := r.spec(fmt.Sprintf("requests[%d]", i))
+		if err != nil {
 			verr.Fields = append(verr.Fields, err.(*ValidationError).Fields...)
 			continue
 		}
-		specs[i], _ = r.Spec()
+		specs[i] = spec
 	}
 	if err := verr.or(); err != nil {
 		return nil, err
@@ -349,6 +356,31 @@ func ToSpecs(reqs []RunRequest) ([]engine.RunSpec, error) {
 type AreaChange struct {
 	AtInstr   uint64 `json:"at_instr"`
 	SizeBytes uint32 `json:"size_bytes"`
+}
+
+// AreaChangesOf captures a resize trace on the wire; nil when empty,
+// so static cells omit the field.
+func AreaChangesOf(changes []sim.AreaChange) []AreaChange {
+	if len(changes) == 0 {
+		return nil
+	}
+	out := make([]AreaChange, len(changes))
+	for i, ch := range changes {
+		out[i] = AreaChange{AtInstr: ch.AtInstr, SizeBytes: ch.Size}
+	}
+	return out
+}
+
+// SimAreaChanges is the inverse of AreaChangesOf.
+func SimAreaChanges(wire []AreaChange) []sim.AreaChange {
+	if len(wire) == 0 {
+		return nil
+	}
+	out := make([]sim.AreaChange, len(wire))
+	for i, ch := range wire {
+		out[i] = sim.AreaChange{AtInstr: ch.AtInstr, Size: ch.SizeBytes}
+	}
+	return out
 }
 
 // RunResult is one cell's outcome: the echoed request, the canonical
@@ -369,18 +401,15 @@ type RunResult struct {
 
 // ResultOf captures an engine result on the wire.
 func ResultOf(res *engine.Result) RunResult {
-	out := RunResult{
+	return RunResult{
 		Request:     RequestOf(res.Spec),
 		Key:         res.Spec.Key(),
 		CacheHit:    res.CacheHit,
 		WallSeconds: res.Wall.Seconds(),
 		GroupID:     res.GroupID,
 		Stats:       res.Stats,
+		AreaChanges: AreaChangesOf(res.AreaChanges),
 	}
-	for _, ch := range res.AreaChanges {
-		out.AreaChanges = append(out.AreaChanges, AreaChange{AtInstr: ch.AtInstr, SizeBytes: ch.Size})
-	}
-	return out
 }
 
 // CellFailure reports one failed cell of a batch by input index.

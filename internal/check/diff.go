@@ -14,9 +14,9 @@ package check
 // Since the sim package split into fetch-stream production and cache
 // modelling, the harness is also a cross-implementation check: every
 // variant executes twice — once through the coupled reference loop
-// (sim.RunCoupled / sim.RunAdaptive) and once through the single-pass
-// machinery (sim.RunMulti) — and the two statistics must match field
-// for field, bit for bit. The single-pass leg records its fetch
+// (Coupled: sim.RunCoupled, or sim.RunAdaptive) and once through the
+// single-pass machinery (sim.RunMulti) — and the two statistics must
+// match field for field, bit for bit. The single-pass leg records its fetch
 // streams (sim.RecordMulti), and a third leg replays every variant
 // from the recording (sim.ReplayMulti), which must match the live
 // pass just as exactly. A defect in any implementation surfaces as a
@@ -29,6 +29,7 @@ import (
 	"reflect"
 
 	"wayplace/internal/energy"
+	"wayplace/internal/engine"
 	"wayplace/internal/obj"
 	"wayplace/internal/sim"
 )
@@ -67,34 +68,40 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pol := sim.DefaultAdaptivePolicy(base.ICache, base.ITLB.PageBytes)
+	// The six variants are engine cells, resolved exactly as the engine
+	// resolves them (engine.Resolve, engine.UsesPlaced, engine.ModelOf).
 	type variantSpec struct {
-		name     string
-		prog     *obj.Program
-		cfg      sim.Config // resolved configuration of the coupled run
-		model    sim.ModelSpec
-		adaptive bool
+		name  string
+		cell  engine.RunSpec
+		prog  *obj.Program
+		cfg   sim.Config // the cell's resolved configuration
+		model sim.ModelSpec
 	}
-	mk := func(name string, prog *obj.Program, scheme energy.Scheme, wp uint32, mutate func(*sim.Config)) variantSpec {
-		cfg := base
-		cfg.Scheme = scheme
-		cfg.WPSize = wp
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		return variantSpec{name: name, prog: prog, cfg: cfg, model: sim.ModelSpecOf(cfg)}
+	cell := func(scheme energy.Scheme, wp uint32) engine.RunSpec {
+		return engine.RunSpec{ICache: base.ICache, Scheme: scheme, WPSize: wp}
 	}
-	acfg := base
-	acfg.Scheme = energy.WayPlacement
-	acfg.WPSize = pol.StartSize
+	wp := cell(energy.WayPlacement, wpSize)
+	oracle, noSameLine, adaptive := wp, wp, cell(energy.WayPlacement, 0)
+	oracle.OracleHint = true
+	noSameLine.NoSameLine = true
+	adaptive.Adaptive = engine.AdaptiveSpecOf(sim.DefaultAdaptivePolicy(base.ICache, base.ITLB.PageBytes))
 	specs := []variantSpec{
-		mk("baseline", original, energy.Baseline, 0, nil),
-		mk("waymem", original, energy.WayMemoization, 0, nil),
-		mk("wayplace", placed, energy.WayPlacement, wpSize, nil),
-		mk("wayplace-oracle", placed, energy.WayPlacement, wpSize, func(c *sim.Config) { c.OracleHint = true }),
-		mk("wayplace-nosameline", placed, energy.WayPlacement, wpSize, func(c *sim.Config) { c.NoSameLine = true }),
-		{name: "wayplace-adaptive", prog: placed, cfg: acfg,
-			model: sim.ModelSpec{Geometry: base.ICache, Adaptive: &pol}, adaptive: true},
+		{name: "baseline", cell: cell(energy.Baseline, 0)},
+		{name: "waymem", cell: cell(energy.WayMemoization, 0)},
+		{name: "wayplace", cell: wp},
+		{name: "wayplace-oracle", cell: oracle},
+		{name: "wayplace-nosameline", cell: noSameLine},
+		{name: "wayplace-adaptive", cell: adaptive},
+	}
+	w := &engine.Workload{Original: original, Placed: placed}
+	for i := range specs {
+		s := &specs[i]
+		s.prog = original
+		if engine.UsesPlaced(s.cell) {
+			s.prog = placed
+		}
+		s.cfg = engine.Resolve(base, s.cell)
+		s.model = engine.ModelOf(s.cell, s.cfg)
 	}
 
 	// Single-pass leg. Coalesced mode batches the variants sharing a
@@ -161,14 +168,8 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 	variants := make([]Variant, 0, len(specs))
 	for i, s := range specs {
 		// Coupled reference leg.
-		var rs *sim.RunStats
-		var changes []sim.AreaChange
-		var err error
-		if s.adaptive {
-			rs, changes, err = sim.RunAdaptive(ctx, s.prog, base, pol)
-		} else {
-			rs, err = sim.RunCoupled(ctx, s.prog, s.cfg)
-		}
+		adaptive := s.cell.Adaptive.Enabled()
+		rs, changes, err := Coupled(ctx, w, base, s.cell)
 		if err != nil {
 			return variants, fmt.Errorf("check: differential %s: %w", s.name, err)
 		}
@@ -180,7 +181,7 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 			for _, d := range StatDiffs(single[i].Stats, rs) {
 				errs = append(errs, fmt.Errorf("%s: single-pass diverges from coupled: %s", s.name, d))
 			}
-			if s.adaptive && !reflect.DeepEqual(single[i].AreaChanges, changes) {
+			if adaptive && !reflect.DeepEqual(single[i].AreaChanges, changes) {
 				errs = append(errs, fmt.Errorf("%s: single-pass area trace %v diverges from coupled %v",
 					s.name, single[i].AreaChanges, changes))
 			}
@@ -189,7 +190,7 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		if err := Run(s.cfg, rs); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", s.name, err))
 		}
-		if s.adaptive {
+		if adaptive {
 			// The OS resizes the area mid-run, so on top of the per-run
 			// invariants every area the OS ever installed must place
 			// bijectively while it fits the cache.

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wayplace/internal/cache"
 	"wayplace/internal/energy"
 	"wayplace/internal/obj"
 	"wayplace/internal/obs"
@@ -149,63 +148,6 @@ type Workload struct {
 // runs once per workload no matter how many concurrent cells need it.
 // The provider must return programs that are safe to share read-only.
 type Provider func(ctx context.Context, name string) (*Workload, error)
-
-// RunSpec identifies one simulation cell of the evaluation grid. It is
-// comparable (usable as a map key) and has a canonical serialized form
-// (Key) stable across processes; internal/api carries the same
-// information as a versioned JSON schema.
-type RunSpec struct {
-	Workload string
-	ICache   cache.Config
-	Scheme   energy.Scheme
-	WPSize   uint32
-	// Style selects the cache's physical array organisation for the
-	// energy model. The zero value (CAM-tag) inherits the base
-	// template's style; RAMTag overrides it, so RAM-tag cells can sit
-	// in the same batch — and the same single-pass group — as CAM
-	// cells.
-	Style energy.ArrayStyle
-	// OracleHint and NoSameLine are the way-placement ablation
-	// switches (perfect way prediction; same-line skip disabled). They
-	// extend the base template: a switch set in either place is on.
-	OracleHint bool
-	NoSameLine bool
-	// Adaptive, when non-zero, runs the cell under the adaptive-OS
-	// area-sizing policy instead of a static WP area: the cell's model
-	// in its single-pass group is an adaptive one (sim.ModelSpec's
-	// Adaptive), the scheme is forced to way-placement and the relaid
-	// binary is used. WPSize must be zero — the area is policy-driven.
-	Adaptive AdaptiveSpec
-}
-
-// variantSuffix renders the ablation/style markers shared by String
-// and error messages; empty for a plain cell.
-func (s RunSpec) variantSuffix() string {
-	var suffix string
-	if s.Style == energy.RAMTag {
-		suffix += "+ramtag"
-	}
-	if s.OracleHint {
-		suffix += "+oracle"
-	}
-	if s.NoSameLine {
-		suffix += "+nosameline"
-	}
-	return suffix
-}
-
-func (s RunSpec) String() string {
-	if s.Adaptive.Enabled() {
-		return fmt.Sprintf("%s/%dKB-%dway/%v/adaptive%s",
-			s.Workload, s.ICache.SizeBytes>>10, s.ICache.Ways, energy.WayPlacement, s.variantSuffix())
-	}
-	if s.WPSize > 0 {
-		return fmt.Sprintf("%s/%dKB-%dway/%v/wp%dK%s",
-			s.Workload, s.ICache.SizeBytes>>10, s.ICache.Ways, s.Scheme, s.WPSize>>10, s.variantSuffix())
-	}
-	return fmt.Sprintf("%s/%dKB-%dway/%v%s",
-		s.Workload, s.ICache.SizeBytes>>10, s.ICache.Ways, s.Scheme, s.variantSuffix())
-}
 
 // Result bundles one cell's statistics with its spec, wall time and
 // cache-hit provenance.
@@ -410,72 +352,16 @@ func (e *Engine) Groups() uint64 { return e.groups.Load() }
 // re-executing the program.
 func (e *Engine) CoalescedCells() uint64 { return e.coalesced.Load() }
 
-// Resolve applies a spec to the base machine template: the
-// configuration the cell is memoised under and verified against.
-// Adaptive cells resolve to the way-placement scheme with the policy's
-// start size — the area the adaptive model installs before the first
-// OS decision, so verifiers see the machine the run actually began on.
-// Reference runners outside the engine (check.Coupled) resolve specs
-// here too, so the two never disagree on what a spec means.
-func Resolve(base sim.Config, spec RunSpec) sim.Config {
-	base.ICache = spec.ICache
-	base.Scheme = spec.Scheme
-	base.WPSize = spec.WPSize
-	// The spec's variant fields extend the template rather than reset
-	// it: a zero-valued spec leaves a base-config style or ablation
-	// switch in force, so batches run against a specialised template
-	// keep their meaning.
-	if spec.Style != 0 {
-		base.Style = spec.Style
-	}
-	base.OracleHint = base.OracleHint || spec.OracleHint
-	base.NoSameLine = base.NoSameLine || spec.NoSameLine
-	if spec.Adaptive.Enabled() {
-		base.Scheme = energy.WayPlacement
-		base.WPSize = spec.Adaptive.StartSize
-	}
-	return base
-}
-
-// UsesPlaced reports which binary the cell fetches from: the relaid
-// image for way-placement (static or adaptive), the original layout
-// otherwise.
-func UsesPlaced(spec RunSpec) bool {
-	return spec.Scheme == energy.WayPlacement || spec.Adaptive.Enabled()
-}
-
-// Stream names the fetch stream the cell consumes: its workload and
-// the binary it fetches from, "<workload>/original" or
-// "<workload>/placed". Cells with equal streams see the same
-// instruction fetches, so they coalesce into one single-pass group (the
-// name is that group's GroupID) and replay one recorded trace; the
-// fleet routes on it so each stream executes on one backend.
-func (s RunSpec) Stream() string {
-	if UsesPlaced(s) {
-		return s.Workload + "/placed"
-	}
-	return s.Workload + "/original"
-}
-
-// modelOf translates one cell into the instruction-side cache model
-// it contributes to a single-pass group. cfg must be the cell's
-// resolved configuration.
-func modelOf(spec RunSpec, cfg sim.Config) sim.ModelSpec {
-	if spec.Adaptive.Enabled() {
-		pol := spec.Adaptive.Policy()
-		return sim.ModelSpec{Geometry: cfg.ICache, Adaptive: &pol}
-	}
-	return sim.ModelSpecOf(cfg)
-}
-
 // Run executes a batch of cells and returns their results in input
 // order. Identical specs within the batch are simulated once; specs
 // seen in earlier batches are served from the run cache. Fresh cells
 // are planned into one single-pass group per fetch stream
 // (RunSpec.Stream), each simulated by one pass driving every member's
 // cache model off that stream: recorded live the first time, replayed
-// from the engine's trace table afterwards. Per-cell failures do not abort the grid: every runnable
-// cell still runs, the failures come back as a *MultiError, and the
+// from the engine's trace table afterwards. A spec that fails
+// RunSpec.Validate is never run. Per-cell failures (such a spec
+// included) do not abort the grid: every runnable cell still runs, the
+// failures come back as a *MultiError of *CellError, and the
 // corresponding result slots are nil. Cancelling ctx stops the batch
 // promptly, abandoning unstarted cells and interrupting in-flight
 // instruction loops.
@@ -651,7 +537,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 		models := make([]sim.ModelSpec, len(g.members))
 		for i, m := range g.members {
-			models[i] = modelOf(unique[m.idx], m.key.cfg)
+			models[i] = ModelOf(unique[m.idx], m.key.cfg)
 		}
 		ins.inflight.Add(float64(len(g.members)))
 		start := time.Now()
@@ -695,6 +581,17 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 	}
 
+	// A spec that breaks a cell rule is not a cell of the grid: it
+	// fails here, before planning, so it is never simulated and never
+	// enters the run cache or the store.
+	for idx, spec := range unique {
+		if err := spec.Validate(); err != nil {
+			uniqueErr[idx] = err
+			ins.failures.Inc()
+			report(Progress{Spec: spec, Err: err})
+		}
+	}
+
 	// Plan the batch. Under the engine lock each unique cell either
 	// joins an existing run entry (a waiter: some earlier batch — or
 	// this planning pass — owns the simulation) or registers a fresh
@@ -707,6 +604,9 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	byStream := make(map[string]*group)
 	e.mu.Lock()
 	for idx, spec := range unique {
+		if uniqueErr[idx] != nil {
+			continue
+		}
 		key := runKey{workload: spec.Workload, cfg: Resolve(opt.base, spec), adaptive: spec.Adaptive}
 		if ent, ok := e.runs[key]; ok {
 			tasks = append(tasks, func() { runWait(idx, ent) })

@@ -104,7 +104,7 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 		{Workload: "tiny1", ICache: geo8, Scheme: energy.WayMemoization},
 		{Workload: "tiny1", ICache: geo16, Scheme: energy.Baseline},
 		{Workload: "tiny1", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10},
-		{Workload: "tiny1", ICache: geo8, Adaptive: engine.AdaptiveSpecOf(adaptive)},
+		{Workload: "tiny1", ICache: geo8, Scheme: energy.WayPlacement, Adaptive: engine.AdaptiveSpecOf(adaptive)},
 	}
 	got, err := e.Run(ctx, later)
 	if err != nil {

@@ -36,47 +36,29 @@ type AblationRow struct {
 	Pair
 }
 
-// cellSpec reports whether (cfg, prog) is expressible as a standard
-// engine cell for w — the scheme's standard binary under the suite's
-// base machine, differing only in cell-level fields — and returns
-// that cell. Routing such variants through the engine instead of a
-// direct sim run makes them memoised, coalesced and remote-runnable.
-func (s *Suite) cellSpec(w *Workload, cfg sim.Config, prog *obj.Program) (engine.RunSpec, bool) {
-	if prog != w.Placed || cfg.Scheme != energy.WayPlacement {
-		return engine.RunSpec{}, false
-	}
-	want := s.Base
-	want.MaxInstrs = MaxInstrs
-	norm := cfg
-	norm.ICache, norm.Scheme, norm.Style = want.ICache, want.Scheme, want.Style
-	norm.WPSize, norm.OracleHint, norm.NoSameLine = want.WPSize, want.OracleHint, want.NoSameLine
-	if norm != want {
-		return engine.RunSpec{}, false
-	}
-	return engine.RunSpec{
-		Workload: w.Name, ICache: cfg.ICache, Scheme: cfg.Scheme, Style: cfg.Style,
-		WPSize: cfg.WPSize, OracleHint: cfg.OracleHint, NoSameLine: cfg.NoSameLine,
-	}, true
-}
-
-// runVariant executes one workload under a full custom config and
-// binary, normalising against the memoised baseline. Variants that
-// reduce to a standard cell (the placed binary on the base machine)
-// run through the engine's memoised grid.
-func (s *Suite) runVariant(ctx context.Context, w *Workload, cfg sim.Config, prog *obj.Program) (Pair, error) {
-	baseRes, err := s.RunSpec(ctx, spec(w, cfg.ICache, energy.Baseline, 0))
+// runVariant runs one cell on a given binary, normalised against the
+// memoised baseline on the same geometry. On the cell's own binary
+// (engine.UsesPlaced) the cell runs through the engine's memoised
+// grid; on any other binary it runs directly on the machine the engine
+// resolves it to.
+func (s *Suite) runVariant(ctx context.Context, w *Workload, cell engine.RunSpec, prog *obj.Program) (Pair, error) {
+	baseRes, err := s.RunSpec(ctx, spec(w, cell.ICache, energy.Baseline, 0))
 	if err != nil {
 		return Pair{}, err
 	}
 	base := baseRes.Stats
+	own := w.Original
+	if engine.UsesPlaced(cell) {
+		own = w.Placed
+	}
 	var rs *sim.RunStats
-	if cell, ok := s.cellSpec(w, cfg, prog); ok {
+	if prog == own {
 		res, err := s.RunSpec(ctx, cell)
 		if err != nil {
 			return Pair{}, err
 		}
 		rs = res.Stats
-	} else if rs, err = sim.RunContext(ctx, prog, cfg); err != nil {
+	} else if rs, err = sim.RunContext(ctx, prog, engine.Resolve(s.machine(), cell)); err != nil {
 		return Pair{}, err
 	}
 	if rs.Checksum != base.Checksum {
@@ -86,9 +68,10 @@ func (s *Suite) runVariant(ctx context.Context, w *Workload, cfg sim.Config, pro
 	return pairOf(rs, base), nil
 }
 
-// averageVariant runs one variant across the suite (in parallel) and
-// averages in workload order, so the result is deterministic.
-func (s *Suite) averageVariant(ctx context.Context, name string, variant func(*Workload) (sim.Config, *obj.Program, error)) (AblationRow, error) {
+// averageLayout runs the tight-area way-placement cell on one binary
+// per workload (in parallel) and averages in workload order, so the
+// result is deterministic.
+func (s *Suite) averageLayout(ctx context.Context, name string, binary func(*Workload) (*obj.Program, error)) (AblationRow, error) {
 	row := AblationRow{Variant: name}
 	pairs := make([]Pair, len(s.Workloads))
 	idx := make(map[string]int, len(s.Workloads))
@@ -96,11 +79,11 @@ func (s *Suite) averageVariant(ctx context.Context, name string, variant func(*W
 		idx[w.Name] = i
 	}
 	err := s.forEach(ctx, func(ctx context.Context, w *Workload) error {
-		cfg, prog, err := variant(w)
+		prog, err := binary(w)
 		if err != nil {
 			return err
 		}
-		p, err := s.runVariant(ctx, w, cfg, prog)
+		p, err := s.runVariant(ctx, w, tightCell(w), prog)
 		if err != nil {
 			return err
 		}
@@ -119,13 +102,10 @@ func (s *Suite) averageVariant(ctx context.Context, name string, variant func(*W
 	return row, nil
 }
 
-func (s *Suite) wpConfig(wpSize uint32) sim.Config {
-	cfg := s.Base
-	cfg.ICache = XScaleICache()
-	cfg.MaxInstrs = MaxInstrs
-	cfg.Scheme = energy.WayPlacement
-	cfg.WPSize = wpSize
-	return cfg
+// tightCell is the layout ablation's and profile transfer's
+// way-placement cell: the XScale cache with the scarce area.
+func tightCell(w *Workload) engine.RunSpec {
+	return spec(w, XScaleICache(), energy.WayPlacement, tightWPSize)
 }
 
 // tightWPSize is the scarce way-placement area used by the layout and
@@ -238,14 +218,7 @@ func (s *Suite) AblationLayout(ctx context.Context) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		v := v
-		row, err := s.averageVariant(ctx, v.name, func(w *Workload) (sim.Config, *obj.Program, error) {
-			prog, err := v.prog(w)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			return s.wpConfig(tightWPSize), prog, nil
-		})
+		row, err := s.averageLayout(ctx, v.name, v.prog)
 		if err != nil {
 			return nil, err
 		}

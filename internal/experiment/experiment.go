@@ -122,9 +122,7 @@ func NewSuite(opts ...engine.Option) (*Suite, error) {
 // for every grid the suite runs.
 func NewSuiteOf(names []string, opts ...engine.Option) (*Suite, error) {
 	s := &Suite{Base: sim.Default(), byName: make(map[string]*Workload, len(names))}
-	base := s.Base
-	base.MaxInstrs = MaxInstrs
-	s.eng = engine.New(s.provide, append([]engine.Option{engine.WithBaseConfig(base)}, opts...)...)
+	s.eng = engine.New(s.provide, append([]engine.Option{engine.WithBaseConfig(s.machine())}, opts...)...)
 	if err := s.eng.Prepare(context.Background(), names); err != nil {
 		return nil, err
 	}
@@ -135,6 +133,15 @@ func NewSuiteOf(names []string, opts ...engine.Option) (*Suite, error) {
 		s.Workloads[i] = s.byName[name]
 	}
 	return s, nil
+}
+
+// machine is the base configuration the suite's cells resolve
+// against (engine.Resolve): the template with the evaluation's
+// instruction budget.
+func (s *Suite) machine() sim.Config {
+	base := s.Base
+	base.MaxInstrs = MaxInstrs
+	return base
 }
 
 // provide is the engine's workload provider: the full preparation

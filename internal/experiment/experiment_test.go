@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"wayplace/internal/api"
@@ -11,16 +12,28 @@ import (
 	"wayplace/internal/layout"
 )
 
-// subsetSuite prepares a fast, representative subset: a crypto kernel
+// subsetNames is a fast, representative subset: a crypto kernel
 // (large unrolled hot loop), an image kernel, a pointer-chaser and a
 // tiny kernel.
+var subsetNames = []string{"sha", "susan_c", "patricia", "crc"}
+
+var (
+	subsetOnce sync.Once
+	subsetVal  *Suite
+	subsetErr  error
+)
+
+// subsetSuite returns the subset prepared once and shared by every
+// test that reads figures from it: cells one test ran are run-cache
+// hits for the next, and results do not depend on what ran before.
+// A test that asserts on cache provenance builds its own suite.
 func subsetSuite(t *testing.T) *Suite {
 	t.Helper()
-	s, err := NewSuiteOf([]string{"sha", "susan_c", "patricia", "crc"})
-	if err != nil {
-		t.Fatalf("NewSuiteOf: %v", err)
+	subsetOnce.Do(func() { subsetVal, subsetErr = NewSuiteOf(subsetNames) })
+	if subsetErr != nil {
+		t.Fatalf("NewSuiteOf: %v", subsetErr)
 	}
-	return s
+	return subsetVal
 }
 
 func TestPrepareProducesDistinctLayouts(t *testing.T) {
@@ -43,7 +56,11 @@ func TestPrepareProducesDistinctLayouts(t *testing.T) {
 }
 
 func TestRunMemoisation(t *testing.T) {
-	s := subsetSuite(t)
+	// A fresh engine, so the first run below is really the first.
+	s, err := NewSuiteOf(subsetNames[:1])
+	if err != nil {
+		t.Fatalf("NewSuiteOf: %v", err)
+	}
 	w := s.Workloads[0]
 	ctx := context.Background()
 	spec := engine.RunSpec{Workload: w.Name, ICache: XScaleICache(), Scheme: energy.Baseline}

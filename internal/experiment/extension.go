@@ -212,12 +212,12 @@ func (s *Suite) ExtensionProfileTransfer(ctx context.Context) ([]TransferRow, er
 		if err != nil {
 			return err
 		}
-		cfg := s.wpConfig(tightWPSize)
-		small, err := s.runVariant(ctx, w, cfg, w.Placed)
+		cell := tightCell(w)
+		small, err := s.runVariant(ctx, w, cell, w.Placed)
 		if err != nil {
 			return err
 		}
-		oracleRun, err := sim.RunContext(ctx, oracleProg, cfg)
+		oracleRun, err := sim.RunContext(ctx, oracleProg, engine.Resolve(s.machine(), cell))
 		if err != nil {
 			return err
 		}

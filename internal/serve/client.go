@@ -11,7 +11,6 @@ import (
 
 	"wayplace/internal/api"
 	"wayplace/internal/engine"
-	"wayplace/internal/sim"
 )
 
 // NewTransport returns an http.Transport tuned for sustained fan-out
@@ -195,7 +194,7 @@ func (r *RemoteRunner) Run(ctx context.Context, specs []engine.RunSpec, opts ...
 		results[i] = &engine.Result{
 			Spec:        specs[i],
 			Stats:       rr.Stats,
-			AreaChanges: areaChangesOf(rr.AreaChanges),
+			AreaChanges: api.SimAreaChanges(rr.AreaChanges),
 			Wall:        time.Duration(rr.WallSeconds * float64(time.Second)),
 			CacheHit:    rr.CacheHit,
 			GroupID:     rr.GroupID,
@@ -205,15 +204,4 @@ func (r *RemoteRunner) Run(ctx context.Context, specs []engine.RunSpec, opts ...
 		return results, &merr
 	}
 	return results, nil
-}
-
-func areaChangesOf(wire []api.AreaChange) []sim.AreaChange {
-	if len(wire) == 0 {
-		return nil
-	}
-	out := make([]sim.AreaChange, len(wire))
-	for i, ch := range wire {
-		out[i] = sim.AreaChange{AtInstr: ch.AtInstr, Size: ch.SizeBytes}
-	}
-	return out
 }

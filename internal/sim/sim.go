@@ -8,6 +8,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"wayplace/internal/cache"
 	"wayplace/internal/cpu"
@@ -63,6 +64,38 @@ func Default() Config {
 		WPSize:    0,
 		MaxInstrs: 2_000_000_000,
 	}
+}
+
+// Validate checks the whole machine configuration, returning a
+// descriptive error for the first problem found. RunContext and
+// RunCoupled call it on entry so misconfigurations fail fast instead
+// of deep inside the machine construction or the instruction loop.
+func (c Config) Validate() error {
+	if err := c.ICache.Validate(); err != nil {
+		return fmt.Errorf("sim: i-cache: %w", err)
+	}
+	if err := c.DCache.Validate(); err != nil {
+		return fmt.Errorf("sim: d-cache: %w", err)
+	}
+	if err := c.ITLB.Validate(); err != nil {
+		return fmt.Errorf("sim: i-tlb: %w", err)
+	}
+	if err := c.DTLB.Validate(); err != nil {
+		return fmt.Errorf("sim: d-tlb: %w", err)
+	}
+	switch c.Scheme {
+	case energy.Baseline, energy.WayPlacement, energy.WayMemoization:
+	default:
+		return fmt.Errorf("sim: unknown scheme %v", c.Scheme)
+	}
+	if c.WPSize != 0 && c.ITLB.PageBytes > 0 && c.WPSize%uint32(c.ITLB.PageBytes) != 0 {
+		return fmt.Errorf("sim: way-placement area %dB is not a multiple of the %dB i-tlb page",
+			c.WPSize, c.ITLB.PageBytes)
+	}
+	if c.MaxInstrs == 0 {
+		return fmt.Errorf("sim: instruction budget must be positive")
+	}
+	return nil
 }
 
 // RunStats is the complete outcome of one detailed run.

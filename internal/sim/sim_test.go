@@ -11,13 +11,18 @@ import (
 	"wayplace/internal/obj"
 )
 
-// mustRun builds a configuration with New and runs prog on it.
-func mustRun(t *testing.T, prog *obj.Program, opts ...Option) *RunStats {
+// machine is the Table 1 configuration under one fetch scheme and
+// way-placement area.
+func machine(scheme energy.Scheme, wpSize uint32) Config {
+	cfg := Default()
+	cfg.Scheme = scheme
+	cfg.WPSize = wpSize
+	return cfg
+}
+
+// mustRun runs prog on cfg.
+func mustRun(t *testing.T, prog *obj.Program, cfg Config) *RunStats {
 	t.Helper()
-	cfg, err := New(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rs, err := RunContext(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
@@ -114,9 +119,9 @@ func TestProfileThenLayoutThenRun(t *testing.T) {
 		t.Errorf("1KB coverage after layout = %.3f, want > 0.9", cov)
 	}
 
-	base := mustRun(t, opt)
-	wp := mustRun(t, opt, WithScheme(energy.WayPlacement), WithWPSize(4<<10))
-	wm := mustRun(t, opt, WithScheme(energy.WayMemoization))
+	base := mustRun(t, opt, Default())
+	wp := mustRun(t, opt, machine(energy.WayPlacement, 4<<10))
+	wm := mustRun(t, opt, machine(energy.WayMemoization, 0))
 
 	// Architectural equivalence.
 	if base.Checksum != wp.Checksum || base.Checksum != wm.Checksum || base.Checksum != sum {
@@ -171,7 +176,7 @@ func TestWPAccessesTrackCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustRun(t, opt, WithScheme(energy.WayPlacement), WithWPSize(4<<10)).IStats
+	s := mustRun(t, opt, machine(energy.WayPlacement, 4<<10)).IStats
 	if s.WPAreaFetches == 0 {
 		t.Fatal("no fetches hit the WP area")
 	}
@@ -194,8 +199,8 @@ func TestSchemesOnUnplacedBinaryStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mustRun(t, p)
-	wp := mustRun(t, p, WithScheme(energy.WayPlacement), WithWPSize(2<<10))
+	base := mustRun(t, p, Default())
+	wp := mustRun(t, p, machine(energy.WayPlacement, 2<<10))
 	if base.Checksum != wp.Checksum {
 		t.Errorf("checksums diverge on unplaced binary: %#x vs %#x", base.Checksum, wp.Checksum)
 	}
@@ -209,8 +214,8 @@ func TestZeroWPAreaEqualsBaselineEnergyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mustRun(t, p)
-	wp0 := mustRun(t, p, WithScheme(energy.WayPlacement))
+	base := mustRun(t, p, Default())
+	wp0 := mustRun(t, p, machine(energy.WayPlacement, 0))
 	if wp0.IStats.WPAccesses != 0 {
 		t.Errorf("WP accesses with empty area = %d", wp0.IStats.WPAccesses)
 	}
@@ -253,13 +258,10 @@ func TestRunAdaptiveConvergesAndPreservesSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := mustRun(t, opt)
-	static := mustRun(t, opt, WithScheme(energy.WayPlacement), WithWPSize(16<<10))
+	base := mustRun(t, opt, Default())
+	static := mustRun(t, opt, machine(energy.WayPlacement, 16<<10))
 
-	cfg, err := New(WithScheme(energy.WayPlacement))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := machine(energy.WayPlacement, 0)
 	pol := DefaultAdaptivePolicy(cfg.ICache, cfg.ITLB.PageBytes)
 	pol.IntervalInstrs = 10_000
 	adaptive, changes, err := RunAdaptive(context.Background(), opt, cfg, pol)
@@ -317,11 +319,13 @@ func TestRAMTagStyleSavesMore(t *testing.T) {
 		t.Fatal(err)
 	}
 	norm := func(style energy.ArrayStyle) float64 {
-		geo := Default().ICache
-		geo.Ways = 8
-		machine := []Option{WithICache(geo), WithDCache(geo), WithStyle(style)}
-		base := mustRun(t, opt, machine...)
-		wp := mustRun(t, opt, append(machine, WithScheme(energy.WayPlacement), WithWPSize(4<<10))...)
+		cfg := Default()
+		cfg.ICache.Ways = 8
+		cfg.DCache = cfg.ICache
+		cfg.Style = style
+		base := mustRun(t, opt, cfg)
+		cfg.Scheme, cfg.WPSize = energy.WayPlacement, 4<<10
+		wp := mustRun(t, opt, cfg)
 		if wp.Checksum != base.Checksum {
 			t.Fatal("style changed semantics?!")
 		}

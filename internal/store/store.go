@@ -88,8 +88,7 @@ type Options struct {
 // Save is write-behind (a single writer goroutine performs the
 // durable writes), so the simulation hot path never waits on fsync.
 type Store struct {
-	dir      string
-	readOnly bool
+	dir string
 
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -97,7 +96,7 @@ type Store struct {
 	corrupt   *obs.Counter
 	writeErrs *obs.Counter
 
-	queue     chan saveReq // nil on a read-only store
+	queue     chan saveReq
 	writerWG  sync.WaitGroup
 	closeOnce sync.Once
 }
@@ -132,7 +131,7 @@ func Open(opt Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(opt.Dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := checkMeta(opt.Dir, opt.Fingerprint, true); err != nil {
+	if err := checkMeta(opt.Dir, opt.Fingerprint); err != nil {
 		return nil, err
 	}
 	s := &Store{
@@ -149,44 +148,9 @@ func Open(opt Options) (*Store, error) {
 	return s, nil
 }
 
-// OpenReadOnly opens an existing store for shared read-only use: no
-// write-behind writer is started, Save silently drops, Put refuses.
-// Unlike Open it never initialises anything on disk — the directory
-// must already be a store (meta.json present), so a typo'd path fails
-// loudly instead of shadowing the real store with an empty one. Any
-// number of read-only opens may run concurrently with one writing
-// Open of the same directory: objects appear atomically (tmp + fsync
-// + rename), so a reader sees each result either not at all or
-// complete, never torn.
-func OpenReadOnly(opt Options) (*Store, error) {
-	if opt.Dir == "" {
-		return nil, errors.New("store: Options.Dir is required")
-	}
-	if _, err := os.Stat(opt.Dir); err != nil {
-		return nil, fmt.Errorf("store: read-only open: %w", err)
-	}
-	if err := checkMeta(opt.Dir, opt.Fingerprint, false); err != nil {
-		return nil, err
-	}
-	return &Store{
-		dir:       opt.Dir,
-		readOnly:  true,
-		hits:      opt.Registry.Counter(MetricHits),
-		misses:    opt.Registry.Counter(MetricMisses),
-		writes:    opt.Registry.Counter(MetricWrites),
-		corrupt:   opt.Registry.Counter(MetricCorrupt),
-		writeErrs: opt.Registry.Counter(MetricWriteErrors),
-	}, nil
-}
-
-// ReadOnly reports whether the store was opened with OpenReadOnly.
-func (s *Store) ReadOnly() bool { return s.readOnly }
-
 // checkMeta pins the directory to one base-config fingerprint: the
-// first writing open records it, later opens must match. A read-only
-// open (create=false) additionally requires the meta file to already
-// exist — it never initialises the directory.
-func checkMeta(dir, fingerprint string, create bool) error {
+// first open records it, later opens must match.
+func checkMeta(dir, fingerprint string) error {
 	path := filepath.Join(dir, "meta.json")
 	data, err := os.ReadFile(path)
 	switch {
@@ -200,8 +164,6 @@ func checkMeta(dir, fingerprint string, create bool) error {
 				dir, meta.Fingerprint, fingerprint)
 		}
 		return nil
-	case os.IsNotExist(err) && !create:
-		return fmt.Errorf("store: %s is not an initialised store (no meta.json); open it with a writer first", dir)
 	case os.IsNotExist(err):
 		data, merr := json.Marshal(storeMeta{Schema: metaSchema, Fingerprint: fingerprint})
 		if merr != nil {
@@ -246,7 +208,7 @@ func (s *Store) Load(key string) (*sim.RunStats, []sim.AreaChange, bool) {
 		return nil, nil, false
 	}
 	s.hits.Inc()
-	return obj.Stats, areaChangesOf(obj.AreaChanges), true
+	return obj.Stats, api.SimAreaChanges(obj.AreaChanges), true
 }
 
 // decodeObject validates one object file against the key it should
@@ -271,28 +233,20 @@ func decodeObject(data []byte, key string) (*api.StoredResult, error) {
 
 // Save queues one result for durable write-behind storage. It blocks
 // only when the writer is QueueDepth results behind. Safe to call
-// concurrently; a Save after Close is dropped, and on a read-only
-// store Save is a no-op (the engine above it keeps the result in its
-// run cache; only the writing process persists).
+// concurrently; a Save after Close is dropped.
 func (s *Store) Save(key string, stats *sim.RunStats, changes []sim.AreaChange) {
-	if s.readOnly {
-		return
-	}
 	defer func() {
 		// The queue closes on Close; racing saves from still-draining
 		// engine cells are dropped rather than panicking the cell.
 		recover()
 	}()
-	s.queue <- saveReq{key: key, stats: stats, changes: wireAreaChanges(changes)}
+	s.queue <- saveReq{key: key, stats: stats, changes: api.AreaChangesOf(changes)}
 }
 
 // Put writes one result synchronously and durably; Save is this, off
-// the caller's goroutine. A read-only store refuses.
+// the caller's goroutine.
 func (s *Store) Put(key string, stats *sim.RunStats, changes []sim.AreaChange) error {
-	if s.readOnly {
-		return fmt.Errorf("store: %s is open read-only", s.dir)
-	}
-	return s.put(saveReq{key: key, stats: stats, changes: wireAreaChanges(changes)})
+	return s.put(saveReq{key: key, stats: stats, changes: api.AreaChangesOf(changes)})
 }
 
 func (s *Store) put(req saveReq) error {
@@ -327,11 +281,8 @@ func (s *Store) writer() {
 }
 
 // Flush blocks until every Save enqueued before the call has reached
-// disk. On a read-only store it is a no-op.
+// disk.
 func (s *Store) Flush() {
-	if s.readOnly {
-		return
-	}
 	done := make(chan struct{})
 	func() {
 		defer func() { recover() }()
@@ -340,14 +291,11 @@ func (s *Store) Flush() {
 	}()
 }
 
-// Close flushes pending saves and stops the writer. Idempotent; on a
-// read-only store there is nothing to stop.
+// Close flushes pending saves and stops the writer. Idempotent.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
-		if s.queue != nil {
-			close(s.queue)
-			s.writerWG.Wait()
-		}
+		close(s.queue)
+		s.writerWG.Wait()
 	})
 	return nil
 }
@@ -395,28 +343,6 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-func wireAreaChanges(changes []sim.AreaChange) []api.AreaChange {
-	if len(changes) == 0 {
-		return nil
-	}
-	out := make([]api.AreaChange, len(changes))
-	for i, ch := range changes {
-		out[i] = api.AreaChange{AtInstr: ch.AtInstr, SizeBytes: ch.Size}
-	}
-	return out
-}
-
-func areaChangesOf(wire []api.AreaChange) []sim.AreaChange {
-	if len(wire) == 0 {
-		return nil
-	}
-	out := make([]sim.AreaChange, len(wire))
-	for i, ch := range wire {
-		out[i] = sim.AreaChange{AtInstr: ch.AtInstr, Size: ch.SizeBytes}
-	}
-	return out
 }
 
 // FsckReport summarises one consistency walk over a store directory.

@@ -234,89 +234,19 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
-func TestOpenReadOnlyRefusesWrites(t *testing.T) {
-	dir := t.TempDir()
-	w := openTestStore(t, dir, nil)
-	if err := w.Put("rs2|ro-seed", testStats(1), nil); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	ro, err := OpenReadOnly(Options{Dir: dir, Fingerprint: "fp-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	if !ro.ReadOnly() {
-		t.Error("ReadOnly() = false on a read-only open")
-	}
-	if stats, _, ok := ro.Load("rs2|ro-seed"); !ok || stats.Instrs != testStats(1).Instrs {
-		t.Fatalf("read-only Load of seeded key: ok=%v stats=%+v", ok, stats)
-	}
-	if err := ro.Put("rs2|ro-new", testStats(2), nil); err == nil {
-		t.Error("Put succeeded on a read-only store")
-	}
-	// Save must neither block (no writer goroutine) nor write.
-	ro.Save("rs2|ro-saved", testStats(3), nil)
-	ro.Flush()
-	if _, err := os.Stat(objectPath(dir, "rs2|ro-saved")); !os.IsNotExist(err) {
-		t.Errorf("Save on a read-only store reached disk (stat err %v)", err)
-	}
-	// Close twice: idempotent without a writer to stop.
-	ro.Close()
-	ro.Close()
-}
-
-func TestOpenReadOnlyRequiresInitialisedStore(t *testing.T) {
-	if _, err := OpenReadOnly(Options{Dir: filepath.Join(t.TempDir(), "missing")}); err == nil {
-		t.Error("read-only open of a missing directory succeeded")
-	}
-	// An existing but never-initialised directory is refused too — and
-	// left untouched (no meta.json materialised).
-	dir := t.TempDir()
-	if _, err := OpenReadOnly(Options{Dir: dir}); err == nil {
-		t.Error("read-only open of an uninitialised directory succeeded")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.json")); !os.IsNotExist(err) {
-		t.Errorf("read-only open initialised meta.json (stat err %v)", err)
-	}
-}
-
-func TestOpenReadOnlyChecksFingerprint(t *testing.T) {
-	dir := t.TempDir()
-	openTestStore(t, dir, nil).Close()
-	if _, err := OpenReadOnly(Options{Dir: dir, Fingerprint: "fp-other"}); err == nil {
-		t.Error("read-only open under a different fingerprint succeeded")
-	}
-	if _, err := OpenReadOnly(Options{Dir: dir, Fingerprint: "fp-test"}); err != nil {
-		t.Errorf("read-only open under the matching fingerprint failed: %v", err)
-	}
-}
-
-// TestReadOnlyReadersConcurrentWithWriter is the sharing contract a
-// fleet relies on: many read-only opens observe a writer's atomic
-// object writes, each key appearing complete or not at all.
-func TestReadOnlyReadersConcurrentWithWriter(t *testing.T) {
+// TestLoadConcurrentWithWriter: loads racing the write-behind writer
+// observe its atomic object writes, each key appearing complete or not
+// at all.
+func TestLoadConcurrentWithWriter(t *testing.T) {
 	const keys = 64
 	const readers = 4
-	dir := t.TempDir()
-	w := openTestStore(t, dir, nil)
-
-	ros := make([]*Store, readers)
-	for i := range ros {
-		ro, err := OpenReadOnly(Options{Dir: dir, Fingerprint: "fp-test"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ro.Close()
-		ros[i] = ro
-	}
+	w := openTestStore(t, t.TempDir(), nil)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, readers)
-	for ri, ro := range ros {
+	for ri := 0; ri < readers; ri++ {
 		wg.Add(1)
-		go func(ri int, ro *Store) {
+		go func(ri int) {
 			defer wg.Done()
 			// Each reader spins on every key until it appears, then
 			// validates the payload — a torn or misdecoded object fails.
@@ -324,7 +254,7 @@ func TestReadOnlyReadersConcurrentWithWriter(t *testing.T) {
 				key := fmt.Sprintf("rs2|concurrent-%d", k)
 				want := testStats(uint64(k))
 				for tries := 0; ; tries++ {
-					if stats, _, ok := ro.Load(key); ok {
+					if stats, _, ok := w.Load(key); ok {
 						if !reflect.DeepEqual(stats, want) {
 							errc <- fmt.Errorf("reader %d: key %s holds %+v, want %+v", ri, key, stats, want)
 						}
@@ -337,7 +267,7 @@ func TestReadOnlyReadersConcurrentWithWriter(t *testing.T) {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
-		}(ri, ro)
+		}(ri)
 	}
 	for k := 0; k < keys; k++ {
 		w.Save(fmt.Sprintf("rs2|concurrent-%d", k), testStats(uint64(k)), nil)
