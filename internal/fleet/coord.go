@@ -72,11 +72,6 @@ type Options struct {
 	// behaviour). The deeper weighted-fair queueing happens on the
 	// backends — the coordinator only caps, it does not reorder.
 	TenantSlots int
-	// Tenant, when non-empty, overrides the identity the coordinator
-	// forwards to its backends for ALL traffic — a fleet owned by one
-	// team. Normally empty: each client's own X-WP-Tenant (or derived
-	// remote address) is forwarded instead.
-	Tenant api.Tenant
 	// MaxBatchCells bounds the cells of one incoming batch. Default
 	// 4096. It must not exceed the backends' own limit: a sub-batch is
 	// never larger than its batch.
@@ -96,9 +91,6 @@ type Options struct {
 	// JobTTL is how long a finished async job stays pollable. 0 means
 	// 10 minutes; negative disables eviction.
 	JobTTL time.Duration
-	// HealthTimeout bounds each backend probe of GET /healthz.
-	// Default 2s.
-	HealthTimeout time.Duration
 	// HTTP is the client used for backend traffic; nil means a
 	// keep-alive pooled transport (serve.NewTransport) sized so a full
 	// queue of concurrent sub-batches reuses connections.
@@ -109,6 +101,9 @@ type Options struct {
 // the coordinator honours per retry, so a deep hint cannot park a sync
 // caller.
 const backendRetryBackoff = 250 * time.Millisecond
+
+// healthTimeout bounds each backend probe of GET /healthz.
+const healthTimeout = 2 * time.Second
 
 // backend is one ring member plus its client and instruments.
 type backend struct {
@@ -133,15 +128,11 @@ type Coordinator struct {
 	backends []*backend
 	jobs     *api.JobTable[*fleetJob]
 	out      api.Responder
-	wg       sync.WaitGroup
-
-	mu       sync.Mutex
-	draining bool
-	slots    chan struct{}
-	// tenantHeld counts in-flight batches per tenant under mu.
-	// Entries are deleted the moment they reach zero, so an
-	// adversarial flood of unique tenants leaves nothing behind.
-	tenantHeld map[string]int
+	// sched admits every batch: QueueDepth slots, TenantSlots per
+	// tenant, no parking. It owns the draining flag, and wg counts
+	// the batches it has admitted and not yet released.
+	sched *serve.Scheduler
+	wg    sync.WaitGroup
 
 	batches    *obs.Counter
 	rejected   *obs.Counter
@@ -171,9 +162,6 @@ func New(opt Options) (*Coordinator, error) {
 	if opt.JobTTL == 0 {
 		opt.JobTTL = 10 * time.Minute
 	}
-	if opt.HealthTimeout <= 0 {
-		opt.HealthTimeout = 2 * time.Second
-	}
 	ring, err := NewRing(opt.Backends, opt.VNodes)
 	if err != nil {
 		return nil, err
@@ -189,8 +177,6 @@ func New(opt Options) (*Coordinator, error) {
 		out: api.Responder{OnWriteError: func(err error) {
 			log.Printf("fleet: response body write failed after headers: %v", err)
 		}},
-		slots:      make(chan struct{}, opt.QueueDepth),
-		tenantHeld: make(map[string]int),
 		batches:    opt.Registry.Counter(MetricBatches),
 		rejected:   opt.Registry.Counter(MetricRejected),
 		overQuota:  opt.Registry.Counter(MetricOverQuota),
@@ -198,6 +184,7 @@ func New(opt Options) (*Coordinator, error) {
 		failovers:  opt.Registry.Counter(MetricFailovers),
 		inflight:   opt.Registry.Gauge(MetricInflight),
 	}
+	c.sched = serve.NewScheduler(opt.QueueDepth, opt.QueueDepth, serve.TenancyOptions{Slots: opt.TenantSlots}, nil, &c.wg)
 	for _, url := range opt.Backends {
 		name := strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
 		c.backends = append(c.backends, &backend{
@@ -229,9 +216,7 @@ func (c *Coordinator) Handler() http.Handler {
 // Shutdown refuses new batches and waits for in-flight scatters to
 // finish, then stops the job-eviction timers.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
+	c.sched.SetDraining()
 	done := make(chan struct{})
 	go func() {
 		c.wg.Wait()
@@ -246,69 +231,14 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 }
 
-// coordVerdict is the coordinator's admission answer: admitted, the
-// tenant's own cap hit (over_quota), or global capacity / draining
-// (queue_full).
-type coordVerdict int
-
-const (
-	coordOK coordVerdict = iota
-	coordOverQuota
-	coordQueueFull
-)
-
-func (c *Coordinator) acquire(tenant string) coordVerdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return coordQueueFull
-	}
-	// The per-tenant cap is checked before the global pool so a hog
-	// saturating its own quota never reads as fleet-wide backpressure
-	// — unless the quota IS the whole pool, where the global answer
-	// stays the honest one.
-	if c.opt.TenantSlots > 0 && c.opt.TenantSlots < c.opt.QueueDepth &&
-		c.tenantHeld[tenant] >= c.opt.TenantSlots {
-		return coordOverQuota
-	}
-	select {
-	case c.slots <- struct{}{}:
-		c.tenantHeld[tenant]++
-		c.wg.Add(1)
-		c.inflight.Add(1)
-		return coordOK
-	default:
-		return coordQueueFull
-	}
-}
-
-func (c *Coordinator) release(tenant string) {
-	c.mu.Lock()
-	if n := c.tenantHeld[tenant] - 1; n > 0 {
-		c.tenantHeld[tenant] = n
-	} else {
-		delete(c.tenantHeld, tenant)
-	}
-	c.mu.Unlock()
-	<-c.slots
-	c.wg.Done()
+// release returns a batch's admission slot.
+func (c *Coordinator) release(tenant api.Tenant) {
+	c.sched.Release(string(tenant), false)
 	c.inflight.Add(-1)
 }
 
-// resolveTenant decides the identity a request is accounted and
-// forwarded under: Options.Tenant when the whole coordinator is
-// pinned to one, otherwise the client's own (api.RequestTenant), with
-// the echo rules of a single wpserved.
-func (c *Coordinator) resolveTenant(r *http.Request) (tenant, echo string, rej *api.Rejection) {
-	if c.opt.Tenant != "" {
-		return string(c.opt.Tenant), "", nil
-	}
-	t, echo, rej := api.RequestTenant(r)
-	return string(t), echo, rej
-}
-
 func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
-	tenant, echo, rej := c.resolveTenant(r)
+	tenant, echo, rej := api.RequestTenant(r)
 	var breq *api.BatchRequest
 	var specs []engine.RunSpec
 	if rej == nil {
@@ -333,18 +263,21 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	subs := api.SplitBatch(breq.Requests, c.ring.Len(), func(i int) int { return c.ring.Owner(streams[i]) })
 
-	switch c.acquire(tenant) {
-	case coordOverQuota:
+	// Every batch is admitted as sync: the coordinator holds its slot
+	// only while it scatters, also for an async batch.
+	switch c.sched.Admit(r.Context(), string(tenant), false, len(breq.Requests)) {
+	case serve.AdmitOverQuota:
 		c.rejected.Inc()
 		c.overQuota.Inc()
 		c.out.Busy(w, fmt.Sprintf("tenant %q over quota on this coordinator", tenant),
 			api.CodeOverQuota, c.opt.RetryAfter)
 		return
-	case coordQueueFull:
+	case serve.AdmitQueueFull:
 		c.rejected.Inc()
 		c.out.Busy(w, "coordinator at capacity", api.CodeQueueFull, c.opt.RetryAfter)
 		return
 	}
+	c.inflight.Add(1)
 	defer c.release(tenant)
 	c.batches.Inc()
 
@@ -376,7 +309,7 @@ type subOutcome struct {
 // quota and weighted-fair scheduler sees the originating client, not
 // the coordinator's address. async selects the backend-side execution
 // mode (the 202 responses then carry each backend's sub job id).
-func (c *Coordinator) scatter(ctx context.Context, tenant string, subs []api.SubBatch, streams []string, async bool) []subOutcome {
+func (c *Coordinator) scatter(ctx context.Context, tenant api.Tenant, subs []api.SubBatch, streams []string, async bool) []subOutcome {
 	outs := make([]subOutcome, len(subs))
 	var wg sync.WaitGroup
 	for si := range subs {
@@ -398,7 +331,7 @@ func (c *Coordinator) scatter(ctx context.Context, tenant string, subs []api.Sub
 // second time and melt the neighbour too — backpressure propagates to
 // the client instead. The failover order is the ring sequence of the
 // sub-batch's first stream.
-func (c *Coordinator) runSub(ctx context.Context, tenant string, sub api.SubBatch, streams []string, async bool) subOutcome {
+func (c *Coordinator) runSub(ctx context.Context, tenant api.Tenant, sub api.SubBatch, streams []string, async bool) subOutcome {
 	body, err := json.Marshal(api.BatchRequest{
 		APIVersion: api.Version,
 		Requests:   sub.Requests,
@@ -439,7 +372,7 @@ func (c *Coordinator) runSub(ctx context.Context, tenant string, sub api.SubBatc
 // retrying up to BackendRetries 429s on their Retry-After hint capped
 // at backendRetryBackoff. A backend still busy past that budget
 // answers a retryable *api.BusyError carrying its code and hint.
-func (c *Coordinator) trySubmit(ctx context.Context, b *backend, tenant string, body []byte) (*api.BatchResponse, error) {
+func (c *Coordinator) trySubmit(ctx context.Context, b *backend, tenant api.Tenant, body []byte) (*api.BatchResponse, error) {
 	retry := api.RetryPolicy{Retries: c.opt.BackendRetries, Ceiling: backendRetryBackoff}
 	for attempt := 0; ; attempt++ {
 		resp, err := c.send(ctx, b, http.MethodPost, "/v1/runs", tenant, body)
@@ -462,10 +395,10 @@ func (c *Coordinator) trySubmit(ctx context.Context, b *backend, tenant string, 
 // api.Exchange, under the given tenant identity (empty adds no
 // header). Transport failures and answers other than 2xx, 429 and 404
 // count as backend errors: they are the failover triggers.
-func (c *Coordinator) send(ctx context.Context, b *backend, method, path, tenant string, body []byte) (*api.BatchResponse, error) {
+func (c *Coordinator) send(ctx context.Context, b *backend, method, path string, tenant api.Tenant, body []byte) (*api.BatchResponse, error) {
 	b.requests.Inc()
 	start := time.Now()
-	resp, err := api.Exchange(ctx, b.client.HTTP, method, b.client.BaseURL+path, api.Tenant(tenant), body)
+	resp, err := api.Exchange(ctx, b.client.HTTP, method, b.client.BaseURL+path, tenant, body)
 	b.reqNS.ObserveSince(start)
 	var busy *api.BusyError
 	if err != nil && !errors.As(err, &busy) && !notFound(err) {

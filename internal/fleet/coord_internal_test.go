@@ -1,38 +1,16 @@
 package fleet
 
 import (
-	"fmt"
+	"context"
 	"testing"
+
+	"wayplace/internal/serve"
 )
 
-// TestTenantLedgerNoLeak: acquire/release across a flood of unique
-// tenants leaves the per-tenant ledger empty — entries are deleted at
-// zero, so adversarial identities cannot grow coordinator memory.
-func TestTenantLedgerNoLeak(t *testing.T) {
-	c, err := New(Options{
-		Backends:    []string{"http://127.0.0.1:1"},
-		QueueDepth:  8,
-		TenantSlots: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		tenant := fmt.Sprintf("tenant-%d", i)
-		if v := c.acquire(tenant); v != coordOK {
-			t.Fatalf("tenant %d: verdict %v, want admitted", i, v)
-		}
-		c.release(tenant)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.tenantHeld) != 0 {
-		t.Fatalf("ledger holds %d entries after all releases, want 0", len(c.tenantHeld))
-	}
-}
-
-// TestTenantQuotaVerdicts: the cap binds per tenant, second tenants
-// are unaffected, and a quota spanning the whole pool is no quota.
+// TestTenantQuotaVerdicts: the coordinator's admission honours its own
+// options — TenantSlots binds per tenant, second tenants are
+// unaffected, QueueDepth bounds the pool, and a quota spanning the
+// whole pool is no quota.
 func TestTenantQuotaVerdicts(t *testing.T) {
 	c, err := New(Options{
 		Backends:    []string{"http://127.0.0.1:1"},
@@ -42,29 +20,36 @@ func TestTenantQuotaVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.acquire("a") != coordOK || c.acquire("a") != coordOK {
+	ctx := context.Background()
+	admit := func(c *Coordinator, tenant string) serve.Verdict {
+		return c.sched.Admit(ctx, tenant, false, 1)
+	}
+	if admit(c, "a") != serve.AdmitOK || admit(c, "a") != serve.AdmitOK {
 		t.Fatal("tenant a refused under quota")
 	}
-	if v := c.acquire("a"); v != coordOverQuota {
+	if v := admit(c, "a"); v != serve.AdmitOverQuota {
 		t.Fatalf("tenant a at cap: verdict %v, want over_quota", v)
 	}
-	if v := c.acquire("b"); v != coordOK {
+	if v := admit(c, "b"); v != serve.AdmitOK {
 		t.Fatalf("tenant b blocked by a's quota: verdict %v", v)
 	}
-	if c.acquire("b") != coordOK {
+	if admit(c, "b") != serve.AdmitOK {
 		t.Fatal("tenant b refused under quota")
 	}
 	// Pool of 4 is now full: even a fresh tenant sees the global answer.
-	if v := c.acquire("c"); v != coordQueueFull {
+	if v := admit(c, "c"); v != serve.AdmitQueueFull {
 		t.Fatalf("full pool: verdict %v, want queue_full", v)
 	}
 
 	// TenantSlots == QueueDepth disables the per-tenant distinction.
-	c2, _ := New(Options{Backends: []string{"http://127.0.0.1:1"}, QueueDepth: 2, TenantSlots: 2})
-	if c2.acquire("x") != coordOK || c2.acquire("x") != coordOK {
+	c2, err := New(Options{Backends: []string{"http://127.0.0.1:1"}, QueueDepth: 2, TenantSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if admit(c2, "x") != serve.AdmitOK || admit(c2, "x") != serve.AdmitOK {
 		t.Fatal("vacuous quota refused admissions")
 	}
-	if v := c2.acquire("x"); v != coordQueueFull {
+	if v := admit(c2, "x"); v != serve.AdmitQueueFull {
 		t.Fatalf("quota == pool: verdict %v, want the global queue_full", v)
 	}
 }

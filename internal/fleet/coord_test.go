@@ -381,8 +381,7 @@ func TestCoordinatorHealthAggregatesBackends(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 	_, srv := startCoordinator(t, backs, fleet.Options{
-		Backends:      []string{backs[0].URL, backs[1].URL, deadURL},
-		HealthTimeout: 500 * time.Millisecond,
+		Backends: []string{backs[0].URL, backs[1].URL, deadURL},
 	})
 	httpResp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {

@@ -46,7 +46,7 @@ type fleetJob struct {
 // submissions attach to the existing job; their backend-side
 // sub-submissions deduplicate the same way, since sub job ids are
 // BatchKeys too.
-func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, tenant, echo string, breq *api.BatchRequest, subs []api.SubBatch, streams []string) {
+func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, tenant api.Tenant, echo string, breq *api.BatchRequest, subs []api.SubBatch, streams []string) {
 	id := api.BatchKey(breq.Requests)
 	// A live identical job is reported as-is; a failed one is displaced
 	// by Attach and rescattered below. The backends apply the same rule
@@ -110,7 +110,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	// Like a single wpserved, poll answers echo the poller's own
 	// explicit tenant — jobs are shared across identical submissions.
-	_, echo, _ := c.resolveTenant(r)
+	_, echo, _ := api.RequestTenant(r)
 	c.out.Batch(w, http.StatusOK, j.Snapshot().WithTenant(echo))
 }
 
@@ -184,13 +184,9 @@ func (j *fleetJob) Snapshot() *api.BatchResponse {
 
 // handleHealthz aggregates fleet health: the coordinator's own state,
 // the ring shape, and a live probe of every backend's /healthz
-// (concurrent, bounded by HealthTimeout). Overall status is "ok" only
+// (concurrent, bounded by healthTimeout). Overall status is "ok" only
 // when every backend answered.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	draining := c.draining
-	c.mu.Unlock()
-
 	type backendHealth struct {
 		Name   string         `json:"name"`
 		OK     bool           `json:"ok"`
@@ -203,7 +199,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), c.opt.HealthTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), healthTimeout)
 			defer cancel()
 			h, err := b.client.Health(ctx)
 			bh := backendHealth{Name: b.name, OK: err == nil, Detail: h}
@@ -216,7 +212,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	status := "ok"
-	if draining {
+	if c.sched.Draining() {
 		status = "draining"
 	}
 	healthy := 0
@@ -233,7 +229,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"api_version": api.Version,
 		"role":        "coordinator",
 		"queue_depth": c.opt.QueueDepth,
-		"inflight":    len(c.slots),
+		"inflight":    c.sched.Inflight(),
 		"ring": map[string]any{
 			"backends":         c.ring.Backends(),
 			"vnodes":           c.ring.VNodes(),

@@ -205,11 +205,11 @@ func FleetBench(ctx context.Context, opt FleetBenchOptions) (*FleetSnapshot, err
 	}
 	pool := SingletonPool(SyntheticNames(opt.Workloads), SyntheticGeometry())
 
-	single, _, err := coldRun(ctx, 1, pool, opt)
+	single, _, _, err := coldRun(ctx, 1, pool, opt)
 	if err != nil {
 		return nil, fmt.Errorf("load: 1-backend control: %w", err)
 	}
-	fleetRate, simulated, err := coldRun(ctx, opt.Backends, pool, opt)
+	fleetRate, simulated, busiest, err := coldRun(ctx, opt.Backends, pool, opt)
 	if err != nil {
 		return nil, fmt.Errorf("load: %d-backend fleet: %w", opt.Backends, err)
 	}
@@ -222,6 +222,7 @@ func FleetBench(ctx context.Context, opt FleetBenchOptions) (*FleetSnapshot, err
 		SingleCellsPerSecond: single,
 		FleetCellsPerSecond:  fleetRate,
 		Speedup:              fleetRate / single,
+		IdealSpeedup:         float64(len(pool)) / float64(max(busiest, 1)),
 		MinSpeedup:           opt.MinSpeedup,
 		SimulatedCells:       simulated,
 		OncePerFleet:         simulated == uint64(len(pool)),
@@ -239,9 +240,9 @@ func FleetBench(ctx context.Context, opt FleetBenchOptions) (*FleetSnapshot, err
 
 // coldRun boots a fresh n-backend fleet, pushes the pool through the
 // coordinator once cold (timed) and once warm (verifying every repeat
-// is a cache hit), and returns cold cells/sec plus the fleet-wide
-// simulate count.
-func coldRun(ctx context.Context, n int, pool []api.RunRequest, opt FleetBenchOptions) (float64, uint64, error) {
+// is a cache hit), and returns cold cells/sec, the fleet-wide
+// simulate count and the busiest backend's share of it.
+func coldRun(ctx context.Context, n int, pool []api.RunRequest, opt FleetBenchOptions) (rate float64, simulated, busiest uint64, err error) {
 	f, err := StartFleet(FleetOptions{
 		Backends:         n,
 		Workloads:        opt.Workloads,
@@ -249,7 +250,7 @@ func coldRun(ctx context.Context, n int, pool []api.RunRequest, opt FleetBenchOp
 		BackendPrepDelay: opt.PrepDelay,
 	})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer f.closeAll()
 	if opt.Log != nil {
@@ -277,23 +278,26 @@ func coldRun(ctx context.Context, n int, pool []api.RunRequest, opt FleetBenchOp
 
 	start := time.Now()
 	if err := submitAll(); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	cold := time.Since(start)
+	for _, lb := range f.Backends {
+		busiest = max(busiest, lb.Engine.Misses())
+	}
 
 	// Warm sweep: the identical pool again. Every cell must come back
 	// from some backend's cache without a single new simulation.
 	before := f.SimulatedCells()
 	if err := submitAll(); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if after := f.SimulatedCells(); after != before {
-		return 0, 0, fmt.Errorf("warm sweep re-simulated %d cells — repeat keys are not landing on the backend that owns them", after-before)
+		return 0, 0, 0, fmt.Errorf("warm sweep re-simulated %d cells — repeat keys are not landing on the backend that owns them", after-before)
 	}
-	rate := float64(len(pool)) / cold.Seconds()
+	rate = float64(len(pool)) / cold.Seconds()
 	if opt.Log != nil {
 		fmt.Fprintf(opt.Log, "wpload: fleet bench: %d backend(s): %v cold (%.0f cells/s), warm sweep all hits\n",
 			n, cold.Round(time.Millisecond), rate)
 	}
-	return rate, f.SimulatedCells(), nil
+	return rate, f.SimulatedCells(), busiest, nil
 }

@@ -81,7 +81,10 @@ type Snapshot struct {
 
 // FleetSnapshot is the fleet section of BENCH_wpload.json: the
 // 1-vs-N cold-pool scaling measurement and the once-per-fleet cache
-// invariant.
+// invariant. IdealSpeedup is the speedup the ring's split of the pool
+// allows — the pool's cells over the busiest backend's cold simulated
+// cells; the ring places backends by URL, so the split varies from
+// run to run.
 type FleetSnapshot struct {
 	Backends             int     `json:"backends"`
 	ScalePoolCells       int     `json:"scale_pool_cells"`
@@ -90,6 +93,7 @@ type FleetSnapshot struct {
 	SingleCellsPerSecond float64 `json:"single_backend_cells_per_second"`
 	FleetCellsPerSecond  float64 `json:"fleet_cells_per_second"`
 	Speedup              float64 `json:"speedup"`
+	IdealSpeedup         float64 `json:"ideal_speedup,omitempty"`
 	MinSpeedup           float64 `json:"min_speedup,omitempty"`
 	SimulatedCells       uint64  `json:"simulated_cells"`
 	OncePerFleet         bool    `json:"once_per_fleet"`

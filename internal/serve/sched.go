@@ -9,46 +9,29 @@ import (
 )
 
 // TenancyOptions configures per-tenant admission: concurrency quotas,
-// bounded per-tenant backlogs and the weighted-fair (deficit
-// round-robin) dispatch order. The zero value reproduces the
-// pre-tenancy server exactly — every tenant may fill the whole queue
-// and a full pool answers 429 immediately — so tenant isolation is
-// strictly opt-in.
+// parking and the weighted-fair (deficit round-robin) dispatch order.
+// The zero value reproduces the pre-tenancy server exactly — every
+// tenant may fill the whole queue and a full pool answers 429
+// immediately — so tenant isolation is strictly opt-in.
 type TenancyOptions struct {
 	// Slots caps how many queue slots one tenant may hold at once
-	// (sync and async combined). A tenant at its cap gets 429
-	// over_quota — a per-tenant condition — while other tenants keep
-	// admitting. 0 means QueueDepth: no per-tenant cap.
+	// (sync and async combined), and how many of its admissions may
+	// park waiting for one. A tenant at its cap gets 429 over_quota —
+	// a per-tenant condition — while other tenants keep admitting.
+	// 0 means QueueDepth: no per-tenant cap.
 	Slots int
-	// AsyncSlots caps the async share of one tenant's slots, mirroring
-	// the server-wide async reservation at tenant granularity. 0 means
-	// Slots; clamped to [1, Slots].
-	AsyncSlots int
-	// Backlog bounds how many of one tenant's requests may park
-	// waiting for a slot (only meaningful with AdmitWait > 0); past it
-	// the tenant gets queue_full. 0 means Slots.
-	Backlog int
 	// AdmitWait is how long an admission may park in its tenant
 	// sub-queue for the weighted-fair dispatcher before giving up with
 	// queue_full. 0 disables parking: a full pool answers 429
 	// immediately, exactly the pre-tenancy behaviour.
 	AdmitWait time.Duration
-	// IdleTTL is how long a tenant's accounting state (deficit,
-	// weight, last-seen) survives with no held slots and no waiters
-	// before it is reclaimed, so a long-lived daemon does not leak one
-	// entry per tenant ever seen. 0 means 5 minutes; negative disables
-	// reclamation.
-	IdleTTL time.Duration
-	// Quantum is the deficit-round-robin refill in cells per unit of
-	// weight per rotation: a tenant with weight w accumulates w*Quantum
-	// cells of credit each time the dispatcher visits it, and admitting
-	// a batch spends credit equal to its cell count — so over time
-	// tenants' admitted cell throughput converges to their weight
-	// ratio. 0 means 8.
-	Quantum int
 	// Weights assigns per-tenant scheduling weights; tenants absent
-	// from the map (and every tenant when nil) weigh 1. Weights shape
-	// the dequeue share, not the quota.
+	// from the map (and every tenant when nil) weigh 1. A tenant with
+	// weight w accumulates w*quantum cells of credit each time the
+	// dispatcher visits it, and admitting a batch spends credit equal
+	// to its cell count — so over time tenants' admitted cell
+	// throughput converges to their weight ratio. Weights shape the
+	// dequeue share, not the quota.
 	Weights map[string]int
 	// RetryAfter is the backoff hint sent with over_quota answers —
 	// per-tenant pressure typically clears faster than a full global
@@ -57,64 +40,64 @@ type TenancyOptions struct {
 	RetryAfter time.Duration
 }
 
-// admitVerdict is the outcome of one admission attempt.
-type admitVerdict int
+// quantum is the deficit-round-robin refill in cells per unit of
+// weight per rotation.
+const quantum = 8
+
+// Verdict is the outcome of one admission attempt.
+type Verdict int
 
 const (
-	// admitOK: a slot was granted; the caller must release it.
-	admitOK admitVerdict = iota
-	// admitOverQuota: this tenant is at its own quota while the pool
+	// AdmitOK: a slot was granted; the caller must Release it.
+	AdmitOK Verdict = iota
+	// AdmitOverQuota: this tenant is at its own quota while the pool
 	// may still have room — answer 429 over_quota.
-	admitOverQuota
-	// admitQueueFull: a global condition (pool exhausted, async pool
-	// exhausted, backlog full, draining, or AdmitWait expired) —
+	AdmitOverQuota
+	// AdmitQueueFull: a global condition (pool exhausted, async pool
+	// exhausted, sub-queue full, draining, or AdmitWait expired) —
 	// answer 429 queue_full.
-	admitQueueFull
+	AdmitQueueFull
 )
 
 // waiter is one parked admission awaiting weighted-fair dispatch.
 type waiter struct {
 	cost  int // DRR cost: the batch's cell count
 	async bool
-	// granted is written under sched.mu before ready is closed; the
-	// channel close publishes it to the parked goroutine.
+	// granted is written under Scheduler.mu before ready is closed;
+	// the channel close publishes it to the parked goroutine.
 	granted bool
 	ready   chan struct{}
 }
 
 // tenantState is one tenant's accounting: held slots, parked waiters
-// and the DRR deficit. All fields are guarded by sched.mu.
+// and the DRR deficit. It exists only while the tenant holds a slot
+// or has an admission parked. All fields are guarded by Scheduler.mu.
 type tenantState struct {
 	name       string
 	weight     int
 	deficit    int // DRR credit, in cells
 	held       int // queue slots currently held
-	asyncHeld  int // the async subset of held
 	waiting    []*waiter
 	inRotation bool
-	lastSeen   time.Time
 }
 
-// sched is the tenant-aware admission scheduler: a single slot pool
-// with per-tenant quotas in front of it and a deficit-round-robin
-// dispatcher over per-tenant sub-queues behind it. With the zero
-// TenancyOptions it degenerates to the old bounded queue: one global
-// capacity check, immediate 429 when full.
-type sched struct {
-	capacity int // total queue slots (Options.QueueDepth)
-	asyncCap int // global async reservation (Options.AsyncSlots)
-
-	slots      int // per-tenant slot quota (normalized)
-	asyncSlots int // per-tenant async quota (normalized)
-	backlog    int // per-tenant parked-waiter bound (normalized)
-	admitWait  time.Duration
-	idleTTL    time.Duration
-	quantum    int
-	weights    map[string]int
-	gauge      *obs.Gauge // live tenant count (may be nil)
-	// grants, when set, is added to under mu for every granted slot,
-	// so a drain that has set draining waits for every grant made
-	// before it (the holder calls Done when it releases the slot).
+// Scheduler is the tenant-aware admission scheduler of both daemons:
+// a single slot pool with per-tenant quotas in front of it and a
+// deficit-round-robin dispatcher over per-tenant sub-queues behind it.
+// With the zero TenancyOptions it degenerates to a plain bounded
+// queue: one global capacity check, immediate 429 when full. A tenant
+// is forgotten the moment it holds nothing and has nothing parked, so
+// the tenant map never outgrows the work in flight.
+type Scheduler struct {
+	capacity  int // total queue slots
+	asyncCap  int // global async reservation
+	slots     int // per-tenant slot quota (normalized)
+	admitWait time.Duration
+	weights   map[string]int
+	gauge     *obs.Gauge // live tenant count (may be nil)
+	// grants, when set, is added to under mu for every granted slot
+	// and done on its Release, so a drain that has set draining waits
+	// for every grant made before it.
 	grants *sync.WaitGroup
 
 	mu           sync.Mutex
@@ -125,90 +108,48 @@ type sched struct {
 	tenants      map[string]*tenantState
 	rotation     []*tenantState // tenants with parked waiters, in DRR order
 	cursor       int
-	lastSweep    time.Time
 }
 
-// newSched normalizes the tenancy options against the server's queue
-// geometry and returns an empty scheduler.
-func newSched(capacity, asyncCap int, cfg TenancyOptions, gauge *obs.Gauge) *sched {
-	s := &sched{
-		capacity:   capacity,
-		asyncCap:   asyncCap,
-		slots:      cfg.Slots,
-		asyncSlots: cfg.AsyncSlots,
-		backlog:    cfg.Backlog,
-		admitWait:  cfg.AdmitWait,
-		idleTTL:    cfg.IdleTTL,
-		quantum:    cfg.Quantum,
-		weights:    cfg.Weights,
-		gauge:      gauge,
-		tenants:    make(map[string]*tenantState),
+// NewScheduler returns an empty scheduler over capacity slots, of
+// which async admissions may hold at most asyncCap. gauge, when
+// non-nil, tracks the number of tenants holding or awaiting a slot;
+// grants, when non-nil, counts the granted slots not yet released.
+func NewScheduler(capacity, asyncCap int, cfg TenancyOptions, gauge *obs.Gauge, grants *sync.WaitGroup) *Scheduler {
+	s := &Scheduler{
+		capacity:  capacity,
+		asyncCap:  asyncCap,
+		slots:     cfg.Slots,
+		admitWait: cfg.AdmitWait,
+		weights:   cfg.Weights,
+		gauge:     gauge,
+		grants:    grants,
+		tenants:   make(map[string]*tenantState),
 	}
 	if s.slots <= 0 || s.slots > capacity {
 		s.slots = capacity
 	}
-	if s.asyncSlots <= 0 || s.asyncSlots > s.slots {
-		s.asyncSlots = s.slots
-	}
-	if s.backlog <= 0 {
-		s.backlog = s.slots
-	}
-	if s.idleTTL == 0 {
-		s.idleTTL = 5 * time.Minute
-	}
-	if s.quantum <= 0 {
-		s.quantum = 8
-	}
 	return s
 }
 
-// admit claims one slot for the tenant, parking up to admitWait when
+// Admit claims one slot for the tenant, parking up to AdmitWait when
 // the pool is contended. cost is the batch's cell count (the DRR
 // currency). The verdict distinguishes the per-tenant condition
-// (over_quota) from global ones (queue_full) so the server can answer
+// (over_quota) from global ones (queue_full) so the caller can answer
 // with the right error code and backoff hint.
-func (s *sched) admit(ctx context.Context, tenant string, async bool, cost int) admitVerdict {
+func (s *Scheduler) Admit(ctx context.Context, tenant string, async bool, cost int) Verdict {
 	if cost < 1 {
 		cost = 1
 	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return admitQueueFull
+		return AdmitQueueFull
 	}
-	now := time.Now()
-	t := s.tenantLocked(tenant, now)
-	t.lastSeen = now
-	// Quota checks come first: a tenant at its own cap is over_quota
-	// even when the pool has room — that is the isolation contract.
-	// A quota spanning the whole pool is no quota (the slots < capacity
-	// guards): with tenancy unconfigured, a lone tenant saturating the
-	// pool must keep seeing the pre-tenancy global answer, queue_full.
-	if t.held >= s.slots && s.slots < s.capacity {
+	t := s.tenantLocked(tenant)
+	if v, settled := s.admitLocked(t, async); settled {
+		s.forgetIfIdleLocked(t)
 		s.mu.Unlock()
-		return admitOverQuota
-	}
-	if async && t.asyncHeld >= s.asyncSlots && s.asyncSlots < s.asyncCap {
-		s.mu.Unlock()
-		return admitOverQuota
-	}
-	if async && s.asyncHeld >= s.asyncCap {
-		s.mu.Unlock()
-		return admitQueueFull
-	}
-	// Fast path: free slot and nobody parked ahead of us.
-	if s.running < s.capacity && s.waitingTotal == 0 {
-		s.grantLocked(t, async)
-		s.mu.Unlock()
-		return admitOK
-	}
-	if s.admitWait <= 0 {
-		s.mu.Unlock()
-		return admitQueueFull
-	}
-	if len(t.waiting) >= s.backlog {
-		s.mu.Unlock()
-		return admitQueueFull
+		return v
 	}
 	w := &waiter{cost: cost, async: async, ready: make(chan struct{})}
 	t.waiting = append(t.waiting, w)
@@ -222,7 +163,7 @@ func (s *sched) admit(ctx context.Context, tenant string, async bool, cost int) 
 	s.dispatchLocked()
 	if w.granted {
 		s.mu.Unlock()
-		return admitOK
+		return AdmitOK
 	}
 	s.mu.Unlock()
 
@@ -231,9 +172,9 @@ func (s *sched) admit(ctx context.Context, tenant string, async bool, cost int) 
 	select {
 	case <-w.ready:
 		if w.granted {
-			return admitOK
+			return AdmitOK
 		}
-		return admitQueueFull // woken by drain
+		return AdmitQueueFull // woken by drain
 	case <-timer.C:
 	case <-ctx.Done():
 	}
@@ -242,35 +183,60 @@ func (s *sched) admit(ctx context.Context, tenant string, async bool, cost int) 
 	if w.granted {
 		// Lost the race against a concurrent grant: the slot is ours
 		// after all, and the caller will release it normally.
-		return admitOK
+		return AdmitOK
 	}
 	s.removeWaiterLocked(t, w)
-	return admitQueueFull
+	s.forgetIfIdleLocked(t)
+	return AdmitQueueFull
 }
 
-// release returns one slot and runs the dispatcher, so parked waiters
+// admitLocked answers an admission that needs no parking: a grant, or
+// a refusal. settled is false when the admission must park.
+func (s *Scheduler) admitLocked(t *tenantState, async bool) (v Verdict, settled bool) {
+	// Quota checks come first: a tenant at its own cap is over_quota
+	// even when the pool has room — that is the isolation contract.
+	// A quota spanning the whole pool is no quota (the slots < capacity
+	// guard): with tenancy unconfigured, a lone tenant saturating the
+	// pool must keep seeing the pre-tenancy global answer, queue_full.
+	switch {
+	case t.held >= s.slots && s.slots < s.capacity:
+		return AdmitOverQuota, true
+	case async && s.asyncHeld >= s.asyncCap:
+		return AdmitQueueFull, true
+	case s.running < s.capacity && s.waitingTotal == 0:
+		// Fast path: free slot and nobody parked ahead of us.
+		s.grantLocked(t, async)
+		return AdmitOK, true
+	case s.admitWait <= 0 || len(t.waiting) >= s.slots:
+		return AdmitQueueFull, true
+	}
+	return 0, false
+}
+
+// Release returns one slot and runs the dispatcher, so parked waiters
 // are granted in weighted-fair order the moment capacity frees.
-func (s *sched) release(tenant string, async bool) {
+func (s *Scheduler) Release(tenant string, async bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tenants[tenant]; ok {
 		t.held--
-		if async {
-			t.asyncHeld--
-		}
-		t.lastSeen = time.Now()
+		s.forgetIfIdleLocked(t)
 	}
 	s.running--
 	if async {
 		s.asyncHeld--
 	}
 	s.dispatchLocked()
+	// Done after any grant the dispatch made, so the count never
+	// touches zero while a slot is being handed on.
+	if s.grants != nil {
+		s.grants.Done()
+	}
 }
 
-func (s *sched) grantLocked(t *tenantState, async bool) {
+func (s *Scheduler) grantLocked(t *tenantState, async bool) {
 	t.held++
 	if async {
-		t.asyncHeld++
 		s.asyncHeld++
 	}
 	s.running++
@@ -287,7 +253,7 @@ func (s *sched) grantLocked(t *tenantState, async bool) {
 // cell volume converges to the tenants' weight ratio; (3) a
 // quota-blocked tenant never stalls the rotation — its waiters simply
 // stay parked while others are served.
-func (s *sched) dispatchLocked() {
+func (s *Scheduler) dispatchLocked() {
 	for s.running < s.capacity && len(s.rotation) > 0 {
 		progress := false    // granted someone this cycle
 		costBlocked := false // some head needs only more credit
@@ -297,11 +263,11 @@ func (s *sched) dispatchLocked() {
 			}
 			t := s.rotation[s.cursor]
 			if t.deficit < t.waiting[0].cost {
-				t.deficit += t.weight * s.quantum
+				t.deficit += t.weight * quantum
 			}
 			for len(t.waiting) > 0 && s.running < s.capacity {
 				w := t.waiting[0]
-				if t.held >= s.slots || (w.async && (t.asyncHeld >= s.asyncSlots || s.asyncHeld >= s.asyncCap)) {
+				if t.held >= s.slots || (w.async && s.asyncHeld >= s.asyncCap) {
 					break // quota-blocked: credit cannot help
 				}
 				if w.cost > t.deficit {
@@ -333,7 +299,7 @@ func (s *sched) dispatchLocked() {
 // leaveRotationLocked drops a tenant with an empty sub-queue from the
 // DRR rotation; its deficit resets so an idle tenant cannot bank
 // credit against the future.
-func (s *sched) leaveRotationLocked(t *tenantState) {
+func (s *Scheduler) leaveRotationLocked(t *tenantState) {
 	for i, cand := range s.rotation {
 		if cand == t {
 			s.rotation = append(s.rotation[:i], s.rotation[i+1:]...)
@@ -348,7 +314,7 @@ func (s *sched) leaveRotationLocked(t *tenantState) {
 }
 
 // removeWaiterLocked unparks one timed-out (or cancelled) waiter.
-func (s *sched) removeWaiterLocked(t *tenantState, w *waiter) {
+func (s *Scheduler) removeWaiterLocked(t *tenantState, w *waiter) {
 	for i, cand := range t.waiting {
 		if cand == w {
 			t.waiting = append(t.waiting[:i], t.waiting[i+1:]...)
@@ -361,14 +327,10 @@ func (s *sched) removeWaiterLocked(t *tenantState, w *waiter) {
 	}
 }
 
-// tenantLocked gets or creates one tenant's accounting state. The
-// creation path — never the hot path — opportunistically sweeps idle
-// tenants, so the map is bounded by the set of tenants active within
-// one IdleTTL window rather than every tenant ever seen.
-func (s *sched) tenantLocked(name string, now time.Time) *tenantState {
+// tenantLocked gets or creates one tenant's accounting state.
+func (s *Scheduler) tenantLocked(name string) *tenantState {
 	t, ok := s.tenants[name]
 	if !ok {
-		s.maybeSweepLocked(now)
 		weight := 1
 		if w, ok := s.weights[name]; ok && w > 0 {
 			weight = w
@@ -380,47 +342,19 @@ func (s *sched) tenantLocked(name string, now time.Time) *tenantState {
 	return t
 }
 
-// maybeSweepLocked rate-limits reclamation to once per second (or
-// once per IdleTTL when that is shorter), so an adversarial flood of
-// fresh tenant names pays amortized O(1) per admission.
-func (s *sched) maybeSweepLocked(now time.Time) {
-	if s.idleTTL < 0 {
-		return
+// forgetIfIdleLocked deletes a tenant that holds nothing and has
+// nothing parked: its state is then that of a tenant never seen, so
+// keeping it would only grow the map by one entry per identity.
+func (s *Scheduler) forgetIfIdleLocked(t *tenantState) {
+	if t.held == 0 && len(t.waiting) == 0 {
+		delete(s.tenants, t.name)
+		s.gauge.Set(float64(len(s.tenants)))
 	}
-	interval := time.Second
-	if s.idleTTL < interval {
-		interval = s.idleTTL
-	}
-	if now.Sub(s.lastSweep) < interval {
-		return
-	}
-	s.lastSweep = now
-	s.reapLocked(now)
 }
 
-// reapLocked deletes tenants that hold nothing, wait for nothing and
-// have been idle past IdleTTL.
-func (s *sched) reapLocked(now time.Time) {
-	for name, t := range s.tenants {
-		if t.held == 0 && t.asyncHeld == 0 && len(t.waiting) == 0 && !t.inRotation &&
-			now.Sub(t.lastSeen) >= s.idleTTL {
-			delete(s.tenants, name)
-		}
-	}
-	s.gauge.Set(float64(len(s.tenants)))
-}
-
-// reap forces one reclamation pass; tests drive it with a synthetic
-// clock instead of waiting out IdleTTL.
-func (s *sched) reap(now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reapLocked(now)
-}
-
-// setDraining refuses all future admissions and wakes every parked
-// waiter with queue_full, so Shutdown never waits out AdmitWait.
-func (s *sched) setDraining() {
+// SetDraining refuses all future admissions and wakes every parked
+// waiter with queue_full, so a drain never waits out AdmitWait.
+func (s *Scheduler) SetDraining() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.draining = true
@@ -431,27 +365,29 @@ func (s *sched) setDraining() {
 		t.waiting = nil
 		t.inRotation = false
 		t.deficit = 0
+		s.forgetIfIdleLocked(t)
 	}
 	s.rotation = nil
 	s.waitingTotal = 0
 	s.cursor = 0
 }
 
-func (s *sched) isDraining() bool {
+// Draining reports whether SetDraining has been called.
+func (s *Scheduler) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
 }
 
-// inflight reports granted slots, for healthz.
-func (s *sched) inflight() int {
+// Inflight reports granted slots, for healthz.
+func (s *Scheduler) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.running
 }
 
 // tenantCount reports tracked tenants, for healthz and leak tests.
-func (s *sched) tenantCount() int {
+func (s *Scheduler) tenantCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.tenants)

@@ -1,7 +1,7 @@
 // White-box tests for the tenant-aware admission scheduler: quota
 // verdicts, deficit-round-robin dispatch order, parking, drain and
-// idle-state reclamation — all driven directly against the sched so
-// the properties are deterministic, no HTTP involved.
+// delete-at-zero tenant state — all driven directly against the
+// Scheduler so the properties are deterministic, no HTTP involved.
 package serve
 
 import (
@@ -17,75 +17,136 @@ import (
 )
 
 func TestSchedQuotaVerdicts(t *testing.T) {
-	s := newSched(4, 4, TenancyOptions{Slots: 2}, nil)
+	s := NewScheduler(4, 4, TenancyOptions{Slots: 2}, nil, nil)
 	ctx := context.Background()
-	if v := s.admit(ctx, "a", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "a", false, 1); v != AdmitOK {
 		t.Fatalf("first admit: %v", v)
 	}
-	if v := s.admit(ctx, "a", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "a", false, 1); v != AdmitOK {
 		t.Fatalf("second admit: %v", v)
 	}
 	// Tenant "a" is at its quota while the pool still has room: that
 	// is the per-tenant condition, not global backpressure.
-	if v := s.admit(ctx, "a", false, 1); v != admitOverQuota {
-		t.Fatalf("over-quota admit: got %v, want admitOverQuota", v)
+	if v := s.Admit(ctx, "a", false, 1); v != AdmitOverQuota {
+		t.Fatalf("over-quota admit: got %v, want AdmitOverQuota", v)
 	}
 	// A different tenant keeps admitting.
-	if v := s.admit(ctx, "b", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "b", false, 1); v != AdmitOK {
 		t.Fatalf("other tenant: %v", v)
 	}
-	if v := s.admit(ctx, "b", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "b", false, 1); v != AdmitOK {
 		t.Fatalf("other tenant second: %v", v)
 	}
 	// Now the pool itself is full: with no AdmitWait, a third tenant
 	// sees queue_full, not over_quota — it holds nothing.
-	if v := s.admit(ctx, "c", false, 1); v != admitQueueFull {
-		t.Fatalf("full pool: got %v, want admitQueueFull", v)
+	if v := s.Admit(ctx, "c", false, 1); v != AdmitQueueFull {
+		t.Fatalf("full pool: got %v, want AdmitQueueFull", v)
 	}
-	s.release("a", false)
-	if v := s.admit(ctx, "c", false, 1); v != admitOK {
+	s.Release("a", false)
+	if v := s.Admit(ctx, "c", false, 1); v != AdmitOK {
 		t.Fatalf("after release: %v", v)
 	}
+
+	// A quota spanning the whole pool is no quota: the lone tenant
+	// that fills it sees the global answer, queue_full.
+	s = NewScheduler(2, 2, TenancyOptions{Slots: 2}, nil, nil)
+	for i := 0; i < 2; i++ {
+		if v := s.Admit(ctx, "x", false, 1); v != AdmitOK {
+			t.Fatalf("vacuous quota refused admission %d: %v", i, v)
+		}
+	}
+	if v := s.Admit(ctx, "x", false, 1); v != AdmitQueueFull {
+		t.Fatalf("quota == pool: got %v, want the global AdmitQueueFull", v)
+	}
 }
 
-func TestSchedPerTenantAsyncQuota(t *testing.T) {
-	s := newSched(8, 8, TenancyOptions{Slots: 4, AsyncSlots: 1}, nil)
+// TestSchedForgetsIdleTenants: a tenant that holds nothing and has
+// nothing parked is deleted at once on every admission path — a
+// release, a refused first admission, and a parked admission that
+// times out — so a flood of unique identities leaves no state behind.
+func TestSchedForgetsIdleTenants(t *testing.T) {
 	ctx := context.Background()
-	if v := s.admit(ctx, "a", true, 1); v != admitOK {
-		t.Fatalf("async admit: %v", v)
+	forgotten := func(s *Scheduler, gauge *obs.Gauge, when string) {
+		t.Helper()
+		if got := s.tenantCount(); got != 0 {
+			t.Fatalf("%s: %d tenants tracked, want 0", when, got)
+		}
+		if got := gauge.Value(); got != 0 {
+			t.Fatalf("%s: %s gauge = %v, want 0", when, MetricTenants, got)
+		}
 	}
-	if v := s.admit(ctx, "a", true, 1); v != admitOverQuota {
-		t.Fatalf("second async: got %v, want admitOverQuota", v)
+	tracked := func(s *Scheduler, tenant string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.tenants[tenant]
+		return ok
 	}
-	// Sync slots are unaffected by the async sub-quota.
-	if v := s.admit(ctx, "a", false, 1); v != admitOK {
-		t.Fatalf("sync admit: %v", v)
+
+	gauge := obs.NewRegistry().Gauge(MetricTenants)
+	s := NewScheduler(8, 8, TenancyOptions{Slots: 2}, gauge, nil)
+	for i := 0; i < 500; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		if v := s.Admit(ctx, name, false, 1); v != AdmitOK {
+			t.Fatalf("%s: verdict %v, want admitted", name, v)
+		}
+		s.Release(name, false)
 	}
+	forgotten(s, gauge, "500 tenants admitted and released")
+
+	// A new tenant refused by a full pool leaves nothing behind.
+	gauge = obs.NewRegistry().Gauge(MetricTenants)
+	s = NewScheduler(1, 1, TenancyOptions{}, gauge, nil)
+	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
+		t.Fatalf("holder: %v", v)
+	}
+	if v := s.Admit(ctx, "refused", false, 1); v != AdmitQueueFull {
+		t.Fatalf("full pool: got %v, want AdmitQueueFull", v)
+	}
+	if tracked(s, "refused") {
+		t.Fatal("a refused new tenant is still tracked")
+	}
+	s.Release("holder", false)
+	forgotten(s, gauge, "refused new tenant")
+
+	// Nor does a parked admission that times out.
+	gauge = obs.NewRegistry().Gauge(MetricTenants)
+	s = NewScheduler(1, 1, TenancyOptions{AdmitWait: 20 * time.Millisecond}, gauge, nil)
+	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
+		t.Fatalf("holder: %v", v)
+	}
+	if v := s.Admit(ctx, "parked", false, 1); v != AdmitQueueFull {
+		t.Fatalf("timed-out admit: got %v, want AdmitQueueFull", v)
+	}
+	if tracked(s, "parked") {
+		t.Fatal("a timed-out parked tenant is still tracked")
+	}
+	s.Release("holder", false)
+	forgotten(s, gauge, "parked admission timed out")
 }
 
-// pump holds the single slot, then repeatedly frees it and waits for
-// the dispatcher to grant the next parked waiter, returning the grant
-// order the DRR produced.
+// The seed fills the pool; the test then repeatedly frees one slot
+// and waits for the dispatcher to grant the next parked waiter,
+// recording the grant order the DRR produced.
 func TestSchedWeightedFairDispatch(t *testing.T) {
-	s := newSched(1, 1, TenancyOptions{
-		Slots:     1,
-		Backlog:   8, // enough room to park each tenant's full burst
+	const perTenant = 4
+	s := NewScheduler(perTenant, perTenant, TenancyOptions{
+		Slots:     perTenant, // room to park each tenant's full burst
 		AdmitWait: 10 * time.Second,
-		Quantum:   1,
 		Weights:   map[string]int{"heavy": 4, "light": 1},
-	}, nil)
+	}, nil, nil)
 	ctx := context.Background()
-	if v := s.admit(ctx, "seed", false, 1); v != admitOK {
-		t.Fatalf("seed admit: %v", v)
+	for i := 0; i < perTenant; i++ {
+		if v := s.Admit(ctx, "seed", false, 1); v != AdmitOK {
+			t.Fatalf("seed admit: %v", v)
+		}
 	}
 
 	granted := make(chan string, 16)
-	const perTenant = 4
-	const cost = 4 // > light's per-visit credit, so weight bites
+	const cost = 4 * quantum // > light's per-visit credit, so weight bites
 	park := func(tenant string) {
 		for i := 0; i < perTenant; i++ {
 			go func() {
-				if v := s.admit(ctx, tenant, false, cost); v == admitOK {
+				if v := s.Admit(ctx, tenant, false, cost); v == AdmitOK {
 					granted <- tenant
 				} else {
 					granted <- "FAILED:" + tenant
@@ -101,7 +162,7 @@ func TestSchedWeightedFairDispatch(t *testing.T) {
 	var order []string
 	current := "seed"
 	for i := 0; i < 2*perTenant; i++ {
-		s.release(current, false)
+		s.Release(current, false)
 		select {
 		case g := <-granted:
 			if strings.HasPrefix(g, "FAILED:") {
@@ -123,8 +184,8 @@ func TestSchedWeightedFairDispatch(t *testing.T) {
 		t.Fatalf("grant counts %v, want %d each", counts, perTenant)
 	}
 	// ...but the weighted tenant dominated the contended prefix: with
-	// weight 4 and cost 4 it grants every visit, while weight 1 banks
-	// credit for 3-4 rotations per grant.
+	// weight 4 and cost 4*quantum it grants every visit, while weight
+	// 1 banks credit for 3-4 rotations per grant.
 	heavyEarly := 0
 	for _, g := range order[:perTenant] {
 		if g == "heavy" {
@@ -137,7 +198,7 @@ func TestSchedWeightedFairDispatch(t *testing.T) {
 }
 
 // waitParked polls until the tenant has n parked waiters.
-func waitParked(t *testing.T, s *sched, tenant string, n int) {
+func waitParked(t *testing.T, s *Scheduler, tenant string, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -158,14 +219,14 @@ func waitParked(t *testing.T, s *sched, tenant string, n int) {
 }
 
 func TestSchedAdmitWaitTimesOut(t *testing.T) {
-	s := newSched(1, 1, TenancyOptions{AdmitWait: 30 * time.Millisecond}, nil)
+	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 30 * time.Millisecond}, nil, nil)
 	ctx := context.Background()
-	if v := s.admit(ctx, "holder", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatal("seed admit failed")
 	}
 	start := time.Now()
-	if v := s.admit(ctx, "waiter", false, 1); v != admitQueueFull {
-		t.Fatalf("timed-out admit: got %v, want admitQueueFull", v)
+	if v := s.Admit(ctx, "waiter", false, 1); v != AdmitQueueFull {
+		t.Fatalf("timed-out admit: got %v, want AdmitQueueFull", v)
 	}
 	if waited := time.Since(start); waited < 20*time.Millisecond {
 		t.Fatalf("returned after %v — did not park for AdmitWait", waited)
@@ -180,19 +241,19 @@ func TestSchedAdmitWaitTimesOut(t *testing.T) {
 }
 
 func TestSchedReleaseGrantsParkedWaiter(t *testing.T) {
-	s := newSched(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil)
+	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil, nil)
 	ctx := context.Background()
-	if v := s.admit(ctx, "holder", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatal("seed admit failed")
 	}
-	done := make(chan admitVerdict, 1)
-	go func() { done <- s.admit(ctx, "waiter", false, 1) }()
+	done := make(chan Verdict, 1)
+	go func() { done <- s.Admit(ctx, "waiter", false, 1) }()
 	waitParked(t, s, "waiter", 1)
-	s.release("holder", false)
+	s.Release("holder", false)
 	select {
 	case v := <-done:
-		if v != admitOK {
-			t.Fatalf("parked waiter: got %v, want admitOK", v)
+		if v != AdmitOK {
+			t.Fatalf("parked waiter: got %v, want AdmitOK", v)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked waiter never granted after release")
@@ -200,67 +261,33 @@ func TestSchedReleaseGrantsParkedWaiter(t *testing.T) {
 }
 
 func TestSchedDrainWakesWaiters(t *testing.T) {
-	s := newSched(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil)
+	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil, nil)
 	ctx := context.Background()
-	if v := s.admit(ctx, "holder", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatal("seed admit failed")
 	}
-	done := make(chan admitVerdict, 1)
-	go func() { done <- s.admit(ctx, "waiter", false, 1) }()
+	done := make(chan Verdict, 1)
+	go func() { done <- s.Admit(ctx, "waiter", false, 1) }()
 	waitParked(t, s, "waiter", 1)
-	s.setDraining()
+	s.SetDraining()
 	select {
 	case v := <-done:
-		if v != admitQueueFull {
-			t.Fatalf("drained waiter: got %v, want admitQueueFull", v)
+		if v != AdmitQueueFull {
+			t.Fatalf("drained waiter: got %v, want AdmitQueueFull", v)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain did not wake the parked waiter")
 	}
-	if v := s.admit(ctx, "late", false, 1); v != admitQueueFull {
+	if v := s.Admit(ctx, "late", false, 1); v != AdmitQueueFull {
 		t.Fatal("post-drain admit must refuse")
-	}
-}
-
-func TestSchedIdleTenantReclaimed(t *testing.T) {
-	reg := obs.NewRegistry()
-	gauge := reg.Gauge(MetricTenants)
-	s := newSched(4, 4, TenancyOptions{IdleTTL: time.Minute}, gauge)
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		name := fmt.Sprintf("t-%d", i)
-		if v := s.admit(ctx, name, false, 1); v != admitOK {
-			t.Fatalf("admit %s: %v", name, v)
-		}
-		s.release(name, false)
-	}
-	if got := s.tenantCount(); got != 10 {
-		t.Fatalf("tracked tenants = %d, want 10", got)
-	}
-	// A tenant still holding a slot survives reclamation.
-	if v := s.admit(ctx, "pinned", false, 1); v != admitOK {
-		t.Fatal("pinned admit failed")
-	}
-	s.reap(time.Now().Add(2 * time.Minute))
-	if got := s.tenantCount(); got != 1 {
-		t.Fatalf("after reap: %d tenants tracked, want only the pinned one", got)
-	}
-	if got := gauge.Value(); got != 1 {
-		t.Fatalf("%s gauge = %v, want 1", MetricTenants, got)
-	}
-	// The pinned tenant goes once it releases and idles out.
-	s.release("pinned", false)
-	s.reap(time.Now().Add(4 * time.Minute))
-	if got := s.tenantCount(); got != 0 {
-		t.Fatalf("after second reap: %d tenants tracked, want 0", got)
 	}
 }
 
 // TestTenantFloodBoundedRegistry is the adversarial cardinality case:
 // a flood of unique tenant ids must land on the overflow series past
 // the cap — the registry stays bounded — and the scheduler's
-// accounting map must be reclaimable afterwards (no per-tenant leak
-// across a long run).
+// accounting map must be empty afterwards (no per-tenant leak across
+// a long run).
 func TestTenantFloodBoundedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newBareServer(t, reg)
@@ -295,40 +322,13 @@ func TestTenantFloodBoundedRegistry(t *testing.T) {
 		t.Fatalf("overflow series = %v, want %d", of.Value(), total-keyCardinalityCap)
 	}
 
-	// Quota state: every flood tenant is tracked now, and all of it is
-	// reclaimed once idle past the TTL.
-	if got := s.sched.tenantCount(); got != total {
-		t.Fatalf("scheduler tracks %d tenants, want %d", got, total)
-	}
-	s.sched.reap(time.Now().Add(10 * time.Minute))
+	// Quota state: every flood tenant released its slot, so none is
+	// tracked any more.
 	if got := s.sched.tenantCount(); got != 0 {
-		t.Fatalf("after reap the scheduler still tracks %d tenants — map leak", got)
+		t.Fatalf("after the flood the scheduler still tracks %d tenants — map leak", got)
 	}
 	if got := reg.Dump().Gauges[MetricTenants]; got != 0 {
-		t.Fatalf("%s gauge = %v after reap, want 0", MetricTenants, got)
-	}
-}
-
-// The natural sweep path: creating a fresh tenant triggers
-// reclamation of expired ones (rate-limited), so a long-running
-// daemon reclaims without anyone calling reap.
-func TestSchedCreationSweep(t *testing.T) {
-	s := newSched(4, 4, TenancyOptions{IdleTTL: time.Nanosecond}, nil)
-	ctx := context.Background()
-	s.admit(ctx, "old", false, 1)
-	s.release("old", false)
-	// Push lastSweep into the past so the rate limiter lets the next
-	// creation sweep.
-	s.mu.Lock()
-	s.lastSweep = time.Now().Add(-time.Hour)
-	s.mu.Unlock()
-	time.Sleep(time.Millisecond) // let "old" idle past the 1ns TTL
-	s.admit(ctx, "new", false, 1)
-	s.mu.Lock()
-	_, oldAlive := s.tenants["old"]
-	s.mu.Unlock()
-	if oldAlive {
-		t.Fatal("creation-path sweep did not reclaim the idle tenant")
+		t.Fatalf("%s gauge = %v after the flood, want 0", MetricTenants, got)
 	}
 }
 
@@ -336,57 +336,57 @@ func TestSchedCreationSweep(t *testing.T) {
 // waiters is still granted — the rotation never deadlocks on a
 // quota-blocked head.
 func TestSchedQuotaBlockedHeadDoesNotStallOthers(t *testing.T) {
-	s := newSched(3, 3, TenancyOptions{Slots: 2, Backlog: 2, AdmitWait: 10 * time.Second}, nil)
+	s := NewScheduler(3, 3, TenancyOptions{Slots: 2, AdmitWait: 10 * time.Second}, nil, nil)
 	ctx := context.Background()
-	if v := s.admit(ctx, "hog", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "hog", false, 1); v != AdmitOK {
 		t.Fatal("hog seed failed")
 	}
-	if v := s.admit(ctx, "filler", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "filler", false, 1); v != AdmitOK {
 		t.Fatal("filler seed 1 failed")
 	}
-	if v := s.admit(ctx, "filler2", false, 1); v != admitOK {
+	if v := s.Admit(ctx, "filler2", false, 1); v != AdmitOK {
 		t.Fatal("filler seed 2 failed")
 	}
 	// The hog parks two waiters while still under its quota (held 1 of
 	// 2); the first grant will take it *to* quota, leaving the second
 	// parked behind a quota-blocked head.
-	hogDone := make(chan admitVerdict, 2)
-	go func() { hogDone <- s.admit(ctx, "hog", false, 1) }()
+	hogDone := make(chan Verdict, 2)
+	go func() { hogDone <- s.Admit(ctx, "hog", false, 1) }()
 	waitParked(t, s, "hog", 1)
-	go func() { hogDone <- s.admit(ctx, "hog", false, 1) }()
+	go func() { hogDone <- s.Admit(ctx, "hog", false, 1) }()
 	waitParked(t, s, "hog", 2)
 	// A polite tenant parks behind them.
-	politeDone := make(chan admitVerdict, 1)
-	go func() { politeDone <- s.admit(ctx, "polite", false, 1) }()
+	politeDone := make(chan Verdict, 1)
+	go func() { politeDone <- s.Admit(ctx, "polite", false, 1) }()
 	waitParked(t, s, "polite", 1)
 	// First free slot: the hog's first waiter is granted, reaching its
 	// quota of 2.
-	s.release("filler", false)
+	s.Release("filler", false)
 	select {
 	case v := <-hogDone:
-		if v != admitOK {
-			t.Fatalf("hog waiter 1: got %v, want admitOK", v)
+		if v != AdmitOK {
+			t.Fatalf("hog waiter 1: got %v, want AdmitOK", v)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("hog waiter 1 never granted")
 	}
 	// Second free slot: the hog's remaining waiter is quota-blocked
 	// and must not stall the rotation — the polite tenant is granted.
-	s.release("filler2", false)
+	s.Release("filler2", false)
 	select {
 	case v := <-politeDone:
-		if v != admitOK {
-			t.Fatalf("polite waiter: got %v, want admitOK", v)
+		if v != AdmitOK {
+			t.Fatalf("polite waiter: got %v, want AdmitOK", v)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("polite waiter starved behind a quota-blocked head")
 	}
 	// The hog's parked waiter is granted once the hog's own slot frees.
-	s.release("hog", false)
+	s.Release("hog", false)
 	select {
 	case v := <-hogDone:
-		if v != admitOK {
-			t.Fatalf("hog waiter 2: got %v, want admitOK", v)
+		if v != AdmitOK {
+			t.Fatalf("hog waiter 2: got %v, want AdmitOK", v)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("hog waiter 2 never granted after its own release")

@@ -67,8 +67,9 @@ const (
 	// MetricTenantRejected counts per-tenant queue_full rejections —
 	// global backpressure attributed to whoever observed it.
 	MetricTenantRejected = "serve_tenant_rejected_total"
-	// MetricTenants: tenants currently tracked by the admission
-	// scheduler (gauge; idle tenants age out after Tenancy.IdleTTL).
+	// MetricTenants: tenants currently holding or awaiting a slot in
+	// the admission scheduler (gauge; a tenant is forgotten the moment
+	// it holds nothing and has nothing parked).
 	MetricTenants = "serve_tenants"
 	// MetricAdmitWait is the admission-wait histogram in nanoseconds:
 	// time from arrival to slot grant for admitted batches. Near zero
@@ -140,7 +141,7 @@ type Server struct {
 	jobs  *api.JobTable[*job]
 	out   api.Responder
 	wg    sync.WaitGroup
-	sched *sched // tenant-aware slot pool; owns the draining flag
+	sched *Scheduler // tenant-aware slot pool; owns the draining flag
 
 	batches   *obs.Counter
 	rejected  *obs.Counter
@@ -209,8 +210,7 @@ func New(opt Options) (*Server, error) {
 		tenantRejected:  opt.Registry.CounterVec(MetricTenantRejected, "tenant", keyCardinalityCap),
 	}
 	s.out = api.Responder{OnWriteError: s.countWriteError}
-	s.sched = newSched(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy, opt.Registry.Gauge(MetricTenants))
-	s.sched.grants = &s.wg
+	s.sched = NewScheduler(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy, opt.Registry.Gauge(MetricTenants), &s.wg)
 	if opt.Journal != nil {
 		if err := s.replayJournal(); err != nil {
 			return nil, err
@@ -293,7 +293,7 @@ func (s *Server) Handler() http.Handler {
 // the call blocks until every queued and in-flight batch (sync and
 // async) has completed, or ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.sched.setDraining()
+	s.sched.SetDraining()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -316,11 +316,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Options.AsyncSlots held slots, so at least one slot always remains
 // that only sync callers can take — an async burst saturating the
 // queue cannot starve sync traffic indefinitely.
-func (s *Server) acquire(ctx context.Context, tenant api.Tenant, async bool, cells int) admitVerdict {
+func (s *Server) acquire(ctx context.Context, tenant api.Tenant, async bool, cells int) Verdict {
 	start := time.Now()
-	v := s.sched.admit(ctx, string(tenant), async, cells)
-	if v == admitOK {
-		// The scheduler already counted the slot in s.wg.
+	v := s.sched.Admit(ctx, string(tenant), async, cells)
+	if v == AdmitOK {
+		// The scheduler counts the slot in s.wg until its Release.
 		s.admitWait.ObserveSince(start)
 		s.inflight.Add(1)
 	}
@@ -328,8 +328,7 @@ func (s *Server) acquire(ctx context.Context, tenant api.Tenant, async bool, cel
 }
 
 func (s *Server) release(tenant api.Tenant, async bool) {
-	s.sched.release(string(tenant), async)
-	s.wg.Done()
+	s.sched.Release(string(tenant), async)
 	s.inflight.Add(-1)
 }
 
@@ -337,9 +336,9 @@ func (s *Server) release(tenant api.Tenant, async bool) {
 // readable code and backoff hint: over_quota is the tenant's own
 // condition with the (typically shorter) per-tenant hint, queue_full
 // is global backpressure with the global hint.
-func (s *Server) reject(w http.ResponseWriter, tenant api.Tenant, verdict admitVerdict) {
+func (s *Server) reject(w http.ResponseWriter, tenant api.Tenant, verdict Verdict) {
 	s.rejected.Inc()
-	if verdict == admitOverQuota {
+	if verdict == AdmitOverQuota {
 		s.tenantOverQuota.With(string(tenant)).Inc()
 		retry := s.opt.Tenancy.RetryAfter
 		if retry <= 0 {
@@ -370,7 +369,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		s.startAsync(w, r, tenant, echo, breq, specs)
 		return
 	}
-	if verdict := s.acquire(r.Context(), tenant, false, len(breq.Requests)); verdict != admitOK {
+	if verdict := s.acquire(r.Context(), tenant, false, len(breq.Requests)); verdict != AdmitOK {
 		s.reject(w, tenant, verdict)
 		return
 	}
@@ -406,7 +405,7 @@ func (s *Server) startAsync(w http.ResponseWriter, r *http.Request, tenant api.T
 		s.out.Batch(w, http.StatusAccepted, snap.WithTenant(echo))
 		return
 	}
-	if verdict := s.acquire(r.Context(), tenant, true, len(breq.Requests)); verdict != admitOK {
+	if verdict := s.acquire(r.Context(), tenant, true, len(breq.Requests)); verdict != AdmitOK {
 		s.reject(w, tenant, verdict)
 		return
 	}
@@ -539,14 +538,14 @@ func (s *Server) countHit(key string) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
-	if s.sched.isDraining() {
+	if s.sched.Draining() {
 		status = "draining"
 	}
 	s.out.JSON(w, http.StatusOK, map[string]any{
 		"status":       status,
 		"api_version":  api.Version,
 		"queue_depth":  s.opt.QueueDepth,
-		"inflight":     s.sched.inflight(),
+		"inflight":     s.sched.Inflight(),
 		"tenants":      s.sched.tenantCount(),
 		"cache_hits":   s.opt.Engine.Hits(),
 		"cache_misses": s.opt.Engine.Misses(),
