@@ -359,6 +359,25 @@ func BenchmarkFetchTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(tr.Bytes())/float64(tr.Instrs()), "bytes/instr")
 }
 
+// BenchmarkRelocatedReplay is the same stream's recording relocated
+// onto the placed layout: decoding, mapping every segment to its new
+// addresses, and the target layout's own runs, repeats and reference
+// I-TLB, as the engine derives a placed stream.
+func BenchmarkRelocatedReplay(b *testing.B) {
+	w := suite(b).Workloads[0]
+	tr := recordTrace(b, w.Original)
+	instrs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := sim.NewRelocSource(tr, w.Placed, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += drain(b, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+}
+
 // BenchmarkRunMultiGrid is the consume side of a paper-grid pass: the
 // figure workload's recorded placed stream replayed through figure 6's
 // grid (every size and associativity under baseline, way-memoization

@@ -357,7 +357,8 @@ func writeCSV(dir, name string, emit func(io.Writer) error) error {
 // its Large (reference) input, through the differential harness: all
 // six scheme variants must agree architecturally, every runtime
 // invariant must hold, and every variant replayed from its binary's
-// recorded fetch trace must match the live pass bit for bit. Returns
+// recorded fetch trace, and from the other binary's relocated onto
+// its own, must match the live pass bit for bit. Returns
 // the process exit code: 0 only if every benchmark passes.
 func runSelfCheck(ctx context.Context, names []string, jobs int) int {
 	start := time.Now()
@@ -400,7 +401,7 @@ func runSelfCheck(ctx context.Context, names []string, jobs int) int {
 			fmt.Printf("FAIL %-12s %v\n", r.name, r.err)
 			code = 1
 		} else {
-			fmt.Printf("ok   %s (coupled, single-pass and replayed agree)\n", r.name)
+			fmt.Printf("ok   %s (coupled, single-pass, replayed and relocated agree)\n", r.name)
 		}
 	}
 

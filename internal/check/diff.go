@@ -19,8 +19,11 @@ package check
 // match field for field, bit for bit. The single-pass leg records its fetch
 // streams (sim.RecordMulti), and a third leg replays every variant
 // from the recording (sim.ReplayMulti), which must match the live
-// pass just as exactly. A defect in any implementation surfaces as a
-// divergence here instead of a silently wrong figure.
+// pass just as exactly. A fourth leg relocates the other binary's
+// recording onto every variant's binary (sim.RelocateMulti), the
+// placed stream from the original one's as the engine derives it,
+// and must match just as exactly too. A defect in any implementation
+// surfaces as a divergence here instead of a silently wrong figure.
 
 import (
 	"context"
@@ -150,19 +153,28 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		}
 	}
 
-	// Replay leg: every variant evaluated against its binary's
-	// recording must match the live pass bit for bit. A binary none of
-	// whose passes recorded a trace has nothing to replay.
+	// Replay and relocation legs: every variant evaluated against its
+	// binary's recording, and against the other binary's recording
+	// relocated onto its binary, must match the live pass bit for bit.
+	// A binary none of whose passes recorded a trace has nothing to
+	// replay or relocate.
 	var errs []error
+	other := map[*obj.Program]*obj.Program{original: placed, placed: original}
 	for i, s := range specs {
-		if traces[s.prog] == nil {
-			continue
+		if tr := traces[s.prog]; tr != nil {
+			res, err := sim.ReplayMulti(ctx, tr, s.prog, base, []sim.ModelSpec{s.model})
+			if err != nil {
+				return nil, fmt.Errorf("check: differential replay %s: %w", s.name, err)
+			}
+			errs = append(errs, ReplayDiffs(s.name, res[0], single[i])...)
 		}
-		res, err := sim.ReplayMulti(ctx, traces[s.prog], s.prog, base, []sim.ModelSpec{s.model})
-		if err != nil {
-			return nil, fmt.Errorf("check: differential replay %s: %w", s.name, err)
+		if tr := traces[other[s.prog]]; tr != nil {
+			res, _, err := sim.RelocateMulti(ctx, tr, s.prog, base, []sim.ModelSpec{s.model})
+			if err != nil {
+				return nil, fmt.Errorf("check: differential relocation %s: %w", s.name, err)
+			}
+			errs = append(errs, ReplayDiffs(s.name+" (relocated)", res[0], single[i])...)
 		}
-		errs = append(errs, ReplayDiffs(s.name, res[0], single[i])...)
 	}
 
 	variants := make([]Variant, 0, len(specs))

@@ -18,8 +18,12 @@ import (
 // fuzzed against the coupled reference. Every third seed runs on
 // thrashGeometry, where a loop that evicts its own lines makes the
 // single pass fall back from closed-form repeats to run-by-run
-// consumption. The seed corpus runs on every plain `go test`, so the
-// harness is exercised on each tier-1 pass even without -fuzz.
+// consumption. Each program is also linked under a random permutation
+// of its blocks, seeded from the fuzz input, and the harness run over
+// original and permuted images, so relocation is checked between
+// arbitrary layouts as well as onto the profile-placed one. The seed
+// corpus runs on every plain `go test`, so the harness is exercised on
+// each tier-1 pass even without -fuzz.
 func FuzzDifferential(f *testing.F) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		f.Add(seed)
@@ -47,6 +51,13 @@ func FuzzDifferential(f *testing.F) {
 		}
 		if _, err := DifferentialMode(context.Background(), original, placed, cfg, 2<<10, seed%2 == 0); err != nil {
 			t.Fatalf("differential (seed %d): %v", seed, err)
+		}
+		permuted, err := layout.LinkPermuted(u, seed*0x9e3779b97f4a7c15, textBase)
+		if err != nil {
+			t.Fatalf("link permuted: %v", err)
+		}
+		if _, err := DifferentialMode(context.Background(), original, permuted, cfg, 2<<10, seed%2 == 1); err != nil {
+			t.Fatalf("differential, permuted layout (seed %d): %v", seed, err)
 		}
 	})
 }

@@ -8,9 +8,11 @@
 //
 // Every fresh cell runs the same way: the cells of a batch that share
 // a fetch stream (RunSpec.Stream) form one group, and the group is one
-// single-pass simulation (sim.RecordMulti, or sim.ReplayMulti when the
-// stream was recorded before) driving every member's cache model off
-// that stream. A batch of one cell is a group of one.
+// single-pass simulation driving every member's cache model off that
+// stream: sim.ReplayMulti when the stream was recorded before,
+// sim.RelocateMulti of the workload's original-layout recording for a
+// placed stream, sim.RecordMulti otherwise (trace.go). A batch of one
+// cell is a group of one.
 //
 // The engine is context-aware end to end: cancellation propagates
 // into the single-pass fetch loop, progress is reported through an
@@ -24,6 +26,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -60,13 +63,16 @@ const (
 	// and the cells that rode in them.
 	MetricGroups         = "engine_groups_total"
 	MetricCoalescedCells = "engine_coalesced_cells_total"
-	// MetricTraceHits / MetricTraceMisses count single-pass groups
-	// that replayed a recorded fetch trace (Engine.TraceHits) and
-	// groups that executed the program live; MetricTraceBytes is the
-	// compressed size of the engine's trace table.
-	MetricTraceHits   = "engine_trace_hits_total"
-	MetricTraceMisses = "engine_trace_misses_total"
-	MetricTraceBytes  = "engine_trace_bytes"
+	// MetricTraceHits / MetricTraceMisses / MetricTraceRelocations
+	// count single-pass groups that replayed a recorded fetch trace
+	// (Engine.TraceHits), executed the program live (Engine.TraceMisses)
+	// and relocated the workload's original-layout recording
+	// (Engine.Relocations); MetricTraceBytes is the compressed size of
+	// the engine's trace table.
+	MetricTraceHits        = "engine_trace_hits_total"
+	MetricTraceMisses      = "engine_trace_misses_total"
+	MetricTraceRelocations = "engine_trace_relocations_total"
+	MetricTraceBytes       = "engine_trace_bytes"
 	// MetricInflight: cells currently inside a simulator.
 	MetricInflight = "engine_inflight_cells"
 	// MetricInstructions: instructions simulated (fresh cells only),
@@ -92,6 +98,7 @@ type instruments struct {
 	coalesced *obs.Counter
 	traceHits *obs.Counter
 	traceMiss *obs.Counter
+	relocs    *obs.Counter
 	instrs    *obs.Counter
 	inflight  *obs.Gauge
 	traceSize *obs.Gauge
@@ -113,6 +120,7 @@ func newInstruments(r *obs.Registry) instruments {
 		coalesced: r.Counter(MetricCoalescedCells),
 		traceHits: r.Counter(MetricTraceHits),
 		traceMiss: r.Counter(MetricTraceMisses),
+		relocs:    r.Counter(MetricTraceRelocations),
 		instrs:    r.Counter(MetricInstructions),
 		inflight:  r.Gauge(MetricInflight),
 		traceSize: r.Gauge(MetricTraceBytes),
@@ -136,7 +144,10 @@ func (ins *instruments) record(spec RunSpec, stats *sim.RunStats, wall time.Dura
 // run cells: the original-layout binary (baseline and way-memoization
 // schemes) and the way-placement relaid binary. Both programs are
 // immutable once linked and are shared, not copied, across concurrent
-// cells.
+// cells. obj.Link must have built both from the same obj.Unit: the
+// engine derives the placed stream from the original one's recording
+// (sim.RelocateMulti), and fails a placed group whose binary is not
+// another layout of the original.
 type Workload struct {
 	Name     string
 	Original *obj.Program
@@ -281,11 +292,13 @@ type Engine struct {
 	runs      map[runKey]*runEntry
 	traces    traceTable
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	groups    atomic.Uint64
-	coalesced atomic.Uint64
-	traceHits atomic.Uint64
+	hits        atomic.Uint64
+	misses      atomic.Uint64
+	groups      atomic.Uint64
+	coalesced   atomic.Uint64
+	traceHits   atomic.Uint64
+	traceMisses atomic.Uint64
+	relocations atomic.Uint64
 }
 
 // workloadEntry memoises one provider call; done is closed when w/err
@@ -342,6 +355,16 @@ func (e *Engine) Misses() uint64 { return e.misses.Load() }
 // simulated, only without re-running the CPU and data side.
 func (e *Engine) TraceHits() uint64 { return e.traceHits.Load() }
 
+// TraceMisses returns how many times the engine executed a program:
+// single-pass groups that found no recording to replay or relocate,
+// and OriginalTrace calls that had to record one.
+func (e *Engine) TraceMisses() uint64 { return e.traceMisses.Load() }
+
+// Relocations returns how many single-pass groups of a placed stream
+// relocated the workload's original-layout recording instead of
+// executing the placed binary.
+func (e *Engine) Relocations() uint64 { return e.relocations.Load() }
+
 // Groups returns how many multi-cell single-pass groups the engine
 // has executed: batches of cells sharing one fetch stream that were
 // simulated by one pass. Single-cell passes do not count.
@@ -357,8 +380,10 @@ func (e *Engine) CoalescedCells() uint64 { return e.coalesced.Load() }
 // seen in earlier batches are served from the run cache. Fresh cells
 // are planned into one single-pass group per fetch stream
 // (RunSpec.Stream), each simulated by one pass driving every member's
-// cache model off that stream: recorded live the first time, replayed
-// from the engine's trace table afterwards. A spec that fails
+// cache model off that stream: recorded live the first time (a placed
+// stream relocated from its workload's original-layout recording when
+// the engine holds one), replayed from the engine's trace table
+// afterwards. A spec that fails
 // RunSpec.Validate is never run. Per-cell failures (such a spec
 // included) do not abort the grid: every runnable cell still runs, the
 // failures come back as a *MultiError of *CellError, and the
@@ -541,7 +566,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 		ins.inflight.Add(float64(len(g.members)))
 		start := time.Now()
-		res, err := e.runStream(ctx, g.stream, prog, opt.base, models, ins)
+		res, err := e.runStream(ctx, g.stream, w, prog, opt.base, models, ins)
 		wall := time.Since(start)
 		ins.inflight.Add(-float64(len(g.members)))
 		if err != nil {
@@ -624,11 +649,22 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		g.members = append(g.members, member{idx: idx, key: key, ent: ent})
 	}
 	e.mu.Unlock()
+	// A workload's placed group runs in its original group's task,
+	// right after it, so that it relocates the recording the original
+	// group has just made instead of executing its own binary.
 	for _, g := range order {
 		for _, m := range g.members {
 			groupIDs[m.idx] = g.stream
 		}
-		tasks = append(tasks, func() { runGroup(g) })
+		w := unique[g.members[0].idx].Workload
+		switch placed, orig := byStream[w+"/placed"], byStream[w+"/original"]; {
+		case g == orig && placed != nil:
+			tasks = append(tasks, func() { runGroup(orig); runGroup(placed) })
+		case g == placed && orig != nil:
+			// Queued with the original group.
+		default:
+			tasks = append(tasks, func() { runGroup(g) })
+		}
 	}
 
 	if workers > len(tasks) {
@@ -682,23 +718,68 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	return results, nil
 }
 
-// runStream executes one group's pass: a replay when the engine holds
-// a trace of the stream, otherwise a live pass that records one. Only
-// complete, successful passes are recorded, so a fault, an exhausted
-// budget or a cancellation re-executes (and re-raises) next time.
-func (e *Engine) runStream(ctx context.Context, stream string, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
+// runStream executes one group's pass over prog, w's binary for the
+// stream: a replay when the engine holds a trace of the stream;
+// otherwise, for the placed stream, a relocation of the trace of w's
+// original stream when the engine holds that; otherwise a live pass.
+// A relocation or live pass records the stream. Only complete,
+// successful passes are recorded, so a fault, an exhausted budget or a
+// cancellation re-executes (and re-raises) next time.
+func (e *Engine) runStream(ctx context.Context, stream string, w *Workload, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
 	key := traceKey{stream: stream, cfg: sim.StreamConfigOf(base)}
 	if tr := e.traces.get(key); tr != nil {
 		e.traceHits.Add(1)
 		ins.traceHits.Inc()
 		return sim.ReplayMulti(ctx, tr, prog, base, models)
 	}
-	ins.traceMiss.Inc()
-	res, tr, err := sim.RecordMulti(ctx, prog, base, models)
+	var res []*sim.ModelResult
+	var tr *sim.FetchTrace
+	var err error
+	origKey := traceKey{stream: w.Name + "/original", cfg: key.cfg}
+	if orig := e.traces.get(origKey); orig != nil && key != origKey {
+		e.relocations.Add(1)
+		ins.relocs.Inc()
+		res, tr, err = sim.RelocateMulti(ctx, orig, prog, base, models)
+	} else {
+		e.traceMisses.Add(1)
+		ins.traceMiss.Inc()
+		res, tr, err = sim.RecordMulti(ctx, prog, base, models)
+	}
 	if tr != nil {
 		ins.traceSize.Set(float64(e.traces.put(key, tr)))
 	}
 	return res, err
+}
+
+// OriginalTrace returns the engine's recording of the named workload's
+// original-layout stream under its default base configuration, first
+// recording it, with one model on the base's I-cache, when the trace
+// table lacks it. Any other layout of the workload's unit replays it
+// relocated (sim.ReplayMulti), and a profile of the evaluation input
+// reads off its instruction counts (sim.FetchTrace.InstrCounts), so
+// layouts outside the cell grid need no execution of their own.
+func (e *Engine) OriginalTrace(ctx context.Context, workload string) (*sim.FetchTrace, error) {
+	w, err := e.workload(ctx, workload)
+	if err != nil {
+		return nil, err
+	}
+	base := e.defaults.base
+	key := traceKey{stream: workload + "/original", cfg: sim.StreamConfigOf(base)}
+	if tr := e.traces.get(key); tr != nil {
+		return tr, nil
+	}
+	res, err := e.runStream(ctx, key.stream, w, w.Original, base, []sim.ModelSpec{sim.ModelSpecOf(base)}, e.ins)
+	if err == nil {
+		err = res[0].Err
+	}
+	tr := e.traces.get(key)
+	if err == nil && tr == nil {
+		err = errors.New("the pass recorded no trace")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: recording %s: %w", key.stream, err)
+	}
+	return tr, nil
 }
 
 // RunOne executes a single cell.

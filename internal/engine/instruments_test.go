@@ -20,6 +20,7 @@ func TestNilInstrumentsAllocFree(t *testing.T) {
 		_ = table.get(key)
 		ins.traceHits.Inc()
 		ins.traceMiss.Inc()
+		ins.relocs.Inc()
 		ins.traceSize.Set(1)
 		ins.misses.Add(2)
 		ins.inflight.Add(2)

@@ -10,20 +10,26 @@ import (
 // binary under one producer-side configuration — sees the same
 // instruction stream and the same CPU, D-cache, D-TLB, reference I-TLB
 // and memory outcome. The first single-pass group of a stream records
-// it (sim.RecordMulti); later groups of the stream on the same engine,
-// typically cells arriving in later batches, replay the recording
-// (sim.ReplayMulti) instead of re-executing the program. Results are
-// bit-identical either way (internal/check proves it), so reuse is
-// always on and has no knob. sim caps each recording; traceTableBytes
-// bounds an engine's trace table, and inserting past it evicts the
-// oldest traces first.
+// it; later groups of the stream on the same engine, typically cells
+// arriving in later batches, replay the recording (sim.ReplayMulti)
+// instead of re-executing the program. The two binaries of a workload
+// are layouts of one unit and retire the same instructions, so only
+// the original stream needs executing (sim.RecordMulti): the first
+// group of the placed stream relocates the original stream's
+// recording onto the placed binary (sim.RelocateMulti), and records
+// that as the placed stream's own trace. Layouts outside the cell grid
+// relocate it too (Engine.OriginalTrace). Results are bit-identical
+// every way (internal/check proves it), so reuse is always on and has
+// no knob. sim caps each recording; traceTableBytes bounds an engine's
+// trace table, and inserting past it evicts the oldest traces first.
 const traceTableBytes = 32 << 20
 
 // traceKey names one fetch stream: the group's RunSpec.Stream (its
 // workload and binary) plus the producer-side half of the base
 // configuration. An engine memoises each workload's programs for its
 // lifetime, so the stream names the program (sim.ReplayMulti rejects a
-// trace of any other).
+// trace of any other). A relocated trace is stored under the placed
+// stream's key like a live recording of it.
 type traceKey struct {
 	stream string
 	cfg    sim.StreamConfig

@@ -26,7 +26,8 @@ var (
 )
 
 // traceProvider is testProvider plus "fault", a program that performs
-// a misaligned load after a short loop.
+// a misaligned load after a short loop, and "mismatch", whose placed
+// binary is another unit's (tiny2's) rather than a layout of its own.
 func traceProvider(t *testing.T) engine.Provider {
 	t.Helper()
 	b := asm.NewBuilder("fault")
@@ -45,8 +46,19 @@ func traceProvider(t *testing.T) engine.Provider {
 	}
 	base := testProvider(t)
 	return func(ctx context.Context, name string) (*engine.Workload, error) {
-		if name == "fault" {
+		switch name {
+		case "fault":
 			return &engine.Workload{Name: name, Original: fault}, nil
+		case "mismatch":
+			tiny1, err := base(ctx, "tiny1")
+			if err != nil {
+				return nil, err
+			}
+			tiny2, err := base(ctx, "tiny2")
+			if err != nil {
+				return nil, err
+			}
+			return &engine.Workload{Name: name, Original: tiny1.Original, Placed: tiny2.Placed}, nil
 		}
 		return base(ctx, name)
 	}
@@ -111,9 +123,11 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The original-layout group replays; the placed group is a new
-	// stream and records.
-	if e.TraceHits() != 1 {
-		t.Errorf("trace hits %d, want 1", e.TraceHits())
+	// stream, relocated from the original one's recording: the
+	// workload's program ran once, in the first batch.
+	if e.TraceHits() != 1 || e.Relocations() != 1 || e.TraceMisses() != 1 {
+		t.Errorf("trace hits %d, relocations %d, live executions %d; want 1, 1, 1",
+			e.TraceHits(), e.Relocations(), e.TraceMisses())
 	}
 	if e.Misses() != 5 || e.Hits() != 0 {
 		t.Errorf("misses %d, hits %d; want 5, 0", e.Misses(), e.Hits())
@@ -131,14 +145,121 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 	if n := reg.Counter(engine.MetricTraceHits).Value(); n != 1 {
 		t.Errorf("%s = %d, want 1", engine.MetricTraceHits, n)
 	}
-	if n := reg.Counter(engine.MetricTraceMisses).Value(); n != 2 {
-		t.Errorf("%s = %d, want 2", engine.MetricTraceMisses, n)
+	if n := reg.Counter(engine.MetricTraceMisses).Value(); n != 1 {
+		t.Errorf("%s = %d, want 1", engine.MetricTraceMisses, n)
+	}
+	if n := reg.Counter(engine.MetricTraceRelocations).Value(); n != 1 {
+		t.Errorf("%s = %d, want 1", engine.MetricTraceRelocations, n)
 	}
 	if v := reg.Gauge(engine.MetricTraceBytes).Value(); v <= 0 {
 		t.Errorf("%s = %v, want > 0", engine.MetricTraceBytes, v)
 	}
 	if n := reg.Histogram(engine.MetricCellNS).Count(); n != e.Misses() {
 		t.Errorf("%s recorded %d cells, want %d", engine.MetricCellNS, n, e.Misses())
+	}
+}
+
+// A batch with both streams of a workload executes the program once:
+// the placed group runs after the original group and relocates its
+// recording, and the relocation is recorded as the placed stream's own
+// trace, which a later batch replays. Results match the coupled oracle
+// on the placed binary throughout.
+func TestPlacedStreamRelocatesOriginal(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := engine.New(traceProvider(t), engine.WithObserver(reg), engine.WithWorkers(4))
+	ctx := context.Background()
+	wp := engine.RunSpec{Workload: "tiny2", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10}
+	batch := []engine.RunSpec{wp, {Workload: "tiny2", ICache: geo8, Scheme: energy.Baseline}}
+	got, err := e.Run(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStats(t, got, reference(t, sim.Default(), batch))
+	if e.TraceMisses() != 1 || e.Relocations() != 1 || e.TraceHits() != 0 {
+		t.Errorf("live executions %d, relocations %d, trace hits %d; want 1, 1, 0",
+			e.TraceMisses(), e.Relocations(), e.TraceHits())
+	}
+	if got[0].GroupID != "tiny2/placed" {
+		t.Errorf("placed cell ran in group %q", got[0].GroupID)
+	}
+
+	later := []engine.RunSpec{{Workload: "tiny2", ICache: geo16, Scheme: energy.WayPlacement, WPSize: 4 << 10}}
+	got, err = e.Run(ctx, later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStats(t, got, reference(t, sim.Default(), later))
+	if e.TraceMisses() != 1 || e.Relocations() != 1 || e.TraceHits() != 1 {
+		t.Errorf("later batch: live executions %d, relocations %d, trace hits %d; want 1, 1, 1",
+			e.TraceMisses(), e.Relocations(), e.TraceHits())
+	}
+	if n := reg.Counter(engine.MetricTraceRelocations).Value(); n != 1 {
+		t.Errorf("%s = %d, want 1", engine.MetricTraceRelocations, n)
+	}
+}
+
+// A placed stream with no original recording to relocate, here the
+// only stream of its batch, executes live.
+func TestPlacedStreamAloneExecutes(t *testing.T) {
+	e := engine.New(traceProvider(t))
+	spec := []engine.RunSpec{{Workload: "tiny1", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10}}
+	got, err := e.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStats(t, got, reference(t, sim.Default(), spec))
+	if e.TraceMisses() != 1 || e.Relocations() != 0 {
+		t.Errorf("live executions %d, relocations %d; want 1, 0", e.TraceMisses(), e.Relocations())
+	}
+}
+
+// A placed binary that is not a layout of the original's unit fails
+// its group with the relocation's refusal; the engine does not fall
+// back to executing it, and the original-layout cell is unaffected.
+func TestRelocationRefusalFailsGroup(t *testing.T) {
+	e := engine.New(traceProvider(t), engine.WithWorkers(1))
+	batch := []engine.RunSpec{
+		{Workload: "mismatch", ICache: geo8, Scheme: energy.Baseline},
+		{Workload: "mismatch", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10},
+	}
+	got, err := e.Run(context.Background(), batch)
+	var merr *engine.MultiError
+	if !errors.As(err, &merr) || len(merr.Errors) != 1 || !strings.Contains(merr.Error(), "different units") {
+		t.Fatalf("err %v, want the placed cell's relocation refusal", err)
+	}
+	if got[0] == nil || got[1] != nil {
+		t.Errorf("results %v, want the baseline cell only", got)
+	}
+	if e.TraceMisses() != 1 || e.Relocations() != 1 {
+		t.Errorf("live executions %d, relocations %d; want 1, 1", e.TraceMisses(), e.Relocations())
+	}
+}
+
+// OriginalTrace records a workload's original stream once, counting a
+// live execution, and a batch afterwards replays it.
+func TestOriginalTrace(t *testing.T) {
+	e := engine.New(traceProvider(t))
+	ctx := context.Background()
+	tr, err := e.OriginalTrace(ctx, "tiny1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.OriginalTrace(ctx, "tiny1")
+	if err != nil || again != tr {
+		t.Fatalf("second call: trace %p (first %p), err %v", again, tr, err)
+	}
+	if e.TraceMisses() != 1 {
+		t.Errorf("live executions %d, want 1", e.TraceMisses())
+	}
+	if _, err := e.Run(ctx, []engine.RunSpec{{Workload: "tiny1", ICache: geo8, Scheme: energy.Baseline}}); err != nil {
+		t.Fatal(err)
+	}
+	if e.TraceHits() != 1 || e.TraceMisses() != 1 || e.Misses() != 1 {
+		t.Errorf("trace hits %d, live executions %d, simulated cells %d; want 1, 1, 1",
+			e.TraceHits(), e.TraceMisses(), e.Misses())
+	}
+	if _, err := e.OriginalTrace(ctx, "nosuch"); err == nil {
+		t.Error("OriginalTrace of an unknown workload succeeded")
 	}
 }
 

@@ -26,9 +26,11 @@ import (
 // cache.Config.Policy), so they are memoised, coalesced into shared
 // fetch passes, and runnable against a remote engine. Only the layout
 // ablation's custom binaries (original, random, Pettis-Hansen) fall
-// outside the engine's cell grid and execute through sim.RunContext
-// directly; its profile-guided leg and every baseline still come from
-// the engine's memoised run cache.
+// outside the engine's cell grid. None of them executes: each replays
+// the engine's recording of the workload's original layout
+// (engine.Engine.OriginalTrace), as recorded on the original binary
+// and relocated onto the others. Its profile-guided leg and every
+// baseline still come from the engine's memoised run cache.
 
 // AblationRow is one variant's result.
 type AblationRow struct {
@@ -39,8 +41,8 @@ type AblationRow struct {
 // runVariant runs one cell on a given binary, normalised against the
 // memoised baseline on the same geometry. On the cell's own binary
 // (engine.UsesPlaced) the cell runs through the engine's memoised
-// grid; on any other binary it runs directly on the machine the engine
-// resolves it to.
+// grid; on any other binary it replays the workload's recording there
+// (runOn).
 func (s *Suite) runVariant(ctx context.Context, w *Workload, cell engine.RunSpec, prog *obj.Program) (Pair, error) {
 	baseRes, err := s.RunSpec(ctx, spec(w, cell.ICache, energy.Baseline, 0))
 	if err != nil {
@@ -58,7 +60,7 @@ func (s *Suite) runVariant(ctx context.Context, w *Workload, cell engine.RunSpec
 			return Pair{}, err
 		}
 		rs = res.Stats
-	} else if rs, err = sim.RunContext(ctx, prog, engine.Resolve(s.machine(), cell)); err != nil {
+	} else if rs, err = s.runOn(ctx, w, cell, prog); err != nil {
 		return Pair{}, err
 	}
 	if rs.Checksum != base.Checksum {
@@ -66,6 +68,26 @@ func (s *Suite) runVariant(ctx context.Context, w *Workload, cell engine.RunSpec
 			w.Name, rs.Checksum, base.Checksum)
 	}
 	return pairOf(rs, base), nil
+}
+
+// runOn evaluates one cell on prog, a layout of w's unit, on the
+// machine the engine resolves the cell to, without executing prog: it
+// replays the engine's recording of w's original layout, as recorded
+// when prog is the original binary and relocated onto prog otherwise.
+func (s *Suite) runOn(ctx context.Context, w *Workload, cell engine.RunSpec, prog *obj.Program) (*sim.RunStats, error) {
+	tr, err := s.eng.OriginalTrace(ctx, w.Name)
+	if err != nil {
+		return nil, err
+	}
+	cfg := engine.Resolve(s.machine(), cell)
+	res, err := sim.ReplayMulti(ctx, tr, prog, cfg, []sim.ModelSpec{engine.ModelOf(cell, cfg)})
+	if err != nil {
+		return nil, err
+	}
+	if err := res[0].Err; err != nil {
+		return nil, err
+	}
+	return res[0].Stats, nil
 }
 
 // averageLayout runs the tight-area way-placement cell on one binary

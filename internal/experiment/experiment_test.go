@@ -378,6 +378,53 @@ func TestExtensionProfileTransferShape(t *testing.T) {
 	}
 }
 
+// TestOneExecutionPerWorkload runs the whole evaluation, as wpbench
+// does, on the shared subset and counts program executions: exactly
+// one live execution per workload, the original layout's, and one
+// relocation of it per workload's placed stream. Every other layout
+// (the layout ablation's binaries, profile transfer's oracle layout)
+// and the large-input profile read that one recording. The counts do
+// not depend on which tests ran first on the shared engine: each
+// workload's first batch, whichever test submits it, holds an
+// original-layout cell.
+func TestOneExecutionPerWorkload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole evaluation in -short mode")
+	}
+	s := subsetSuite(t)
+	ctx := context.Background()
+	if _, err := s.RunBatch(ctx, s.WarmupSpecs()); err != nil {
+		t.Fatal(err)
+	}
+	sections := []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"figure 4", func(ctx context.Context) error { _, err := s.Figure4(ctx); return err }},
+		{"figure 5", func(ctx context.Context) error { _, err := s.Figure5(ctx); return err }},
+		{"figure 6", func(ctx context.Context) error { _, err := s.Figure6(ctx); return err }},
+		{"RAM-tag", func(ctx context.Context) error { _, err := s.ExtensionRAMTag(ctx); return err }},
+		{"adaptive", func(ctx context.Context) error { _, err := s.ExtensionAdaptive(ctx); return err }},
+		{"profile transfer", func(ctx context.Context) error { _, err := s.ExtensionProfileTransfer(ctx); return err }},
+		{"code layout", func(ctx context.Context) error { _, err := s.AblationLayout(ctx); return err }},
+		{"way hint", func(ctx context.Context) error { _, err := s.AblationHint(ctx); return err }},
+		{"same-line", func(ctx context.Context) error { _, err := s.AblationSameLine(ctx); return err }},
+		{"replacement", func(ctx context.Context) error { _, err := s.AblationReplacement(ctx); return err }},
+	}
+	for _, sec := range sections {
+		if err := sec.run(ctx); err != nil {
+			t.Fatalf("%s: %v", sec.name, err)
+		}
+	}
+	eng := s.Engine()
+	if got, want := eng.TraceMisses(), uint64(len(s.Workloads)); got != want {
+		t.Errorf("%d live executions, want %d: one per workload", got, want)
+	}
+	if got, want := eng.Relocations(), uint64(len(s.Workloads)); got != want {
+		t.Errorf("%d relocations, want %d: one per placed stream", got, want)
+	}
+}
+
 // TestFigure4FullSuite is the headline regression test: the complete
 // 23-benchmark reproduction of the paper's initial evaluation must
 // stay at the published shape.

@@ -9,6 +9,7 @@ import (
 	"wayplace/internal/energy"
 	"wayplace/internal/engine"
 	"wayplace/internal/layout"
+	"wayplace/internal/profile"
 	"wayplace/internal/sim"
 )
 
@@ -203,12 +204,17 @@ func (s *Suite) ExtensionProfileTransfer(ctx context.Context) ([]TransferRow, er
 			return err
 		}
 		base := baseRes.Stats
-		// Oracle: profile the large input itself, then relink.
-		largeProf, _, err := sim.ProfileRun(w.Original, MaxInstrs)
+		// Oracle: profile the large input itself, off the recording of
+		// its original layout, then relink.
+		tr, err := s.eng.OriginalTrace(ctx, w.Name)
 		if err != nil {
 			return err
 		}
-		oracleProg, err := layout.Link(w.Unit, largeProf, TextBase)
+		counts, err := tr.InstrCounts()
+		if err != nil {
+			return err
+		}
+		oracleProg, err := layout.Link(w.Unit, profile.FromInstrCounts(w.Original, counts), TextBase)
 		if err != nil {
 			return err
 		}
@@ -217,7 +223,7 @@ func (s *Suite) ExtensionProfileTransfer(ctx context.Context) ([]TransferRow, er
 		if err != nil {
 			return err
 		}
-		oracleRun, err := sim.RunContext(ctx, oracleProg, engine.Resolve(s.machine(), cell))
+		oracleRun, err := s.runOn(ctx, w, cell, oracleProg)
 		if err != nil {
 			return err
 		}

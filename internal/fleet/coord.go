@@ -139,7 +139,6 @@ type Coordinator struct {
 	overQuota  *obs.Counter
 	subbatches *obs.Counter
 	failovers  *obs.Counter
-	inflight   *obs.Gauge
 }
 
 // New builds a coordinator over the given backend URLs.
@@ -182,9 +181,9 @@ func New(opt Options) (*Coordinator, error) {
 		overQuota:  opt.Registry.Counter(MetricOverQuota),
 		subbatches: opt.Registry.Counter(MetricSubBatches),
 		failovers:  opt.Registry.Counter(MetricFailovers),
-		inflight:   opt.Registry.Gauge(MetricInflight),
 	}
-	c.sched = serve.NewScheduler(opt.QueueDepth, opt.QueueDepth, serve.TenancyOptions{Slots: opt.TenantSlots}, nil, &c.wg)
+	c.sched = serve.NewScheduler(opt.QueueDepth, opt.QueueDepth, serve.TenancyOptions{Slots: opt.TenantSlots},
+		nil, opt.Registry.Gauge(MetricInflight), &c.wg)
 	for _, url := range opt.Backends {
 		name := strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
 		c.backends = append(c.backends, &backend{
@@ -231,12 +230,6 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 }
 
-// release returns a batch's admission slot.
-func (c *Coordinator) release(tenant api.Tenant) {
-	c.sched.Release(string(tenant), false)
-	c.inflight.Add(-1)
-}
-
 func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	tenant, echo, rej := api.RequestTenant(r)
 	var breq *api.BatchRequest
@@ -277,8 +270,7 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 		c.out.Busy(w, "coordinator at capacity", api.CodeQueueFull, c.opt.RetryAfter)
 		return
 	}
-	c.inflight.Add(1)
-	defer c.release(tenant)
+	defer c.sched.Release(string(tenant), false)
 	c.batches.Inc()
 
 	if breq.Async {

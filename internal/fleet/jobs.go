@@ -230,6 +230,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"role":        "coordinator",
 		"queue_depth": c.opt.QueueDepth,
 		"inflight":    c.sched.Inflight(),
+		"tenants":     c.sched.Tenants(),
 		"ring": map[string]any{
 			"backends":         c.ring.Backends(),
 			"vnodes":           c.ring.VNodes(),

@@ -20,9 +20,14 @@ import (
 // okBackend is a fake wpserved that records the X-WP-Tenant header of
 // every sub-request and answers each cell with synthetic done stats.
 // gate, when non-nil, parks every request until the channel yields.
+// A health probe gets an empty healthy answer.
 func okBackend(t *testing.T, tenants *[]string, mu *sync.Mutex, gate chan struct{}) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			json.NewEncoder(w).Encode(map[string]any{})
+			return
+		}
 		mu.Lock()
 		*tenants = append(*tenants, r.Header.Get(api.TenantHeader))
 		mu.Unlock()
@@ -91,7 +96,8 @@ func TestCoordinatorForwardsTenant(t *testing.T) {
 // TestCoordinatorTenantSlots: one tenant saturating its own cap gets
 // 429 over_quota while another tenant is admitted; afterwards the
 // per-tenant ledger is empty (no unbounded map growth from unique
-// tenants).
+// tenants): healthz counts no tenant and no batch in flight, and the
+// inflight gauge reads 0.
 func TestCoordinatorTenantSlots(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
@@ -99,7 +105,7 @@ func TestCoordinatorTenantSlots(t *testing.T) {
 	back := okBackend(t, &seen, &mu, gate)
 	defer back.Close()
 	reg := obs.NewRegistry()
-	_, srv := startCoordinator(t, nil, fleet.Options{
+	c, srv := startCoordinator(t, nil, fleet.Options{
 		Backends:    []string{back.URL},
 		Registry:    reg,
 		QueueDepth:  4,
@@ -163,6 +169,32 @@ func TestCoordinatorTenantSlots(t *testing.T) {
 	close(gate) // release the hog and the polite batch
 	wg.Wait()
 	<-done
+
+	// Shutdown waits for every admitted batch's release, so the
+	// ledger is settled when it returns.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hresp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hresp.Body.Close()
+	var h struct {
+		Tenants  *int `json:"tenants"`
+		Inflight *int `json:"inflight"`
+	}
+	if err := json.NewDecoder(hresp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Tenants == nil || *h.Tenants != 0 || h.Inflight == nil || *h.Inflight != 0 {
+		t.Errorf("healthz tenants %v, inflight %v; want 0 and 0", h.Tenants, h.Inflight)
+	}
+	if v := reg.Gauge(fleet.MetricInflight).Value(); v != 0 {
+		t.Errorf("%s = %v, want 0", fleet.MetricInflight, v)
+	}
 }
 
 // TestCoordinatorPropagatesCode: when every owner keeps answering a

@@ -94,7 +94,8 @@ type Scheduler struct {
 	slots     int // per-tenant slot quota (normalized)
 	admitWait time.Duration
 	weights   map[string]int
-	gauge     *obs.Gauge // live tenant count (may be nil)
+	tenantsG  *obs.Gauge // live tenant count (may be nil)
+	inflightG *obs.Gauge // granted slots (may be nil)
 	// grants, when set, is added to under mu for every granted slot
 	// and done on its Release, so a drain that has set draining waits
 	// for every grant made before it.
@@ -111,17 +112,19 @@ type Scheduler struct {
 }
 
 // NewScheduler returns an empty scheduler over capacity slots, of
-// which async admissions may hold at most asyncCap. gauge, when
-// non-nil, tracks the number of tenants holding or awaiting a slot;
-// grants, when non-nil, counts the granted slots not yet released.
-func NewScheduler(capacity, asyncCap int, cfg TenancyOptions, gauge *obs.Gauge, grants *sync.WaitGroup) *Scheduler {
+// which async admissions may hold at most asyncCap. The gauges, when
+// non-nil, track the number of tenants holding or awaiting a slot and
+// the number of slots granted and not yet released; grants, when
+// non-nil, counts those granted slots too.
+func NewScheduler(capacity, asyncCap int, cfg TenancyOptions, tenants, inflight *obs.Gauge, grants *sync.WaitGroup) *Scheduler {
 	s := &Scheduler{
 		capacity:  capacity,
 		asyncCap:  asyncCap,
 		slots:     cfg.Slots,
 		admitWait: cfg.AdmitWait,
 		weights:   cfg.Weights,
-		gauge:     gauge,
+		tenantsG:  tenants,
+		inflightG: inflight,
 		grants:    grants,
 		tenants:   make(map[string]*tenantState),
 	}
@@ -226,6 +229,7 @@ func (s *Scheduler) Release(tenant string, async bool) {
 	if async {
 		s.asyncHeld--
 	}
+	s.inflightG.Set(float64(s.running))
 	s.dispatchLocked()
 	// Done after any grant the dispatch made, so the count never
 	// touches zero while a slot is being handed on.
@@ -240,6 +244,7 @@ func (s *Scheduler) grantLocked(t *tenantState, async bool) {
 		s.asyncHeld++
 	}
 	s.running++
+	s.inflightG.Set(float64(s.running))
 	if s.grants != nil {
 		s.grants.Add(1)
 	}
@@ -337,7 +342,7 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 		}
 		t = &tenantState{name: name, weight: weight}
 		s.tenants[name] = t
-		s.gauge.Set(float64(len(s.tenants)))
+		s.tenantsG.Set(float64(len(s.tenants)))
 	}
 	return t
 }
@@ -348,7 +353,7 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 func (s *Scheduler) forgetIfIdleLocked(t *tenantState) {
 	if t.held == 0 && len(t.waiting) == 0 {
 		delete(s.tenants, t.name)
-		s.gauge.Set(float64(len(s.tenants)))
+		s.tenantsG.Set(float64(len(s.tenants)))
 	}
 }
 
@@ -386,8 +391,9 @@ func (s *Scheduler) Inflight() int {
 	return s.running
 }
 
-// tenantCount reports tracked tenants, for healthz and leak tests.
-func (s *Scheduler) tenantCount() int {
+// Tenants reports the tenants holding or awaiting a slot, for healthz
+// and leak tests.
+func (s *Scheduler) Tenants() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.tenants)

@@ -17,7 +17,7 @@ import (
 )
 
 func TestSchedQuotaVerdicts(t *testing.T) {
-	s := NewScheduler(4, 4, TenancyOptions{Slots: 2}, nil, nil)
+	s := NewScheduler(4, 4, TenancyOptions{Slots: 2}, nil, nil, nil)
 	ctx := context.Background()
 	if v := s.Admit(ctx, "a", false, 1); v != AdmitOK {
 		t.Fatalf("first admit: %v", v)
@@ -49,7 +49,7 @@ func TestSchedQuotaVerdicts(t *testing.T) {
 
 	// A quota spanning the whole pool is no quota: the lone tenant
 	// that fills it sees the global answer, queue_full.
-	s = NewScheduler(2, 2, TenancyOptions{Slots: 2}, nil, nil)
+	s = NewScheduler(2, 2, TenancyOptions{Slots: 2}, nil, nil, nil)
 	for i := 0; i < 2; i++ {
 		if v := s.Admit(ctx, "x", false, 1); v != AdmitOK {
 			t.Fatalf("vacuous quota refused admission %d: %v", i, v)
@@ -68,7 +68,7 @@ func TestSchedForgetsIdleTenants(t *testing.T) {
 	ctx := context.Background()
 	forgotten := func(s *Scheduler, gauge *obs.Gauge, when string) {
 		t.Helper()
-		if got := s.tenantCount(); got != 0 {
+		if got := s.Tenants(); got != 0 {
 			t.Fatalf("%s: %d tenants tracked, want 0", when, got)
 		}
 		if got := gauge.Value(); got != 0 {
@@ -83,7 +83,7 @@ func TestSchedForgetsIdleTenants(t *testing.T) {
 	}
 
 	gauge := obs.NewRegistry().Gauge(MetricTenants)
-	s := NewScheduler(8, 8, TenancyOptions{Slots: 2}, gauge, nil)
+	s := NewScheduler(8, 8, TenancyOptions{Slots: 2}, gauge, nil, nil)
 	for i := 0; i < 500; i++ {
 		name := fmt.Sprintf("tenant-%d", i)
 		if v := s.Admit(ctx, name, false, 1); v != AdmitOK {
@@ -95,7 +95,7 @@ func TestSchedForgetsIdleTenants(t *testing.T) {
 
 	// A new tenant refused by a full pool leaves nothing behind.
 	gauge = obs.NewRegistry().Gauge(MetricTenants)
-	s = NewScheduler(1, 1, TenancyOptions{}, gauge, nil)
+	s = NewScheduler(1, 1, TenancyOptions{}, gauge, nil, nil)
 	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatalf("holder: %v", v)
 	}
@@ -110,7 +110,7 @@ func TestSchedForgetsIdleTenants(t *testing.T) {
 
 	// Nor does a parked admission that times out.
 	gauge = obs.NewRegistry().Gauge(MetricTenants)
-	s = NewScheduler(1, 1, TenancyOptions{AdmitWait: 20 * time.Millisecond}, gauge, nil)
+	s = NewScheduler(1, 1, TenancyOptions{AdmitWait: 20 * time.Millisecond}, gauge, nil, nil)
 	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatalf("holder: %v", v)
 	}
@@ -133,7 +133,7 @@ func TestSchedWeightedFairDispatch(t *testing.T) {
 		Slots:     perTenant, // room to park each tenant's full burst
 		AdmitWait: 10 * time.Second,
 		Weights:   map[string]int{"heavy": 4, "light": 1},
-	}, nil, nil)
+	}, nil, nil, nil)
 	ctx := context.Background()
 	for i := 0; i < perTenant; i++ {
 		if v := s.Admit(ctx, "seed", false, 1); v != AdmitOK {
@@ -219,7 +219,7 @@ func waitParked(t *testing.T, s *Scheduler, tenant string, n int) {
 }
 
 func TestSchedAdmitWaitTimesOut(t *testing.T) {
-	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 30 * time.Millisecond}, nil, nil)
+	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 30 * time.Millisecond}, nil, nil, nil)
 	ctx := context.Background()
 	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatal("seed admit failed")
@@ -241,7 +241,7 @@ func TestSchedAdmitWaitTimesOut(t *testing.T) {
 }
 
 func TestSchedReleaseGrantsParkedWaiter(t *testing.T) {
-	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil, nil)
+	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil, nil, nil)
 	ctx := context.Background()
 	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatal("seed admit failed")
@@ -260,8 +260,41 @@ func TestSchedReleaseGrantsParkedWaiter(t *testing.T) {
 	}
 }
 
+// The scheduler keeps the inflight gauge it is given equal to its
+// granted slots: through direct grants, a parked waiter granted on a
+// release, and the last release.
+func TestSchedInflightGauge(t *testing.T) {
+	gauge := obs.NewRegistry().Gauge(MetricInflight)
+	s := NewScheduler(2, 2, TenancyOptions{AdmitWait: 10 * time.Second}, nil, gauge, nil)
+	ctx := context.Background()
+	want := func(when string, n float64) {
+		t.Helper()
+		if got := gauge.Value(); got != n || float64(s.Inflight()) != n {
+			t.Fatalf("%s: gauge %v, Inflight %d; want %v", when, got, s.Inflight(), n)
+		}
+	}
+	for _, tenant := range []string{"a", "b"} {
+		if v := s.Admit(ctx, tenant, false, 1); v != AdmitOK {
+			t.Fatalf("%s: %v", tenant, v)
+		}
+	}
+	want("pool full", 2)
+	done := make(chan Verdict, 1)
+	go func() { done <- s.Admit(ctx, "waiter", false, 1) }()
+	waitParked(t, s, "waiter", 1)
+	want("waiter parked", 2)
+	s.Release("a", false)
+	if v := <-done; v != AdmitOK {
+		t.Fatalf("parked waiter: %v", v)
+	}
+	want("waiter granted on release", 2)
+	s.Release("b", false)
+	s.Release("waiter", false)
+	want("all released", 0)
+}
+
 func TestSchedDrainWakesWaiters(t *testing.T) {
-	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil, nil)
+	s := NewScheduler(1, 1, TenancyOptions{AdmitWait: 10 * time.Second}, nil, nil, nil)
 	ctx := context.Background()
 	if v := s.Admit(ctx, "holder", false, 1); v != AdmitOK {
 		t.Fatal("seed admit failed")
@@ -324,7 +357,7 @@ func TestTenantFloodBoundedRegistry(t *testing.T) {
 
 	// Quota state: every flood tenant released its slot, so none is
 	// tracked any more.
-	if got := s.sched.tenantCount(); got != 0 {
+	if got := s.sched.Tenants(); got != 0 {
 		t.Fatalf("after the flood the scheduler still tracks %d tenants — map leak", got)
 	}
 	if got := reg.Dump().Gauges[MetricTenants]; got != 0 {
@@ -336,7 +369,7 @@ func TestTenantFloodBoundedRegistry(t *testing.T) {
 // waiters is still granted — the rotation never deadlocks on a
 // quota-blocked head.
 func TestSchedQuotaBlockedHeadDoesNotStallOthers(t *testing.T) {
-	s := NewScheduler(3, 3, TenancyOptions{Slots: 2, AdmitWait: 10 * time.Second}, nil, nil)
+	s := NewScheduler(3, 3, TenancyOptions{Slots: 2, AdmitWait: 10 * time.Second}, nil, nil, nil)
 	ctx := context.Background()
 	if v := s.Admit(ctx, "hog", false, 1); v != AdmitOK {
 		t.Fatal("hog seed failed")

@@ -146,7 +146,6 @@ type Server struct {
 	batches   *obs.Counter
 	rejected  *obs.Counter
 	writeErrs *obs.Counter
-	inflight  *obs.Gauge
 	replaying *obs.Gauge
 	replayed  *obs.Counter
 	admitWait *obs.Histogram
@@ -200,7 +199,6 @@ func New(opt Options) (*Server, error) {
 		batches:         opt.Registry.Counter(MetricBatches),
 		rejected:        opt.Registry.Counter(MetricRejected),
 		writeErrs:       opt.Registry.Counter(MetricWriteErrors),
-		inflight:        opt.Registry.Gauge(MetricInflight),
 		replaying:       opt.Registry.Gauge(MetricReplayJobs),
 		replayed:        opt.Registry.Counter(MetricReplayedJobs),
 		admitWait:       opt.Registry.Histogram(MetricAdmitWait),
@@ -210,7 +208,8 @@ func New(opt Options) (*Server, error) {
 		tenantRejected:  opt.Registry.CounterVec(MetricTenantRejected, "tenant", keyCardinalityCap),
 	}
 	s.out = api.Responder{OnWriteError: s.countWriteError}
-	s.sched = NewScheduler(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy, opt.Registry.Gauge(MetricTenants), &s.wg)
+	s.sched = NewScheduler(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy,
+		opt.Registry.Gauge(MetricTenants), opt.Registry.Gauge(MetricInflight), &s.wg)
 	if opt.Journal != nil {
 		if err := s.replayJournal(); err != nil {
 			return nil, err
@@ -320,16 +319,15 @@ func (s *Server) acquire(ctx context.Context, tenant api.Tenant, async bool, cel
 	start := time.Now()
 	v := s.sched.Admit(ctx, string(tenant), async, cells)
 	if v == AdmitOK {
-		// The scheduler counts the slot in s.wg until its Release.
+		// The scheduler counts the slot in s.wg and the inflight gauge
+		// until its Release.
 		s.admitWait.ObserveSince(start)
-		s.inflight.Add(1)
 	}
 	return v
 }
 
 func (s *Server) release(tenant api.Tenant, async bool) {
 	s.sched.Release(string(tenant), async)
-	s.inflight.Add(-1)
 }
 
 // reject answers one refused admission with the right machine-
@@ -546,7 +544,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"api_version":  api.Version,
 		"queue_depth":  s.opt.QueueDepth,
 		"inflight":     s.sched.Inflight(),
-		"tenants":      s.sched.tenantCount(),
+		"tenants":      s.sched.Tenants(),
 		"cache_hits":   s.opt.Engine.Hits(),
 		"cache_misses": s.opt.Engine.Misses(),
 	})

@@ -5,12 +5,13 @@ package sim
 //
 //   - a stream source: a FetchSource executing the program once — CPU,
 //     memory image and data-side hierarchy — or a TraceSource replaying
-//     a recording of such a pass. Either emits the instruction-fetch
-//     event stream (address + indirect-transfer flag per instruction)
-//     and analyses it once for every consumer: it segments the events
-//     into same-block runs, finds their exact repeats, and (live) drives
-//     the reference I-TLB, whose outcome every non-adaptive model
-//     reports;
+//     a recording of such a pass, as recorded or relocated onto another
+//     layout of the same program (NewRelocSource). Each emits the
+//     instruction-fetch event stream (address + indirect-transfer flag
+//     per instruction) and analyses it once for every consumer: it
+//     segments the events into same-block runs, finds their exact
+//     repeats, and (live or relocated) drives the reference I-TLB,
+//     whose outcome every non-adaptive model reports;
 //   - N CacheModels: independent instruction-side models (I-cache
 //     fetch engine, energy accounting) consuming that analysed stream.
 //
@@ -196,8 +197,7 @@ type FetchSource struct {
 	mem    *mem.Memory
 	dcache *cache.DataCache
 	dtlb   *tlb.TLB
-	itlb   *tlb.TLB // the reference I-TLB, whose stats every non-adaptive model reports
-	page   uint32   // the page of itlb's last Lookup; noPage before the first
+	itlb   refITLB
 
 	maxInstrs uint64
 	blockNeg  uint32 // blockBytes-1: events with equal ev&^blockNeg share a run
@@ -242,8 +242,7 @@ func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSourc
 		mem:       m,
 		dcache:    dcache,
 		dtlb:      dtlb,
-		itlb:      itlb,
-		page:      noPage,
+		itlb:      refITLB{tlb: itlb, page: noPage},
 		maxInstrs: maxInstrs,
 		blockNeg:  uint32(blockBytes - 1),
 		events:    make([]uint32, fetchChunkEvents),
@@ -284,32 +283,40 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	s.runs = segmentRuns(ev, s.blockNeg, s.runs[:0])
 	ch := &FetchChunk{Events: ev, Runs: s.runs}
 	ch.Reps = s.reps.find(ch)
-	s.translate(ch)
+	s.itlb.translate(ch)
 	return ch, nil
 }
 
 // noPage is never a page number: pages are at least 4 bytes.
 const noPage = ^uint32(0)
 
-// translate drives the reference I-TLB over a chunk. A run never
-// leaves its page, and while the stream stays on one page every lookup
-// takes the TLB's last-page fast path, so each page change costs one
-// Lookup and the hits on that page are charged in bulk.
-func (s *FetchSource) translate(ch *FetchChunk) {
-	shift := s.itlb.Cfg.PageShift()
+// refITLB is a stream's reference I-TLB, whose stats every
+// non-adaptive model reports. The source that analyses the stream
+// drives it over every chunk.
+type refITLB struct {
+	tlb  *tlb.TLB
+	page uint32 // the page of the last Lookup; noPage before the first
+}
+
+// translate drives the I-TLB over a chunk. A run never leaves its
+// page, and while the stream stays on one page every lookup takes the
+// TLB's last-page fast path, so each page change costs one Lookup and
+// the hits on that page are charged in bulk.
+func (t *refITLB) translate(ch *FetchChunk) {
+	shift := t.tlb.Cfg.PageShift()
 	hits := uint64(0)
 	for _, r := range ch.Runs {
 		addr := cpu.EventAddr(ch.Events[r.Start])
-		if addr>>shift == s.page {
+		if addr>>shift == t.page {
 			hits += uint64(r.N)
 			continue
 		}
-		s.itlb.BulkHits(hits)
-		s.itlb.Lookup(addr)
-		s.page = addr >> shift
+		t.tlb.BulkHits(hits)
+		t.tlb.Lookup(addr)
+		t.page = addr >> shift
 		hits = uint64(r.N - 1)
 	}
-	s.itlb.BulkHits(hits)
+	t.tlb.BulkHits(hits)
 }
 
 // segmentRuns splits a non-empty chunk into same-block runs, appending
@@ -334,7 +341,7 @@ func (s *FetchSource) outcome() producerOutcome {
 		cycles:    s.cpu.Cycles,
 		dstats:    s.dcache.Cache().Stats,
 		dtlbStats: s.dtlb.Stats,
-		itlbStats: s.itlb.Stats,
+		itlbStats: s.itlb.tlb.Stats,
 		memStats:  s.mem.Stats,
 		checksum:  s.cpu.Regs[0],
 		memHash:   s.mem.Hash(cpu.StackRegionBase),
@@ -343,7 +350,8 @@ func (s *FetchSource) outcome() producerOutcome {
 
 // streamSource is the seam between runMulti and where its analysed
 // fetch stream comes from: a live FetchSource, a recording wrapped
-// around one, or the replay of a recorded trace (TraceSource). Every
+// around one, or the replay of a recorded trace (TraceSource), as
+// recorded or relocated, itself possibly wrapped in a recording. Every
 // chunk comes with its Runs and Reps filled in. outcome is read once,
 // after NextChunk has reported the end of the stream.
 type streamSource interface {

@@ -7,8 +7,10 @@ package sim
 // evaluate further models against the recording instead of
 // re-executing the CPU, D-cache, D-TLB, I-TLB and memory image or
 // re-analysing the stream. RecordMulti and ReplayMulti are RunMulti
-// with a recording and a replaying stream source; all three share
-// runMulti's consume, alias and finalize code.
+// with a recording and a replaying stream source, and RelocateMulti
+// (reloc.go) replays a recording relocated onto another layout of the
+// same program; all of them share runMulti's consume, alias and
+// finalize code.
 //
 // A recording holds the events, each chunk's repeats at the recording
 // pass's run-segmentation granule, and the producer outcome, the
@@ -98,6 +100,38 @@ func (t *FetchTrace) Bytes() int { return len(t.segs) + len(t.reps) }
 // Instrs is the number of events (retired instructions) recorded.
 func (t *FetchTrace) Instrs() uint64 { return t.events }
 
+// InstrCounts returns how many times the recorded pass executed each
+// instruction of its program, indexed like the program's Code: the
+// counts a profiling run collects (cpu.Result.InstrCounts), read off
+// the recording instead of executing the program again.
+func (t *FetchTrace) InstrCounts() ([]uint64, error) {
+	r := &TraceSource{t: t}
+	r.segs.open(t.segs, traceReplayWindow)
+	// Each segment adds one to a range of instructions: mark where the
+	// ranges start and end, then sum the marks up.
+	marks := make([]int64, len(t.prog.Code)+1)
+	for left := t.events; left > 0; {
+		addr, n, _, err := r.decodeSegment()
+		if err != nil {
+			return nil, err
+		}
+		i, ok := t.prog.IndexOf(addr)
+		if !ok || uint64(n) > left || i+int(n) > len(t.prog.Code) {
+			return nil, errCorruptTrace
+		}
+		marks[i]++
+		marks[i+int(n)]--
+		left -= uint64(n)
+	}
+	counts := make([]uint64, len(t.prog.Code))
+	sum := int64(0)
+	for i := range counts {
+		sum += marks[i]
+		counts[i] = uint64(sum)
+	}
+	return counts, nil
+}
+
 // matches reports whether t was recorded from prog under base's
 // producer-side configuration, i.e. whether ReplayMulti accepts it.
 func (t *FetchTrace) matches(prog *obj.Program, base Config) bool {
@@ -116,14 +150,17 @@ const traceMaxBytes = 4 << 20
 // error, or every model failed first) or the compressed stream grew
 // past traceMaxBytes.
 func RecordMulti(ctx context.Context, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, *FetchTrace, error) {
-	return recordMulti(ctx, prog, base, models, traceMaxBytes)
+	return recordMulti(ctx, prog, base, models, traceMaxBytes, func(block int) (streamSource, error) {
+		return NewFetchSource(prog, base, block)
+	})
 }
 
-// recordMulti is RecordMulti under a given per-recording byte cap.
-func recordMulti(ctx context.Context, prog *obj.Program, base Config, models []ModelSpec, maxBytes int) ([]*ModelResult, *FetchTrace, error) {
+// recordMulti is runMulti over the source open returns, recording the
+// stream it passes on as prog's under a given per-recording byte cap.
+func recordMulti(ctx context.Context, prog *obj.Program, base Config, models []ModelSpec, maxBytes int, open func(block int) (streamSource, error)) ([]*ModelResult, *FetchTrace, error) {
 	var rec *traceRecorder
 	res, err := runMulti(ctx, prog, base, models, func(block int) (streamSource, error) {
-		src, err := NewFetchSource(prog, base, block)
+		src, err := open(block)
 		if err != nil {
 			return nil, err
 		}
@@ -139,15 +176,23 @@ func recordMulti(ctx context.Context, prog *obj.Program, base Config, models []M
 // ReplayMulti evaluates models against a recorded trace without
 // executing the program: results are bit-identical to RunMulti's for
 // the same program, base configuration and models. The trace must
-// have been recorded from prog under base's producer-side fields
-// (StreamConfig, the I-TLB included); any other trace is rejected.
-// Cancellation is checked once per chunk.
+// have been recorded under base's producer-side fields (StreamConfig,
+// the I-TLB included), from prog or from another layout of prog's
+// obj.Unit, in which case it is replayed relocated onto prog
+// (NewRelocSource); any other trace is rejected. Cancellation is
+// checked once per chunk.
 func ReplayMulti(ctx context.Context, trace *FetchTrace, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, error) {
-	if !trace.matches(prog, base) {
-		return nil, errors.New("sim: fetch trace was recorded for another program or producer configuration")
+	if trace.matches(prog, base) {
+		return runMulti(ctx, prog, base, models, func(block int) (streamSource, error) {
+			return NewTraceSource(trace, block)
+		})
+	}
+	rel, err := relocationFor(trace, prog, base)
+	if err != nil {
+		return nil, err
 	}
 	return runMulti(ctx, prog, base, models, func(block int) (streamSource, error) {
-		return NewTraceSource(trace, block)
+		return newRelocSource(trace, rel, block)
 	})
 }
 
@@ -344,20 +389,28 @@ func (r *traceRecorder) abandon() {
 
 // TraceSource re-emits a recorded trace in exactly the chunks a live
 // FetchSource produces for the same stream, runs and repeats included:
-// the replaying counterpart of FetchSource.
+// the replaying counterpart of FetchSource. Built by NewRelocSource it
+// re-emits the trace relocated onto another layout instead, in the
+// chunks a FetchSource over that layout produces.
 type TraceSource struct {
 	t        *FetchTrace
 	blockNeg uint32
 	left     uint64        // events still to emit
 	segs     inflater      // opened with the first chunk, like reps
 	reps     inflater      // read only at the recorded granule
-	find     *repeatFinder // at any other granule, finds the repeats
+	find     *repeatFinder // at any other granule, or relocating, finds the repeats
 	events   []uint32
 	runs     []FetchRun
 	repBuf   []FetchRep
 
 	segNext, segLeft, prevEnd uint32
 	segFlags                  uint32 // flag bits of the segment's first event, not yet emitted
+
+	// Relocating only: the address map, the target layout's reference
+	// I-TLB, and what is left of the recorded segment being mapped.
+	rel                       *relocation
+	itlb                      refITLB
+	srcNext, srcLeft, srcFlag uint32
 }
 
 // NewTraceSource builds a replaying stream source over t. blockBytes
@@ -404,7 +457,12 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	for i := 0; i < n; {
 		if left == 0 {
 			var err error
-			if addr, left, flags, err = r.nextSegment(); err != nil {
+			if r.rel == nil {
+				addr, left, flags, err = r.decodeSegment()
+			} else {
+				addr, left, flags, err = r.relocatedSegment()
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -438,6 +496,9 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	ch := &FetchChunk{Events: ev, Runs: runs}
 	if r.find != nil {
 		ch.Reps = r.find.find(ch)
+		if r.rel != nil {
+			r.itlb.translate(ch)
+		}
 		return ch, nil
 	}
 	reps, err := r.nextReps(len(runs))
@@ -448,9 +509,27 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	return ch, nil
 }
 
-// nextSegment decodes one segment header: the segment's first
+// relocatedSegment returns the next segment a relocating source emits:
+// the next piece of the recorded segment being mapped that stays
+// sequential in the target layout.
+func (r *TraceSource) relocatedSegment() (addr, n, flags uint32, err error) {
+	if r.srcLeft == 0 {
+		if r.srcNext, r.srcLeft, r.srcFlag, err = r.decodeSegment(); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	addr, n, ok := r.rel.piece(r.srcNext, r.srcLeft)
+	if !ok {
+		return 0, 0, 0, errCorruptTrace
+	}
+	flags = r.srcFlag
+	r.srcNext, r.srcLeft, r.srcFlag = r.srcNext+4*n, r.srcLeft-n, 0
+	return addr, n, flags, nil
+}
+
+// decodeSegment decodes one segment header: the segment's first
 // address, its length and the first event's flag bits.
-func (r *TraceSource) nextSegment() (addr, n, flags uint32, err error) {
+func (r *TraceSource) decodeSegment() (addr, n, flags uint32, err error) {
 	in := &r.segs
 	if err := in.need(2 * binary.MaxVarintLen64); err != nil {
 		return 0, 0, 0, err
@@ -510,7 +589,15 @@ func (r *TraceSource) nextReps(nRuns int) ([]FetchRep, error) {
 	return reps, nil
 }
 
-func (r *TraceSource) outcome() producerOutcome { return r.t.out }
+// outcome is the recorded producer outcome; relocated, with the
+// target layout's own reference I-TLB stats.
+func (r *TraceSource) outcome() producerOutcome {
+	out := r.t.out
+	if r.rel != nil {
+		out.itlbStats = r.itlb.tlb.Stats
+	}
+	return out
+}
 
 // inflater decodes uvarints from a sequence of independent flate
 // blocks through a window of inflated bytes.

@@ -171,7 +171,9 @@ func TestRecordOnlyCompletePasses(t *testing.T) {
 	ctx := context.Background()
 	models := []ModelSpec{ModelSpecOf(cfg)}
 
-	res, tr, err := recordMulti(ctx, prog, cfg, models, 16)
+	res, tr, err := recordMulti(ctx, prog, cfg, models, 16, func(block int) (streamSource, error) {
+		return NewFetchSource(prog, cfg, block)
+	})
 	if err != nil || tr != nil {
 		t.Errorf("over-cap recording: trace %v, err %v", tr, err)
 	}
