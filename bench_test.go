@@ -309,7 +309,8 @@ func recordTrace(tb testing.TB, prog *obj.Program) *sim.FetchTrace {
 }
 
 // drain pulls every chunk from a stream source and returns the event
-// count.
+// count, summed over the chunks' runs: a replaying source's chunks
+// carry no event words.
 func drain(b *testing.B, src interface {
 	NextChunk(context.Context) (*sim.FetchChunk, error)
 }) int {
@@ -322,7 +323,9 @@ func drain(b *testing.B, src interface {
 		if ch == nil {
 			return n
 		}
-		n += len(ch.Events)
+		for _, r := range ch.Runs {
+			n += int(r.N)
+		}
 	}
 }
 

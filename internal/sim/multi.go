@@ -8,10 +8,10 @@ package sim
 //     a recording of such a pass, as recorded or relocated onto another
 //     layout of the same program (NewRelocSource). Each emits the
 //     instruction-fetch event stream (address + indirect-transfer flag
-//     per instruction) and analyses it once for every consumer: it
-//     segments the events into same-block runs, finds their exact
-//     repeats, and (live or relocated) drives the reference I-TLB,
-//     whose outcome every non-adaptive model reports;
+//     per instruction) as sequential segments and analyses it once for
+//     every consumer: it cuts the events into same-block runs, finds
+//     their exact repeats, and (live or relocated) drives the reference
+//     I-TLB, whose outcome every non-adaptive model reports;
 //   - N CacheModels: independent instruction-side models (I-cache
 //     fetch engine, energy accounting) consuming that analysed stream.
 //
@@ -88,25 +88,104 @@ type ModelResult struct {
 	Err error
 }
 
+// FetchSeg is a maximal sequential piece of a chunk: its first event
+// Word (the fetch address with flag bits, cpu.EventIndirect in bit 0),
+// followed by N-1 events that each fetch the next word and carry no
+// flags. It is the trace format's segment, cut at chunk boundaries.
+type FetchSeg struct {
+	Word uint32
+	N    uint32
+}
+
 // FetchRun is a maximal sub-sequence of a chunk whose events all lie
 // in one aligned block no larger than any model's cache line and the
 // I-TLB page: after the first event the line is resident and the page
 // translated for every model, so the remaining N-1 events can be
-// replayed in bulk (cache.FetchEngine FetchSameLine, tlb.TLB.BulkHits).
+// replayed in bulk (cache.FetchEngine FetchSameLine, tlb.TLB.BulkHits),
+// which needs only the run's first event and its last address. A run
+// may hold several segments' pieces (a jump inside the block, or an
+// indirect transfer to the next word); Seg is the index in Segs of the
+// segment that holds its first event, from which its events can be
+// walked.
 type FetchRun struct {
-	Start uint32 // index of the run's first event in Events
+	Seg   uint32 // index of the segment holding the run's first event
 	N     uint32 // number of events in the run
+	First uint32 // the run's first event word, flags included
+	Last  uint32 // the address of the run's last event
 }
 
-// FetchChunk is one batch of fetch events. Events holds one word per
-// retired instruction: the fetch address with cpu.EventIndirect in bit
-// 0. Runs segments the same events for bulk replay, and Reps lists the
-// chunk's exact repeats in those runs. The source fills in all three,
-// and all three alias buffers reused by its next NextChunk call.
+// FetchChunk is one batch of fetch events. Segs holds the events as
+// sequential segments, Runs cuts the same events into same-block runs
+// for bulk replay, and Reps lists the chunk's exact repeats in those
+// runs. Every source fills in all three, and all three alias buffers
+// reused by its next NextChunk call. Events, one word per retired
+// instruction, is set only on a live FetchSource's chunks, where it is
+// the CPU's own output buffer; no model reads it.
 type FetchChunk struct {
-	Events []uint32
+	Segs   []FetchSeg
 	Runs   []FetchRun
 	Reps   []FetchRep
+	Events []uint32
+}
+
+// runEvent returns the word of event i (0 ≤ i < r.N) of run r of ch,
+// walking the segments from the one holding the run's first event.
+func (ch *FetchChunk) runEvent(r FetchRun, i uint32) uint32 {
+	if i == 0 {
+		return r.First
+	}
+	s := r.Seg
+	k := (cpu.EventAddr(r.First)-cpu.EventAddr(ch.Segs[s].Word))>>2 + i
+	for k >= ch.Segs[s].N {
+		k -= ch.Segs[s].N
+		s++
+	}
+	if k == 0 {
+		return ch.Segs[s].Word
+	}
+	return cpu.EventAddr(ch.Segs[s].Word) + 4*k
+}
+
+// segSpan is where a span of a chunk's runs lies in its segments: the
+// segments holding its first and its last event, the span's events in
+// the first (all of them when first == last) and in the last.
+type segSpan struct{ first, last, head, tail uint32 }
+
+// spanOf returns the segSpan of runs[i:i+p].
+func (ch *FetchChunk) spanOf(i, p int) segSpan {
+	r := ch.Runs[i]
+	first := ch.Segs[r.Seg]
+	s := segSpan{first: r.Seg, last: uint32(len(ch.Segs) - 1)}
+	s.tail = ch.Segs[s.last].N
+	if i+p < len(ch.Runs) {
+		// The span ends just before the next run's first event: inside
+		// that run's segment, or at the end of the one before it.
+		next := ch.Runs[i+p]
+		s.last = next.Seg
+		s.tail = (cpu.EventAddr(next.First) - cpu.EventAddr(ch.Segs[s.last].Word)) >> 2
+		if s.tail == 0 {
+			s.last--
+			s.tail = ch.Segs[s.last].N
+		}
+	}
+	off := (cpu.EventAddr(r.First) - cpu.EventAddr(first.Word)) >> 2
+	if s.first == s.last {
+		s.head, s.tail = s.tail-off, 0
+	} else {
+		s.head = first.N - off
+	}
+	return s
+}
+
+// sameSpan reports whether two spans of ch's runs that start with the
+// same event hold the same events. Segments are maximal, so two equal
+// event sequences cut into the same pieces: as many events up to the
+// end of the first segment, the same whole segments after it, and a
+// last piece of the same length starting with the same event.
+func (ch *FetchChunk) sameSpan(a, b segSpan) bool {
+	return a.last-a.first == b.last-b.first && a.head == b.head && a.tail == b.tail &&
+		(a.first == a.last || slices.Equal(ch.Segs[a.first+1:a.last], ch.Segs[b.first+1:b.last]) &&
+			ch.Segs[a.last].Word == ch.Segs[b.last].Word)
 }
 
 // FetchRep is an exact repeat inside a chunk, in run indices: the
@@ -128,8 +207,8 @@ const repTableBits = 12
 // per hash of a run's first event, the last run index (plus one) that
 // started with it: a run whose first event was seen p runs ago is a
 // candidate for a period of p runs, confirmed by comparing the events
-// of the two periods. The table and the result buffer are reused
-// across chunks.
+// of the two periods, segment by segment. The table and the result
+// buffer are reused across chunks.
 type repeatFinder struct {
 	last [1 << repTableBits]int32
 	reps []FetchRep
@@ -138,16 +217,13 @@ type repeatFinder struct {
 // find returns ch's repeats, nil if there are none; the slice is valid
 // until the next call.
 func (f *repeatFinder) find(ch *FetchChunk) []FetchRep {
-	ev, runs := ch.Events, ch.Runs
+	runs := ch.Runs
 	clear(f.last[:])
-	slot := func(i int) *int32 { return &f.last[(ev[runs[i].Start]*0x9e3779b1)>>(32-repTableBits)] }
-	// span returns the events of runs[i:i+p].
-	span := func(i, p int) []uint32 {
-		end := uint32(len(ev))
-		if i+p < len(runs) {
-			end = runs[i+p].Start
-		}
-		return ev[runs[i].Start:end]
+	slot := func(i int) *int32 { return &f.last[(runs[i].First*0x9e3779b1)>>(32-repTableBits)] }
+	// same reports whether runs[k:k+p] holds the same events as the
+	// probe period, runs[i:i+p], which lies at probe in the segments.
+	same := func(k, i, p int, probe segSpan) bool {
+		return runs[k].First == runs[i].First && ch.sameSpan(ch.spanOf(k, p), probe)
 	}
 	reps := f.reps[:0]
 	for i := 0; i < len(runs); i++ {
@@ -155,15 +231,15 @@ func (f *repeatFinder) find(ch *FetchChunk) []FetchRep {
 		j := int(*s) - 1
 		*s = int32(i + 1)
 		p := i - j
-		if j < 0 || p > repMaxPeriod || i+2*p > len(runs) {
+		if j < 0 || p > repMaxPeriod || i+2*p > len(runs) || runs[j].First != runs[i].First {
 			continue
 		}
-		probe := span(i, p)
-		if !slices.Equal(span(j, p), probe) {
+		probe := ch.spanOf(i, p)
+		if !ch.sameSpan(ch.spanOf(j, p), probe) {
 			continue
 		}
 		end := i + p
-		for end+p <= len(runs) && slices.Equal(span(end, p), probe) {
+		for end+p <= len(runs) && same(end, i, p, probe) {
 			end += p
 		}
 		if end == i+p {
@@ -190,8 +266,9 @@ const fetchChunkEvents = 64 << 10
 
 // FetchSource executes a program once — CPU, memory image and
 // data-side hierarchy live; instruction side detached — and emits the
-// fetch-event stream in analysed chunks: segmented into runs, with
-// their repeats found and the reference I-TLB driven over them.
+// fetch-event stream in analysed chunks: cut into segments and runs,
+// with their repeats found and the reference I-TLB driven over them.
+// Its chunks alone also carry the CPU's event words (Events).
 type FetchSource struct {
 	cpu    *cpu.CPU
 	mem    *mem.Memory
@@ -200,9 +277,8 @@ type FetchSource struct {
 	itlb   refITLB
 
 	maxInstrs uint64
-	blockNeg  uint32 // blockBytes-1: events with equal ev&^blockNeg share a run
 	events    []uint32
-	runs      []FetchRun
+	cut       chunkCutter
 	reps      repeatFinder
 	done      bool
 }
@@ -244,8 +320,8 @@ func NewFetchSource(prog *obj.Program, base Config, blockBytes int) (*FetchSourc
 		dtlb:      dtlb,
 		itlb:      refITLB{tlb: itlb, page: noPage},
 		maxInstrs: maxInstrs,
-		blockNeg:  uint32(blockBytes - 1),
 		events:    make([]uint32, fetchChunkEvents),
+		cut:       chunkCutter{blockNeg: uint32(blockBytes - 1)},
 	}, nil
 }
 
@@ -280,8 +356,10 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 		return nil, nil
 	}
 	ev := s.events[:n]
-	s.runs = segmentRuns(ev, s.blockNeg, s.runs[:0])
-	ch := &FetchChunk{Events: ev, Runs: s.runs}
+	s.cut.reset()
+	s.cut.events(ev)
+	ch := &FetchChunk{Events: ev}
+	ch.Segs, ch.Runs = s.cut.chunk()
 	ch.Reps = s.reps.find(ch)
 	s.itlb.translate(ch)
 	return ch, nil
@@ -306,7 +384,7 @@ func (t *refITLB) translate(ch *FetchChunk) {
 	shift := t.tlb.Cfg.PageShift()
 	hits := uint64(0)
 	for _, r := range ch.Runs {
-		addr := cpu.EventAddr(ch.Events[r.Start])
+		addr := cpu.EventAddr(r.First)
 		if addr>>shift == t.page {
 			hits += uint64(r.N)
 			continue
@@ -319,18 +397,85 @@ func (t *refITLB) translate(ch *FetchChunk) {
 	t.tlb.BulkHits(hits)
 }
 
-// segmentRuns splits a non-empty chunk into same-block runs, appending
-// them to runs. blockNeg ≥ 3, so masking it off also clears the
-// indirect flag bit.
-func segmentRuns(ev []uint32, blockNeg uint32, runs []FetchRun) []FetchRun {
-	start, block := 0, ev[0]&^blockNeg
-	for i := 1; i < len(ev); i++ {
-		if b := ev[i] &^ blockNeg; b != block {
-			runs = append(runs, FetchRun{Start: uint32(start), N: uint32(i - start)})
-			start, block = i, b
-		}
+// chunkCutter cuts a chunk's events, handed to it as sequential pieces,
+// into maximal segments and same-block runs. Segments are cut apart
+// only where the stream is not sequential: a piece that continues the
+// last segment (the next word, no flags) extends it. A piece's events
+// are sequential, so its runs break only at block boundaries, and its
+// first event extends the open run when it stays in that run's block
+// (a short jump or a flagged fall-through). It fills its buffers by
+// index, storing no slice header per piece.
+type chunkCutter struct {
+	blockNeg  uint32     // blockBytes-1 ≥ 3: events with equal ev&^blockNeg share a run
+	segs      []FetchSeg // segs[:nSegs] are the chunk's
+	runs      []FetchRun // runs[:nRuns] are the chunk's
+	nSegs     int
+	nRuns     int
+	lastBlock uint32 // the open run's block; noEvent is no block
+	segEnd    uint32 // the event word that would extend the last segment
+}
+
+// reset starts a new chunk, reusing the buffers. They start at about
+// the sizes a chunk takes at 32-byte blocks (crc's take up to 18 K runs
+// and 6 K segments), so most streams never grow them.
+func (c *chunkCutter) reset() {
+	if c.runs == nil {
+		c.segs = make([]FetchSeg, fetchChunkEvents/8)
+		c.runs = make([]FetchRun, fetchChunkEvents/3)
 	}
-	return append(runs, FetchRun{Start: uint32(start), N: uint32(len(ev) - start)})
+	c.nSegs, c.nRuns = 0, 0
+	c.lastBlock, c.segEnd = noEvent, noEvent
+}
+
+// piece appends n ≥ 1 sequential events: the event word w, then n-1
+// unflagged fetches of the next word each.
+func (c *chunkCutter) piece(w, n uint32) {
+	if w == c.segEnd {
+		c.segs[c.nSegs-1].N += n
+	} else {
+		if c.nSegs == len(c.segs) {
+			c.segs = append(c.segs, make([]FetchSeg, len(c.segs))...)
+		}
+		c.segs[c.nSegs] = FetchSeg{Word: w, N: n}
+		c.nSegs++
+	}
+	addr := cpu.EventAddr(w)
+	c.segEnd = addr + 4*n
+	blockNeg, seg := c.blockNeg, uint32(c.nSegs-1)
+	for n > 0 {
+		block := addr &^ blockNeg
+		k := min((block+blockNeg-addr)>>2+1, n) // events to the end of the block
+		if block == c.lastBlock {
+			r := &c.runs[c.nRuns-1]
+			r.N += k
+			r.Last = addr + 4*(k-1)
+		} else {
+			if c.nRuns == len(c.runs) {
+				c.runs = append(c.runs, make([]FetchRun, len(c.runs))...)
+			}
+			c.runs[c.nRuns] = FetchRun{Seg: seg, N: k, First: w, Last: addr + 4*(k-1)}
+			c.nRuns++
+			c.lastBlock = block
+		}
+		addr += 4 * k
+		n -= k
+		w = addr
+	}
+}
+
+// chunk returns the cut chunk's segments and runs.
+func (c *chunkCutter) chunk() ([]FetchSeg, []FetchRun) { return c.segs[:c.nSegs], c.runs[:c.nRuns] }
+
+// events appends a chunk's events, piece by sequential piece.
+func (c *chunkCutter) events(ev []uint32) {
+	for i := 0; i < len(ev); {
+		j, next := i+1, cpu.EventAddr(ev[i])+4
+		for j < len(ev) && ev[j] == next {
+			j, next = j+1, next+4
+		}
+		c.piece(ev[i], uint32(j-i))
+		i = j
+	}
 }
 
 // outcome is the producer's share of every RunStats; valid once
@@ -411,10 +556,9 @@ func (m *baselineBulkModel) Consume(ch *FetchChunk) error {
 	return nil
 }
 
-func (m *baselineBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
+func (m *baselineBulkModel) fetchRuns(runs []FetchRun) {
 	for _, r := range runs {
-		ev := events[r.Start]
-		m.be.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
+		m.be.Fetch(cpu.EventAddr(r.First), r.First&cpu.EventIndirect != 0)
 		if r.N > 1 {
 			m.be.FetchSameLine(int(r.N - 1))
 		}
@@ -431,12 +575,11 @@ func (m *wayMemoBulkModel) Consume(ch *FetchChunk) error {
 	return nil
 }
 
-func (m *wayMemoBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
+func (m *wayMemoBulkModel) fetchRuns(runs []FetchRun) {
 	for _, r := range runs {
-		ev := events[r.Start]
-		m.wm.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
+		m.wm.Fetch(cpu.EventAddr(r.First), r.First&cpu.EventIndirect != 0)
 		if r.N > 1 {
-			m.wm.FetchSameLine(int(r.N-1), cpu.EventAddr(events[r.Start+r.N-1]))
+			m.wm.FetchSameLine(int(r.N-1), r.Last)
 		}
 	}
 }
@@ -451,12 +594,11 @@ func (m *wayPlaceBulkModel) Consume(ch *FetchChunk) error {
 	return nil
 }
 
-func (m *wayPlaceBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
+func (m *wayPlaceBulkModel) fetchRuns(runs []FetchRun) {
 	for _, r := range runs {
-		ev := events[r.Start]
-		m.wpe.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
+		m.wpe.Fetch(cpu.EventAddr(r.First), r.First&cpu.EventIndirect != 0)
 		if r.N > 1 {
-			m.wpe.FetchSameLine(int(r.N-1), cpu.EventAddr(events[r.Start+r.N-1]))
+			m.wpe.FetchSameLine(int(r.N-1), r.Last)
 		}
 	}
 }
@@ -483,20 +625,20 @@ func (m *wayPlaceBulkModel) fetchRuns(events []uint32, runs []FetchRun) {
 // line, a first link along the loop's back edge, or a thrashing set)
 // makes the next copy the probe, and a repeat whose copies are all
 // dirty is consumed run by run.
-func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(events []uint32, runs []FetchRun)) {
+func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(runs []FetchRun)) {
 	runs := ch.Runs
 	c := m.fe.Cache()
 	if !c.Repeatable() {
-		fetchRuns(ch.Events, runs)
+		fetchRuns(runs)
 		return
 	}
 	at := uint32(0)
 	for _, r := range ch.Reps {
-		fetchRuns(ch.Events, runs[at:r.Probe])
+		fetchRuns(runs[at:r.Probe])
 		p := r.Skip - r.Probe
 		for at = r.Probe; at < r.End; {
 			snap := c.Stats
-			fetchRuns(ch.Events, runs[at:at+p])
+			fetchRuns(runs[at : at+p])
 			at += p
 			if at < r.End && c.RepeatSince(&snap, uint64((r.End-at)/p)) {
 				m.repeatedRuns += uint64(r.End - at)
@@ -504,7 +646,7 @@ func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(events []uint3
 			}
 		}
 	}
-	fetchRuns(ch.Events, runs[at:])
+	fetchRuns(runs[at:])
 }
 
 // adaptiveModel consumes runs under the adaptive OS policy: a private
@@ -512,7 +654,8 @@ func (m *modelCore) consumeRepeats(ch *FetchChunk, fetchRuns func(events []uint3
 // and an OS decision point every IntervalInstrs consumed events,
 // reproducing sim.RunAdaptive's coupled loop bit for bit. A run is
 // split at each decision point; a piece is one Lookup and one Fetch,
-// then bulk I-TLB hits and same-line fetches.
+// then bulk I-TLB hits and same-line fetches. Only a split run walks
+// the chunk's segments, for the events at the split.
 type adaptiveModel struct {
 	modelCore
 	wpe      *cache.WayPlacementEngine
@@ -526,23 +669,29 @@ type adaptiveModel struct {
 func (m *adaptiveModel) Consume(ch *FetchChunk) error {
 	interval := m.pol.IntervalInstrs
 	for _, r := range ch.Runs {
-		for at, end := uint64(r.Start), uint64(r.Start+r.N); at < end; {
+		for at := uint32(0); at < r.N; {
 			k := m.consumed % interval
 			if k == 0 && m.consumed > 0 {
 				if err := m.decide(); err != nil {
 					return err
 				}
 			}
-			n := min(end-at, interval-k)
-			ev := ch.Events[at]
+			n := uint32(min(uint64(r.N-at), interval-k))
+			ev, last := r.First, r.Last
+			if at > 0 {
+				ev = ch.runEvent(r, at)
+			}
+			if at+n < r.N {
+				last = cpu.EventAddr(ch.runEvent(r, at+n-1))
+			}
 			addr := cpu.EventAddr(ev)
 			m.ownITLB.Lookup(addr)
-			m.ownITLB.BulkHits(n - 1)
+			m.ownITLB.BulkHits(uint64(n - 1))
 			m.wpe.Fetch(addr, ev&cpu.EventIndirect != 0)
 			if n > 1 {
-				m.wpe.FetchSameLine(int(n-1), cpu.EventAddr(ch.Events[at+n-1]))
+				m.wpe.FetchSameLine(int(n-1), last)
 			}
-			m.consumed += n
+			m.consumed += uint64(n)
 			at += n
 		}
 	}

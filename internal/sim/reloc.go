@@ -93,9 +93,9 @@ func (r *relocation) piece(src, left uint32) (addr, n uint32, ok bool) {
 
 // NewRelocSource builds a stream source that replays t relocated onto
 // prog, another layout of the unit t was recorded from: the chunks a
-// FetchSource over prog produces, runs and repeats included, with a
-// reference I-TLB of its own. blockBytes is the run-segmentation
-// granule, as for NewFetchSource.
+// FetchSource over prog produces, segments, runs and repeats included
+// but no event words, with a reference I-TLB of its own. blockBytes is
+// the run-segmentation granule, as for NewFetchSource.
 func NewRelocSource(t *FetchTrace, prog *obj.Program, blockBytes int) (*TraceSource, error) {
 	rel, err := newRelocation(t.prog, prog)
 	if err != nil {

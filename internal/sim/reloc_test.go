@@ -34,12 +34,12 @@ func linkLayouts(t *testing.T, iters uint16) (original *obj.Program, permuted []
 	return original, permuted
 }
 
-// A relocating source emits exactly the chunks — events, runs and
-// repeats — of a FetchSource over the target layout, at every
-// run-segmentation granule, and ends with its producer outcome, the
-// target's reference I-TLB included. The I-TLB's two 64-byte pages
-// are far smaller than the program, so its misses depend on the
-// layout.
+// A relocating source emits exactly the chunks — segments, runs and
+// repeats — of a FetchSource over the target layout, without event
+// words, at every run-segmentation granule, and ends with its producer
+// outcome, the target's reference I-TLB included. The I-TLB's two
+// 64-byte pages are far smaller than the program, so its misses depend
+// on the layout.
 func TestRelocSourceMatchesFetchSource(t *testing.T) {
 	original, permuted := linkLayouts(t, 60)
 	cfg := Default()
@@ -71,9 +71,7 @@ func TestRelocSourceMatchesFetchSource(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("block %d: chunk %d differs from the live chunk", block, n)
-				}
+				sameChunk(t, block, n, got, want)
 				if want == nil {
 					break
 				}
@@ -87,7 +85,9 @@ func TestRelocSourceMatchesFetchSource(t *testing.T) {
 
 // A taken branch to the next instruction leaves no mark in a recorded
 // segment, which runs straight on into the branch target's block. A
-// layout that moves that block elsewhere must split the segment there.
+// layout that moves that block elsewhere must split the segment there,
+// and relocating that layout's recording back onto the original must
+// merge the two pieces into one segment again.
 func TestRelocationSplitsAtBranchToNextBlock(t *testing.T) {
 	b := asm.NewBuilder("jmpnext")
 	f := b.Func("main")
@@ -128,12 +128,34 @@ func TestRelocationSplitsAtBranchToNextBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := RelocateMulti(ctx, tr, prog, cfg, models)
+		got, permTr, err := RelocateMulti(ctx, tr, prog, cfg, models)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: relocation differs from the live pass", seed)
+		}
+		live, err := NewFetchSource(original, cfg, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := NewRelocSource(permTr, original, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; ; n++ {
+			want, err := live.NextChunk(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := back.NextChunk(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameChunk(t, 32, n, got, want)
+			if want == nil {
+				break
+			}
 		}
 	}
 	if moved == 0 {

@@ -8,34 +8,79 @@ import (
 	"slices"
 	"testing"
 
-	"wayplace/internal/bench"
 	"wayplace/internal/cache"
+	"wayplace/internal/cpu"
 	"wayplace/internal/energy"
-	"wayplace/internal/layout"
 	"wayplace/internal/obj"
 )
 
-// repChunk builds a chunk from raw events, segmented at 32-byte blocks
-// and with its repeats found.
+// cutEvents is the reference cut of a chunk's events into maximal
+// segments and same-block runs, one event at a time: a segment ends
+// where an event is not the unflagged next word, a run where the block
+// changes.
+func cutEvents(ev []uint32, blockNeg uint32) ([]FetchSeg, []FetchRun) {
+	segStart, runStart := 0, 0
+	segs := []FetchSeg{{Word: ev[0]}}
+	runs := []FetchRun{{First: ev[0]}}
+	block, next := ev[0]&^blockNeg, cpu.EventAddr(ev[0])+4
+	for i := 1; i < len(ev); i++ {
+		e := ev[i]
+		if e != next {
+			segs[len(segs)-1].N = uint32(i - segStart)
+			segs = append(segs, FetchSeg{Word: e})
+			segStart = i
+		}
+		if b := e &^ blockNeg; b != block {
+			r := &runs[len(runs)-1]
+			r.N, r.Last = uint32(i-runStart), next-4
+			runs = append(runs, FetchRun{Seg: uint32(len(segs) - 1), First: e})
+			runStart, block = i, b
+		}
+		next = cpu.EventAddr(e) + 4
+	}
+	segs[len(segs)-1].N = uint32(len(ev) - segStart)
+	r := &runs[len(runs)-1]
+	r.N, r.Last = uint32(len(ev)-runStart), next-4
+	return segs, runs
+}
+
+// repChunk builds a chunk from raw events, cut into segments and
+// 32-byte-block runs and with its repeats found. Like a replayed
+// chunk, it carries no event words.
 func repChunk(ev []uint32) *FetchChunk {
-	ch := &FetchChunk{Events: ev, Runs: segmentRuns(ev, 31, nil)}
+	segs, runs := cutEvents(ev, 31)
+	ch := &FetchChunk{Segs: segs, Runs: runs}
 	ch.Reps = new(repeatFinder).find(ch)
 	return ch
+}
+
+// segEvents expands segments into their event words.
+func segEvents(segs []FetchSeg) []uint32 {
+	var ev []uint32
+	for _, sg := range segs {
+		ev = append(ev, sg.Word)
+		for k := uint32(1); k < sg.N; k++ {
+			ev = append(ev, cpu.EventAddr(sg.Word)+4*k)
+		}
+	}
+	return ev
 }
 
 // checkReps verifies the FetchRep contract on ch: every repeat is in
 // range, ordered and disjoint, spans a whole number of copies, and
 // every copy — the one before the probe included — is event-identical
-// to the probe.
+// to the probe, by the events its segments expand to.
 func checkReps(t *testing.T, ch *FetchChunk) {
 	t.Helper()
-	span := func(i, j uint32) []uint32 {
-		end := uint32(len(ch.Events))
-		if int(j) < len(ch.Runs) {
-			end = ch.Runs[j].Start
-		}
-		return ch.Events[ch.Runs[i].Start:end]
+	ev := segEvents(ch.Segs)
+	starts := make([]uint32, len(ch.Runs)+1) // starts[i]: the event index of run i
+	for i, r := range ch.Runs {
+		starts[i+1] = starts[i] + r.N
 	}
+	if int(starts[len(ch.Runs)]) != len(ev) {
+		t.Fatalf("runs hold %d events, segments %d", starts[len(ch.Runs)], len(ev))
+	}
+	span := func(i, j uint32) []uint32 { return ev[starts[i]:starts[j]] }
 	prevEnd := uint32(0)
 	for _, r := range ch.Reps {
 		p := r.Skip - r.Probe
@@ -104,6 +149,34 @@ func TestFindRepeatsNeedsEqualEvents(t *testing.T) {
 	ev = append(ev, iter(2, false)...) // same runs (block, length), other events
 	ev = append(ev, iter(0, true)...)  // same addresses, indirect first fetch
 	ch := repChunk(ev)
+	checkReps(t, ch)
+	want := []FetchRep{{Probe: 2, Skip: 4, End: 8}}
+	if !reflect.DeepEqual(ch.Reps, want) {
+		t.Fatalf("reps = %+v, want %+v", ch.Reps, want)
+	}
+}
+
+// Two periods that agree on every run's first event, length and last
+// address but differ inside one run (a jump inside the block, or an
+// indirect flag on a fetch of the next word) are not copies.
+func TestFindRepeatsComparesInsideRuns(t *testing.T) {
+	seq := []uint32{0x1_0000, 0x1_0004, 0x1_0008}
+	jumpy := []uint32{0x1_0000, 0x1_0008, 0x1_0008} // jumps over a word, then to itself
+	flagged := []uint32{0x1_0000, 0x1_0004 | cpu.EventIndirect, 0x1_0008}
+	iter := func(x []uint32) []uint32 { return append(slices.Clone(x), block(1, 0, 2, false)...) }
+	var ev []uint32
+	for it := 0; it < 4; it++ {
+		ev = append(ev, iter(seq)...)
+	}
+	ev = append(ev, iter(jumpy)...)
+	ev = append(ev, iter(flagged)...)
+	ch := repChunk(ev)
+	for i := 2; i < len(ch.Runs); i++ {
+		a, b := ch.Runs[i], ch.Runs[i%2]
+		if a.First != b.First || a.N != b.N || a.Last != b.Last {
+			t.Fatalf("run %d %+v and run %d %+v differ in First, N or Last; the test checks nothing", i, a, i%2, b)
+		}
+	}
 	checkReps(t, ch)
 	want := []FetchRep{{Probe: 2, Skip: 4, End: 8}}
 	if !reflect.DeepEqual(ch.Reps, want) {
@@ -233,18 +306,7 @@ func FuzzFindRepeats(f *testing.F) {
 // crcProgram links the crc benchmark on its small input.
 func crcProgram(t *testing.T) *obj.Program {
 	t.Helper()
-	b, err := bench.ByName("crc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := b.Build(bench.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := layout.LinkOriginal(u, textBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := linkBenchLayouts(t, "crc")
 	return p
 }
 

@@ -12,12 +12,14 @@ package sim
 // same program; all of them share runMulti's consume, alias and
 // finalize code.
 //
-// A recording holds the events, each chunk's repeats at the recording
-// pass's run-segmentation granule, and the producer outcome, the
-// reference I-TLB's stats included. Runs are not stored: a replay
-// cuts them from each decoded segment in a few steps, and at any
-// granule. At the recorded granule it re-emits the stored repeats; at
-// another it finds its own.
+// A recording holds the events, as segments, each chunk's repeats at
+// the recording pass's run-segmentation granule, and the producer
+// outcome, the reference I-TLB's stats included. The recorder encodes
+// the chunks' segments, not their events. Runs are not stored: a
+// replay hands on each decoded segment as it is and cuts its runs in a
+// few steps, at any granule, without writing one word per event. At
+// the recorded granule it re-emits the stored repeats; at another it
+// finds its own.
 //
 // Encoding. Fetch streams are long runs of sequential PCs broken by
 // control transfers, so the stream is stored as segments: one segment
@@ -288,7 +290,7 @@ func (r *traceRecorder) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	}
 	r.encodeReps(ch)
 	if r.recording {
-		r.encode(ch.Events)
+		r.encode(ch.Segs)
 	}
 	return ch, nil
 }
@@ -312,14 +314,15 @@ func (r *traceRecorder) encodeReps(ch *FetchChunk) {
 	}
 }
 
-// encode appends one chunk's events to the segment stream. The open
-// segment carries over chunk boundaries.
-func (r *traceRecorder) encode(events []uint32) {
-	r.events += uint64(len(events))
+// encode appends one chunk's segments to the segment stream. The open
+// segment carries over chunk boundaries: a segment whose first event
+// continues it (the next word, no flags) extends it.
+func (r *traceRecorder) encode(segs []FetchSeg) {
 	next := r.segNext
-	for _, ev := range events {
-		if ev == next {
-			next += 4
+	for _, sg := range segs {
+		r.events += uint64(sg.N)
+		if sg.Word == next {
+			next += 4 * sg.N
 			continue
 		}
 		if next != noEvent {
@@ -328,7 +331,7 @@ func (r *traceRecorder) encode(events []uint32) {
 				return
 			}
 		}
-		r.segFirst, next = ev, cpu.EventAddr(ev)+4
+		r.segFirst, next = sg.Word, cpu.EventAddr(sg.Word)+4*sg.N
 	}
 	r.segNext = next
 }
@@ -339,8 +342,8 @@ func (r *traceRecorder) closeSegment() bool {
 	addr := cpu.EventAddr(r.segFirst)
 	delta := int32(addr-r.prevEnd) >> 2
 	zz := uint64(uint32(delta<<1) ^ uint32(delta>>31))
-	r.segs.raw = binary.AppendUvarint(r.segs.raw, zz<<2|uint64(r.segFirst&3))
-	r.segs.raw = binary.AppendUvarint(r.segs.raw, uint64((r.segNext-addr)>>2-1))
+	raw := binary.AppendUvarint(r.segs.raw, zz<<2|uint64(r.segFirst&3))
+	r.segs.raw = binary.AppendUvarint(raw, uint64((r.segNext-addr)>>2-1))
 	r.prevEnd = r.segNext
 	if len(r.segs.raw) >= traceBlockBytes {
 		r.compress(&r.segs)
@@ -388,23 +391,24 @@ func (r *traceRecorder) abandon() {
 }
 
 // TraceSource re-emits a recorded trace in exactly the chunks a live
-// FetchSource produces for the same stream, runs and repeats included:
-// the replaying counterpart of FetchSource. Built by NewRelocSource it
-// re-emits the trace relocated onto another layout instead, in the
-// chunks a FetchSource over that layout produces.
+// FetchSource produces for the same stream, segments, runs and repeats
+// included, but without event words: the replaying counterpart of
+// FetchSource. Built by NewRelocSource it re-emits the trace relocated
+// onto another layout instead, in the chunks a FetchSource over that
+// layout produces.
 type TraceSource struct {
-	t        *FetchTrace
-	blockNeg uint32
-	left     uint64        // events still to emit
-	segs     inflater      // opened with the first chunk, like reps
-	reps     inflater      // read only at the recorded granule
-	find     *repeatFinder // at any other granule, or relocating, finds the repeats
-	events   []uint32
-	runs     []FetchRun
-	repBuf   []FetchRep
+	t       *FetchTrace
+	left    uint64        // events still to emit
+	segs    inflater      // opened with the first chunk, like reps
+	reps    inflater      // read only at the recorded granule
+	find    *repeatFinder // at any other granule, or relocating, finds the repeats
+	cut     chunkCutter
+	repBuf  []FetchRep
+	started bool
 
+	// What a chunk boundary left of the segment being emitted, and
+	// where the last decoded segment ended.
 	segNext, segLeft, prevEnd uint32
-	segFlags                  uint32 // flag bits of the segment's first event, not yet emitted
 
 	// Relocating only: the address map, the target layout's reference
 	// I-TLB, and what is left of the recorded segment being mapped.
@@ -419,7 +423,7 @@ func NewTraceSource(t *FetchTrace, blockBytes int) (*TraceSource, error) {
 	if err := checkBlockBytes(blockBytes, t.stream.ITLB); err != nil {
 		return nil, err
 	}
-	r := &TraceSource{t: t, blockNeg: uint32(blockBytes - 1), left: t.events}
+	r := &TraceSource{t: t, left: t.events, cut: chunkCutter{blockNeg: uint32(blockBytes - 1)}}
 	if blockBytes != t.block {
 		r.find = new(repeatFinder)
 	}
@@ -428,9 +432,10 @@ func NewTraceSource(t *FetchTrace, blockBytes int) (*TraceSource, error) {
 
 var errCorruptTrace = errors.New("sim: corrupt fetch trace")
 
-// NextChunk returns the next batch of recorded events, or (nil, nil)
-// at the end of the trace. The returned chunk's slices are only valid
-// until the next call.
+// NextChunk returns the next batch of recorded events, as segments and
+// runs, or (nil, nil) at the end of the trace. It writes no event
+// words: its chunks' Events is nil. The returned chunk's slices are
+// only valid until the next call.
 func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if r.left == 0 {
 		return nil, nil
@@ -438,23 +443,18 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if r.events == nil {
+	if !r.started {
+		r.started = true
 		r.segs.open(r.t.segs, traceReplayWindow)
 		if r.find == nil {
 			r.reps.open(r.t.reps, repReplayWindow)
 		}
-		r.events = make([]uint32, fetchChunkEvents)
 	}
-	n := fetchChunkEvents
-	if r.left < uint64(n) {
-		n = int(r.left)
-	}
-	ev := r.events[:n]
-	runs := r.runs[:0]
-	blockNeg := r.blockNeg
-	lastBlock := noEvent // the open run's block; noEvent is no block
-	addr, left, flags := r.segNext, r.segLeft, r.segFlags
-	for i := 0; i < n; {
+	n := uint32(min(r.left, fetchChunkEvents))
+	r.cut.reset()
+	addr, left := r.segNext, r.segLeft
+	for i := uint32(0); i < n; {
+		flags := uint32(0)
 		if left == 0 {
 			var err error
 			if r.rel == nil {
@@ -466,34 +466,15 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 				return nil, err
 			}
 		}
-		piece := ev[i : i+int(min(left, uint32(n-i)))]
-		for j := range piece {
-			piece[j] = addr + 4*uint32(j)
-		}
-		piece[0] |= flags
-		flags = 0
-		// The piece's events are sequential, so its runs break only at
-		// block boundaries, and its first event extends the open run
-		// when it stays in that run's block (a short jump or a flagged
-		// fall-through).
-		for at, rest := uint32(i), uint32(len(piece)); rest > 0; {
-			block := addr &^ blockNeg
-			m := min((block+blockNeg-addr)>>2+1, rest) // events to the end of the block
-			if block == lastBlock {
-				runs[len(runs)-1].N += m
-			} else {
-				runs = append(runs, FetchRun{Start: at, N: m})
-				lastBlock = block
-			}
-			at, rest, addr = at+m, rest-m, addr+4*m
-		}
-		i += len(piece)
-		left -= uint32(len(piece))
+		m := min(left, n-i)
+		r.cut.piece(addr|flags, m)
+		addr, left = addr+4*m, left-m
+		i += m
 	}
-	r.segNext, r.segLeft, r.segFlags = addr, left, flags
+	r.segNext, r.segLeft = addr, left
 	r.left -= uint64(n)
-	r.runs = runs
-	ch := &FetchChunk{Events: ev, Runs: runs}
+	ch := new(FetchChunk)
+	ch.Segs, ch.Runs = r.cut.chunk()
 	if r.find != nil {
 		ch.Reps = r.find.find(ch)
 		if r.rel != nil {
@@ -501,7 +482,7 @@ func (r *TraceSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 		}
 		return ch, nil
 	}
-	reps, err := r.nextReps(len(runs))
+	reps, err := r.nextReps(len(ch.Runs))
 	if err != nil {
 		return nil, err
 	}

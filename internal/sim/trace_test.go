@@ -81,8 +81,34 @@ func TestReplayMatchesLiveAcrossChunks(t *testing.T) {
 	}
 }
 
-// A TraceSource emits exactly the chunks — events and runs — of the
-// FetchSource it was recorded from, at every run-segmentation granule.
+// sameChunk checks a replayed or relocated chunk against the live
+// chunk of the same stream: equal segments, runs and repeats, no event
+// words, and segments that expand to the live events word for word.
+func sameChunk(t *testing.T, block, n int, got, want *FetchChunk) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("block %d: chunk %d is %v, live %v", block, n, got, want)
+	}
+	if got == nil {
+		return
+	}
+	switch {
+	case got.Events != nil:
+		t.Fatalf("block %d: chunk %d carries %d event words", block, n, len(got.Events))
+	case !slices.Equal(got.Segs, want.Segs):
+		t.Fatalf("block %d: chunk %d has %d segments, live %d", block, n, len(got.Segs), len(want.Segs))
+	case !slices.Equal(got.Runs, want.Runs):
+		t.Fatalf("block %d: chunk %d has %d runs, live %d", block, n, len(got.Runs), len(want.Runs))
+	case !slices.Equal(got.Reps, want.Reps):
+		t.Fatalf("block %d: chunk %d has %d repeats, live %d", block, n, len(got.Reps), len(want.Reps))
+	case !slices.Equal(segEvents(got.Segs), want.Events):
+		t.Fatalf("block %d: chunk %d's segments expand to other events than the live chunk's", block, n)
+	}
+}
+
+// A TraceSource emits exactly the chunks — segments, runs and repeats —
+// of the FetchSource it was recorded from, at every run-segmentation
+// granule, without writing one word per event.
 func TestTraceSourceMatchesFetchSource(t *testing.T) {
 	prog := linkTestBench(t, 200)
 	cfg := Default()
@@ -109,9 +135,7 @@ func TestTraceSourceMatchesFetchSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("block %d: chunk %d differs from the live chunk", block, n)
-			}
+			sameChunk(t, block, n, got, want)
 			if want == nil {
 				break
 			}
@@ -233,11 +257,11 @@ func TestReplayCorruptTrace(t *testing.T) {
 }
 
 // plantedSource emits a fixed event stream in production-sized chunks,
-// analysed as a FetchSource analyses its own.
+// cut and analysed as a FetchSource analyses its own, and like a
+// replaying source without event words.
 type plantedSource struct {
 	ev       []uint32
 	blockNeg uint32
-	runs     []FetchRun
 	reps     repeatFinder
 }
 
@@ -248,8 +272,8 @@ func (s *plantedSource) NextChunk(context.Context) (*FetchChunk, error) {
 	n := min(len(s.ev), fetchChunkEvents)
 	ev := s.ev[:n]
 	s.ev = s.ev[n:]
-	s.runs = segmentRuns(ev, s.blockNeg, s.runs[:0])
-	ch := &FetchChunk{Events: ev, Runs: s.runs}
+	segs, runs := cutEvents(ev, s.blockNeg)
+	ch := &FetchChunk{Segs: segs, Runs: runs}
 	ch.Reps = s.reps.find(ch)
 	return ch, nil
 }
@@ -327,10 +351,12 @@ func plantStream(seed int64) []uint32 {
 	return ev
 }
 
-// A TraceSource cuts runs per decoded segment; on planted streams they
-// equal segmentRuns on the same events, at every granule from a word
-// to a page, and its repeats equal a fresh finder's whether it
-// re-emits the recorded ones (at the recorded granule) or finds its
+// A TraceSource cuts segments and runs per decoded segment; on planted
+// streams they equal the reference cut (cutEvents) of the same events,
+// as a live source's cut does, and walking a run's segments
+// (runEvent) gives back each of its events, at every granule
+// from a word to a page, and its repeats equal a fresh finder's whether
+// it re-emits the recorded ones (at the recorded granule) or finds its
 // own (at any other).
 func FuzzTraceSourceRuns(f *testing.F) {
 	for lg := uint8(2); lg <= 10; lg++ {
@@ -358,12 +384,31 @@ func FuzzTraceSourceRuns(f *testing.F) {
 				if ch == nil {
 					break
 				}
-				if !slices.Equal(ch.Events, ev[at:at+len(ch.Events)]) {
+				got := segEvents(ch.Segs)
+				if !slices.Equal(got, ev[at:at+len(got)]) {
 					t.Fatalf("block %d: chunk %d events differ from the planted stream", replay, n)
 				}
-				at += len(ch.Events)
-				if want := segmentRuns(ch.Events, uint32(replay-1), nil); !slices.Equal(ch.Runs, want) {
-					t.Fatalf("block %d: chunk %d has %d runs, segmentRuns %d", replay, n, len(ch.Runs), len(want))
+				at += len(got)
+				segs, runs := cutEvents(got, uint32(replay-1))
+				if !slices.Equal(ch.Segs, segs) {
+					t.Fatalf("block %d: chunk %d has %d segments, cutEvents %d", replay, n, len(ch.Segs), len(segs))
+				}
+				if !slices.Equal(ch.Runs, runs) {
+					t.Fatalf("block %d: chunk %d has %d runs, cutEvents %d", replay, n, len(ch.Runs), len(runs))
+				}
+				live := chunkCutter{blockNeg: uint32(replay - 1)}
+				live.reset()
+				live.events(got)
+				if liveSegs, liveRuns := live.chunk(); !slices.Equal(liveSegs, segs) || !slices.Equal(liveRuns, runs) {
+					t.Fatalf("block %d: a live source cuts chunk %d otherwise than cutEvents", replay, n)
+				}
+				k := 0
+				for _, r := range ch.Runs {
+					for i := uint32(0); i < r.N; i, k = i+1, k+1 {
+						if e := ch.runEvent(r, i); e != got[k] {
+							t.Fatalf("block %d: chunk %d: event %d of run %+v is %#x, want %#x", replay, n, i, r, e, got[k])
+						}
+					}
 				}
 				if want := finder.find(ch); !slices.Equal(ch.Reps, want) {
 					t.Fatalf("block %d: chunk %d has %d repeats, the finder %d", replay, n, len(ch.Reps), len(want))

@@ -35,8 +35,10 @@ func Addrs(ctx context.Context, prog *obj.Program, base sim.Config) ([]uint32, e
 		if ch == nil {
 			return addrs, nil
 		}
-		for _, ev := range ch.Events {
-			addrs = append(addrs, cpu.EventAddr(ev))
+		for _, sg := range ch.Segs {
+			for k, addr := uint32(0), cpu.EventAddr(sg.Word); k < sg.N; k++ {
+				addrs = append(addrs, addr+4*k)
+			}
 		}
 	}
 }
