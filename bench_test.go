@@ -365,7 +365,8 @@ func BenchmarkFetchTraceReplay(b *testing.B) {
 // BenchmarkRelocatedReplay is the same stream's recording relocated
 // onto the placed layout: decoding, mapping every segment to its new
 // addresses, and the target layout's own runs, repeats and reference
-// I-TLB, as the engine derives a placed stream.
+// I-TLB, as the engine replays a workload's recording onto the layout
+// that did not make it.
 func BenchmarkRelocatedReplay(b *testing.B) {
 	w := suite(b).Workloads[0]
 	tr := recordTrace(b, w.Original)

@@ -3,8 +3,10 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"wayplace/internal/engine"
@@ -89,21 +91,48 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, maxCells int, role stri
 	return &breq, specs, nil
 }
 
+// truncatedLogEvery spaces a Responder's log lines about truncated
+// writes: clients that abort under load can truncate hundreds of
+// answers a second, and one line per interval says as much.
+const truncatedLogEvery = 10 * time.Second
+
 // Responder writes v1 answers. Once the status line is out a failed
-// body write cannot change it — the client sees a truncated answer —
-// so the failure goes to OnWriteError instead of vanishing.
+// body write cannot change it: the client sees a truncated answer. A
+// Responder counts every such write and logs the first, then at most
+// one line per truncatedLogEvery, which says how many there were since
+// the line before it.
 type Responder struct {
-	OnWriteError func(error)
+	role      string
+	truncated *obs.Counter
+	now       func() time.Time
+
+	mu     sync.Mutex
+	logged time.Time // the last line's time; zero before the first
+	since  uint64    // truncated writes not logged since then
 }
 
-func (rw Responder) failed(err error) {
-	if err != nil && rw.OnWriteError != nil {
-		rw.OnWriteError(err)
+// NewResponder returns a Responder that counts truncated writes on
+// truncated (nil counts nothing) and prefixes its log lines with role.
+func NewResponder(role string, truncated *obs.Counter) *Responder {
+	return &Responder{role: role, truncated: truncated, now: time.Now}
+}
+
+func (rw *Responder) failed(err error) {
+	if err == nil {
+		return
+	}
+	rw.truncated.Inc()
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	rw.since++
+	if now := rw.now(); rw.logged.IsZero() || now.Sub(rw.logged) >= truncatedLogEvery {
+		log.Printf("%s: truncated answers (body write failed after headers) since the last report: %d, the latest: %v", rw.role, rw.since, err)
+		rw.logged, rw.since = now, 0
 	}
 }
 
 // JSON answers small payloads (errors, healthz) in one encode.
-func (rw Responder) JSON(w http.ResponseWriter, status int, v any) {
+func (rw *Responder) JSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	rw.failed(json.NewEncoder(w).Encode(v))
@@ -112,7 +141,7 @@ func (rw Responder) JSON(w http.ResponseWriter, status int, v any) {
 // Batch streams a BatchResponse result by result
 // (EncodeBatchResponse), so a grid-sized answer never materialises a
 // second body-sized buffer; the bytes equal a one-shot encode.
-func (rw Responder) Batch(w http.ResponseWriter, status int, resp *BatchResponse) {
+func (rw *Responder) Batch(w http.ResponseWriter, status int, resp *BatchResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	rw.failed(EncodeBatchResponse(w, resp))
@@ -122,7 +151,7 @@ func (rw Responder) Batch(w http.ResponseWriter, status int, resp *BatchResponse
 // permanent batch_too_large never comes through here): the
 // Retry-After header in whole seconds, rounded up, and a coded body
 // that mirrors it for clients that only read JSON.
-func (rw Responder) Busy(w http.ResponseWriter, msg, code string, retry time.Duration) {
+func (rw *Responder) Busy(w http.ResponseWriter, msg, code string, retry time.Duration) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
 	rw.JSON(w, http.StatusTooManyRequests, ErrorResponse{
 		Error:             msg,

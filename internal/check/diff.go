@@ -19,10 +19,10 @@ package check
 // match field for field, bit for bit. The single-pass leg records its fetch
 // streams (sim.RecordMulti), and a third leg replays every variant
 // from the recording (sim.ReplayMulti), which must match the live
-// pass just as exactly. A fourth leg relocates the other binary's
-// recording onto every variant's binary (sim.RelocateMulti), the
-// placed stream from the original one's as the engine derives it,
-// and must match just as exactly too. A defect in any implementation
+// pass just as exactly. A fourth leg replays the other binary's
+// recording relocated onto every variant's binary (sim.ReplayMulti),
+// as the engine replays a workload's one recording onto whichever
+// layout did not make it, and must match just as exactly too. A defect in any implementation
 // surfaces as a divergence here instead of a silently wrong figure.
 
 import (
@@ -169,7 +169,7 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 			errs = append(errs, ReplayDiffs(s.name, res[0], single[i])...)
 		}
 		if tr := traces[other[s.prog]]; tr != nil {
-			res, _, err := sim.RelocateMulti(ctx, tr, s.prog, base, []sim.ModelSpec{s.model})
+			res, err := sim.ReplayMulti(ctx, tr, s.prog, base, []sim.ModelSpec{s.model})
 			if err != nil {
 				return nil, fmt.Errorf("check: differential relocation %s: %w", s.name, err)
 			}

@@ -12,7 +12,6 @@ import (
 	"wayplace/internal/energy"
 	"wayplace/internal/layout"
 	"wayplace/internal/obj"
-	"wayplace/internal/profile"
 	"wayplace/internal/sim"
 )
 
@@ -26,10 +25,13 @@ const relocMaxInstrs = 100_000_000
 // binary, the random (0xabcdef) and Pettis-Hansen permutations and the
 // large-profile oracle layout — gives exactly what a live pass over
 // that binary gives, every model field for field, on the paper's cache
-// and on thrashGeometry. The oracle layout's large-input profile is
-// read off the recording, and must equal a profiling run's. A program
-// of another unit, even the same benchmark's Small input, is refused.
-// It covers the benchmarks relocSwept names.
+// and on thrashGeometry. So does the placed layout's recording
+// relocated onto the original, the direction the engine takes when a
+// workload's placed cells arrive first. The oracle layout's
+// large-input profile is read off the recording, and must equal a
+// profiling run's and the placed recording's. A program of another
+// unit, even the same benchmark's Small input, is refused. It covers
+// the benchmarks relocSwept names.
 func TestRelocationMatchesLive(t *testing.T) {
 	base := sim.Default()
 	base.MaxInstrs = relocMaxInstrs
@@ -77,16 +79,15 @@ func TestRelocationMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, tr, err := sim.RecordMulti(ctx, original, base, models)
+			originalLive, tr, err := sim.RecordMulti(ctx, original, base, models)
 			if err != nil || tr == nil {
 				t.Fatalf("record original: trace %v, err %v", tr, err)
 			}
 
-			counts, err := tr.InstrCounts()
+			largeProf, err := tr.Profile()
 			if err != nil {
 				t.Fatal(err)
 			}
-			largeProf := profile.FromInstrCounts(original, counts)
 			want, _, err := sim.ProfileRun(original, relocMaxInstrs)
 			if err != nil {
 				t.Fatal(err)
@@ -94,12 +95,37 @@ func TestRelocationMatchesLive(t *testing.T) {
 			if !reflect.DeepEqual(largeProf.Counts, want.Counts) {
 				t.Error("the recording's block counts differ from a profiling run's")
 			}
+			placed, err := layout.Link(u, prof, textBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			placedLive, placedTr, err := sim.RecordMulti(ctx, placed, base, models)
+			if err != nil || placedTr == nil {
+				t.Fatalf("record placed: trace %v, err %v", placedTr, err)
+			}
+			if placedProf, err := placedTr.Profile(); err != nil || !reflect.DeepEqual(placedProf.Counts, want.Counts) {
+				t.Errorf("the placed recording's block counts differ from a profiling run's (err %v)", err)
+			}
+
+			// relocated replays trace onto prog and holds it to live.
+			relocated := func(name string, trace *sim.FetchTrace, prog *obj.Program, live []*sim.ModelResult) {
+				got, err := sim.ReplayMulti(ctx, trace, prog, base, models)
+				if err != nil {
+					t.Fatalf("%s: relocate: %v", name, err)
+				}
+				for i, spec := range models {
+					for _, d := range ReplayDiffs(fmt.Sprintf("%s model %d (%+v)", name, i, spec), got[i], live[i]) {
+						t.Error(d)
+					}
+				}
+			}
+			relocated("placed", tr, placed, placedLive)
+			relocated("placed onto original", placedTr, original, originalLive)
 
 			targets := []struct {
 				name string
 				link func() (*obj.Program, error)
 			}{
-				{"placed", func() (*obj.Program, error) { return layout.Link(u, prof, textBase) }},
 				{"random", func() (*obj.Program, error) { return layout.LinkPermuted(u, 0xabcdef, textBase) }},
 				{"pettis-hansen", func() (*obj.Program, error) { return layout.LinkPettisHansen(u, prof, textBase) }},
 				{"large-profile", func() (*obj.Program, error) { return layout.Link(u, largeProf, textBase) }},
@@ -113,22 +139,13 @@ func TestRelocationMatchesLive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: live: %v", target.name, err)
 				}
-				got, derived, err := sim.RelocateMulti(ctx, tr, prog, base, models)
-				if err != nil {
-					t.Fatalf("%s: relocate: %v", target.name, err)
-				}
-				if derived == nil {
-					t.Errorf("%s: relocation recorded no trace", target.name)
-				}
-				for i, spec := range models {
-					for _, d := range ReplayDiffs(fmt.Sprintf("%s model %d (%+v)", target.name, i, spec), got[i], live[i]) {
-						t.Error(d)
-					}
-				}
+				relocated(target.name, tr, prog, live)
 			}
 
-			if _, _, err := sim.RelocateMulti(ctx, tr, small, base, models); err == nil || !strings.Contains(err.Error(), "different units") {
-				t.Errorf("relocating onto another unit: err %v, want a refusal", err)
+			for name, trace := range map[string]*sim.FetchTrace{"original": tr, "placed": placedTr} {
+				if _, err := sim.ReplayMulti(ctx, trace, small, base, models); err == nil || !strings.Contains(err.Error(), "different units") {
+					t.Errorf("relocating the %s recording onto another unit: err %v, want a refusal", name, err)
+				}
 			}
 		})
 	}
@@ -181,14 +198,14 @@ func TestRelocationGuard(t *testing.T) {
 		"rebuilt unit": mustLinkOriginal(t, rebuilt),
 		"other data":   &otherData,
 	} {
-		res, derived, err := sim.RelocateMulti(context.Background(), tr, prog, base, []sim.ModelSpec{{Geometry: geo, Scheme: energy.Baseline}})
-		if err == nil || res != nil || derived != nil {
-			t.Errorf("%s: results %v, trace %v, err %v; want a refusal", name, res, derived, err)
+		res, err := sim.ReplayMulti(context.Background(), tr, prog, base, []sim.ModelSpec{{Geometry: geo, Scheme: energy.Baseline}})
+		if err == nil || res != nil {
+			t.Errorf("%s: results %v, err %v; want a refusal", name, res, err)
 		}
 	}
 	other := base
 	other.DCache.SizeBytes *= 2
-	if _, _, err := sim.RelocateMulti(context.Background(), tr, original, other, models); err == nil {
+	if _, err := sim.ReplayMulti(context.Background(), tr, original, other, models); err == nil {
 		t.Error("relocation accepted a trace recorded under another producer configuration")
 	}
 }

@@ -9,10 +9,10 @@
 // Every fresh cell runs the same way: the cells of a batch that share
 // a fetch stream (RunSpec.Stream) form one group, and the group is one
 // single-pass simulation driving every member's cache model off that
-// stream: sim.ReplayMulti when the stream was recorded before,
-// sim.RelocateMulti of the workload's original-layout recording for a
-// placed stream, sim.RecordMulti otherwise (trace.go). A batch of one
-// cell is a group of one.
+// stream: sim.ReplayMulti of the workload's recording, relocated when
+// another layout made it, or sim.RecordMulti when the engine holds no
+// recording of the workload yet (trace.go). A batch of one cell is a
+// group of one.
 //
 // The engine is context-aware end to end: cancellation propagates
 // into the single-pass fetch loop, progress is reported through an
@@ -63,16 +63,14 @@ const (
 	// and the cells that rode in them.
 	MetricGroups         = "engine_groups_total"
 	MetricCoalescedCells = "engine_coalesced_cells_total"
-	// MetricTraceHits / MetricTraceMisses / MetricTraceRelocations
-	// count single-pass groups that replayed a recorded fetch trace
-	// (Engine.TraceHits), executed the program live (Engine.TraceMisses)
-	// and relocated the workload's original-layout recording
-	// (Engine.Relocations); MetricTraceBytes is the compressed size of
-	// the engine's trace table.
-	MetricTraceHits        = "engine_trace_hits_total"
-	MetricTraceMisses      = "engine_trace_misses_total"
-	MetricTraceRelocations = "engine_trace_relocations_total"
-	MetricTraceBytes       = "engine_trace_bytes"
+	// MetricTraceHits / MetricTraceMisses count single-pass groups
+	// that replayed the workload's recording, relocated or not
+	// (Engine.TraceHits), and program executions (Engine.TraceMisses);
+	// MetricTraceBytes is the compressed size of the engine's trace
+	// table.
+	MetricTraceHits   = "engine_trace_hits_total"
+	MetricTraceMisses = "engine_trace_misses_total"
+	MetricTraceBytes  = "engine_trace_bytes"
 	// MetricInflight: cells currently inside a simulator.
 	MetricInflight = "engine_inflight_cells"
 	// MetricInstructions: instructions simulated (fresh cells only),
@@ -98,7 +96,6 @@ type instruments struct {
 	coalesced *obs.Counter
 	traceHits *obs.Counter
 	traceMiss *obs.Counter
-	relocs    *obs.Counter
 	instrs    *obs.Counter
 	inflight  *obs.Gauge
 	traceSize *obs.Gauge
@@ -120,7 +117,6 @@ func newInstruments(r *obs.Registry) instruments {
 		coalesced: r.Counter(MetricCoalescedCells),
 		traceHits: r.Counter(MetricTraceHits),
 		traceMiss: r.Counter(MetricTraceMisses),
-		relocs:    r.Counter(MetricTraceRelocations),
 		instrs:    r.Counter(MetricInstructions),
 		inflight:  r.Gauge(MetricInflight),
 		traceSize: r.Gauge(MetricTraceBytes),
@@ -145,9 +141,10 @@ func (ins *instruments) record(spec RunSpec, stats *sim.RunStats, wall time.Dura
 // schemes) and the way-placement relaid binary. Both programs are
 // immutable once linked and are shared, not copied, across concurrent
 // cells. obj.Link must have built both from the same obj.Unit: the
-// engine derives the placed stream from the original one's recording
-// (sim.RelocateMulti), and fails a placed group whose binary is not
-// another layout of the original.
+// engine executes whichever layout a workload's first group runs on
+// and replays that recording relocated onto the other
+// (sim.ReplayMulti), and fails a group whose binary is not another
+// layout of the recorded one.
 type Workload struct {
 	Name     string
 	Original *obj.Program
@@ -298,7 +295,6 @@ type Engine struct {
 	coalesced   atomic.Uint64
 	traceHits   atomic.Uint64
 	traceMisses atomic.Uint64
-	relocations atomic.Uint64
 }
 
 // workloadEntry memoises one provider call; done is closed when w/err
@@ -349,21 +345,17 @@ func (e *Engine) Hits() uint64 { return e.hits.Load() }
 // Misses returns how many cells were actually simulated.
 func (e *Engine) Misses() uint64 { return e.misses.Load() }
 
-// TraceHits returns how many single-pass groups replayed a fetch
-// trace recorded by an earlier group of the same stream instead of
-// executing the program. Their cells still count as Misses: they were
-// simulated, only without re-running the CPU and data side.
+// TraceHits returns how many single-pass groups replayed the fetch
+// trace an earlier group of the same workload recorded, relocated onto
+// their own layout when another made it, instead of executing the
+// program. Their cells still count as Misses: they were simulated,
+// only without re-running the CPU and data side.
 func (e *Engine) TraceHits() uint64 { return e.traceHits.Load() }
 
 // TraceMisses returns how many times the engine executed a program:
-// single-pass groups that found no recording to replay or relocate,
-// and OriginalTrace calls that had to record one.
+// single-pass groups that found no recording of their workload, and
+// Trace calls that had to record one.
 func (e *Engine) TraceMisses() uint64 { return e.traceMisses.Load() }
-
-// Relocations returns how many single-pass groups of a placed stream
-// relocated the workload's original-layout recording instead of
-// executing the placed binary.
-func (e *Engine) Relocations() uint64 { return e.relocations.Load() }
 
 // Groups returns how many multi-cell single-pass groups the engine
 // has executed: batches of cells sharing one fetch stream that were
@@ -380,10 +372,10 @@ func (e *Engine) CoalescedCells() uint64 { return e.coalesced.Load() }
 // seen in earlier batches are served from the run cache. Fresh cells
 // are planned into one single-pass group per fetch stream
 // (RunSpec.Stream), each simulated by one pass driving every member's
-// cache model off that stream: recorded live the first time (a placed
-// stream relocated from its workload's original-layout recording when
-// the engine holds one), replayed from the engine's trace table
-// afterwards. A spec that fails
+// cache model off that stream. A workload's first group, of either
+// layout, executes and records the workload; every later group
+// replays that recording from the engine's trace table, relocated onto
+// its own layout when the other made it. A spec that fails
 // RunSpec.Validate is never run. Per-cell failures (such a spec
 // included) do not abort the grid: every runnable cell still runs, the
 // failures come back as a *MultiError of *CellError, and the
@@ -497,8 +489,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		ent *runEntry
 	}
 	type group struct {
-		stream  string // RunSpec.Stream of every member
-		members []member
+		members []member // cells of one RunSpec.Stream
 	}
 
 	// runGroup executes one planned group: a single multi-model pass
@@ -566,7 +557,7 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		}
 		ins.inflight.Add(float64(len(g.members)))
 		start := time.Now()
-		res, err := e.runStream(ctx, g.stream, w, prog, opt.base, models, ins)
+		res, err := e.runStream(ctx, first.Workload, prog, opt.base, models, ins)
 		wall := time.Since(start)
 		ins.inflight.Add(-float64(len(g.members)))
 		if err != nil {
@@ -623,9 +614,12 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	// entry and is assigned to the single-pass group of its stream
 	// (RunSpec.Stream). Group membership follows unique order,
 	// so the model list — and therefore the output — is deterministic
-	// regardless of worker count.
+	// regardless of worker count. A workload's groups form one task,
+	// run in first-appearance order, so that the first records the
+	// workload and the others replay that recording.
 	var tasks []func()
-	var order []*group
+	var order []string // workloads, in first-appearance order
+	byWorkload := make(map[string][]*group)
 	byStream := make(map[string]*group)
 	e.mu.Lock()
 	for idx, spec := range unique {
@@ -642,29 +636,24 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		stream := spec.Stream()
 		g := byStream[stream]
 		if g == nil {
-			g = &group{stream: stream}
+			g = &group{}
 			byStream[stream] = g
-			order = append(order, g)
+			if byWorkload[spec.Workload] == nil {
+				order = append(order, spec.Workload)
+			}
+			byWorkload[spec.Workload] = append(byWorkload[spec.Workload], g)
 		}
+		groupIDs[idx] = stream
 		g.members = append(g.members, member{idx: idx, key: key, ent: ent})
 	}
 	e.mu.Unlock()
-	// A workload's placed group runs in its original group's task,
-	// right after it, so that it relocates the recording the original
-	// group has just made instead of executing its own binary.
-	for _, g := range order {
-		for _, m := range g.members {
-			groupIDs[m.idx] = g.stream
-		}
-		w := unique[g.members[0].idx].Workload
-		switch placed, orig := byStream[w+"/placed"], byStream[w+"/original"]; {
-		case g == orig && placed != nil:
-			tasks = append(tasks, func() { runGroup(orig); runGroup(placed) })
-		case g == placed && orig != nil:
-			// Queued with the original group.
-		default:
-			tasks = append(tasks, func() { runGroup(g) })
-		}
+	for _, w := range order {
+		groups := byWorkload[w]
+		tasks = append(tasks, func() {
+			for _, g := range groups {
+				runGroup(g)
+			}
+		})
 	}
 
 	if workers > len(tasks) {
@@ -718,57 +707,46 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	return results, nil
 }
 
-// runStream executes one group's pass over prog, w's binary for the
-// stream: a replay when the engine holds a trace of the stream;
-// otherwise, for the placed stream, a relocation of the trace of w's
-// original stream when the engine holds that; otherwise a live pass.
-// A relocation or live pass records the stream. Only complete,
-// successful passes are recorded, so a fault, an exhausted budget or a
+// runStream executes one group's pass over prog, a binary of the named
+// workload: a replay of the workload's recording when the engine holds
+// one, relocated onto prog when another layout made it; otherwise a
+// live pass that records the workload. Only complete, successful
+// passes are recorded, so a fault, an exhausted budget or a
 // cancellation re-executes (and re-raises) next time.
-func (e *Engine) runStream(ctx context.Context, stream string, w *Workload, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
-	key := traceKey{stream: stream, cfg: sim.StreamConfigOf(base)}
+func (e *Engine) runStream(ctx context.Context, workload string, prog *obj.Program, base sim.Config, models []sim.ModelSpec, ins instruments) ([]*sim.ModelResult, error) {
+	key := traceKey{workload: workload, cfg: sim.StreamConfigOf(base)}
 	if tr := e.traces.get(key); tr != nil {
 		e.traceHits.Add(1)
 		ins.traceHits.Inc()
 		return sim.ReplayMulti(ctx, tr, prog, base, models)
 	}
-	var res []*sim.ModelResult
-	var tr *sim.FetchTrace
-	var err error
-	origKey := traceKey{stream: w.Name + "/original", cfg: key.cfg}
-	if orig := e.traces.get(origKey); orig != nil && key != origKey {
-		e.relocations.Add(1)
-		ins.relocs.Inc()
-		res, tr, err = sim.RelocateMulti(ctx, orig, prog, base, models)
-	} else {
-		e.traceMisses.Add(1)
-		ins.traceMiss.Inc()
-		res, tr, err = sim.RecordMulti(ctx, prog, base, models)
-	}
+	e.traceMisses.Add(1)
+	ins.traceMiss.Inc()
+	res, tr, err := sim.RecordMulti(ctx, prog, base, models)
 	if tr != nil {
 		ins.traceSize.Set(float64(e.traces.put(key, tr)))
 	}
 	return res, err
 }
 
-// OriginalTrace returns the engine's recording of the named workload's
-// original-layout stream under its default base configuration, first
-// recording it, with one model on the base's I-cache, when the trace
-// table lacks it. Any other layout of the workload's unit replays it
-// relocated (sim.ReplayMulti), and a profile of the evaluation input
-// reads off its instruction counts (sim.FetchTrace.InstrCounts), so
-// layouts outside the cell grid need no execution of their own.
-func (e *Engine) OriginalTrace(ctx context.Context, workload string) (*sim.FetchTrace, error) {
+// Trace returns the engine's recording of the named workload under its
+// default base configuration, whichever layout made it, first
+// recording the original layout, with one model on the base's
+// I-cache, when the trace table lacks one. Any layout of the
+// workload's unit replays it relocated (sim.ReplayMulti), and a
+// profile of the evaluation input reads off it (sim.FetchTrace.Profile),
+// so layouts outside the cell grid need no execution of their own.
+func (e *Engine) Trace(ctx context.Context, workload string) (*sim.FetchTrace, error) {
 	w, err := e.workload(ctx, workload)
 	if err != nil {
 		return nil, err
 	}
 	base := e.defaults.base
-	key := traceKey{stream: workload + "/original", cfg: sim.StreamConfigOf(base)}
+	key := traceKey{workload: workload, cfg: sim.StreamConfigOf(base)}
 	if tr := e.traces.get(key); tr != nil {
 		return tr, nil
 	}
-	res, err := e.runStream(ctx, key.stream, w, w.Original, base, []sim.ModelSpec{sim.ModelSpecOf(base)}, e.ins)
+	res, err := e.runStream(ctx, workload, w.Original, base, []sim.ModelSpec{sim.ModelSpecOf(base)}, e.ins)
 	if err == nil {
 		err = res[0].Err
 	}
@@ -777,7 +755,7 @@ func (e *Engine) OriginalTrace(ctx context.Context, workload string) (*sim.Fetch
 		err = errors.New("the pass recorded no trace")
 	}
 	if err != nil {
-		return nil, fmt.Errorf("engine: recording %s: %w", key.stream, err)
+		return nil, fmt.Errorf("engine: recording %s: %w", workload, err)
 	}
 	return tr, nil
 }

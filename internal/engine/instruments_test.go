@@ -14,13 +14,12 @@ import (
 func TestNilInstrumentsAllocFree(t *testing.T) {
 	ins := newInstruments(nil)
 	var table traceTable
-	key := traceKey{stream: "w/placed", cfg: sim.StreamConfigOf(sim.Default())}
+	key := traceKey{workload: "w", cfg: sim.StreamConfigOf(sim.Default())}
 	stats := &sim.RunStats{Instrs: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		_ = table.get(key)
 		ins.traceHits.Inc()
 		ins.traceMiss.Inc()
-		ins.relocs.Inc()
 		ins.traceSize.Set(1)
 		ins.misses.Add(2)
 		ins.inflight.Add(2)

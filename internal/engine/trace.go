@@ -6,33 +6,31 @@ import (
 	"wayplace/internal/sim"
 )
 
-// Fetch-trace reuse. Every cell of one fetch stream — a workload's
-// binary under one producer-side configuration — sees the same
-// instruction stream and the same CPU, D-cache, D-TLB, reference I-TLB
-// and memory outcome. The first single-pass group of a stream records
-// it; later groups of the stream on the same engine, typically cells
-// arriving in later batches, replay the recording (sim.ReplayMulti)
-// instead of re-executing the program. The two binaries of a workload
-// are layouts of one unit and retire the same instructions, so only
-// the original stream needs executing (sim.RecordMulti): the first
-// group of the placed stream relocates the original stream's
-// recording onto the placed binary (sim.RelocateMulti), and records
-// that as the placed stream's own trace. Layouts outside the cell grid
-// relocate it too (Engine.OriginalTrace). Results are bit-identical
-// every way (internal/check proves it), so reuse is always on and has
-// no knob. sim caps each recording; traceTableBytes bounds an engine's
-// trace table, and inserting past it evicts the oldest traces first.
+// Fetch-trace reuse. The layout pass only permutes basic blocks, so
+// every binary of a workload retires the same instructions with the
+// same CPU, D-cache, D-TLB and memory outcome; only the addresses, and
+// so the reference I-TLB, differ. The engine therefore keeps one
+// recording per workload and producer-side configuration: the first
+// single-pass group of a workload, of either layout, executes the
+// program and records it (sim.RecordMulti), and every later group of
+// either layout replays that recording (sim.ReplayMulti), relocated
+// onto its own binary when the other layout made it. Layouts outside
+// the cell grid replay it too (Engine.Trace). Results are
+// bit-identical every way (internal/check proves it), so reuse is
+// always on and has no knob. sim caps each recording; traceTableBytes
+// bounds an engine's trace table, and inserting past it evicts the
+// oldest traces first. A replay that fails, a relocation refused
+// between binaries of different units included, fails its group: the
+// engine never falls back to executing live.
 const traceTableBytes = 32 << 20
 
-// traceKey names one fetch stream: the group's RunSpec.Stream (its
-// workload and binary) plus the producer-side half of the base
-// configuration. An engine memoises each workload's programs for its
-// lifetime, so the stream names the program (sim.ReplayMulti rejects a
-// trace of any other). A relocated trace is stored under the placed
-// stream's key like a live recording of it.
+// traceKey names one workload's recording: the workload plus the
+// producer-side half of the base configuration. An engine memoises
+// each workload's programs for its lifetime, so the workload names the
+// recorded program and every layout a replay may relocate it onto.
 type traceKey struct {
-	stream string
-	cfg    sim.StreamConfig
+	workload string
+	cfg      sim.StreamConfig
 }
 
 // traceTable is an engine's bounded store of recorded fetch traces.
@@ -49,8 +47,8 @@ func (t *traceTable) get(k traceKey) *sim.FetchTrace {
 	return t.byKey[k]
 }
 
-// put stores tr under k unless a trace of the stream is already
-// present (two groups of one stream may record concurrently), evicts
+// put stores tr under k unless a trace of the workload is already
+// present (two groups of one workload may record concurrently), evicts
 // the oldest traces while the table is over its bound, and returns the
 // table's size in bytes.
 func (t *traceTable) put(k traceKey, tr *sim.FetchTrace) int {

@@ -122,12 +122,10 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The original-layout group replays; the placed group is a new
-	// stream, relocated from the original one's recording: the
-	// workload's program ran once, in the first batch.
-	if e.TraceHits() != 1 || e.Relocations() != 1 || e.TraceMisses() != 1 {
-		t.Errorf("trace hits %d, relocations %d, live executions %d; want 1, 1, 1",
-			e.TraceHits(), e.Relocations(), e.TraceMisses())
+	// Both groups replay the workload's recording, the placed one
+	// relocated: the workload's program ran once, in the first batch.
+	if e.TraceHits() != 2 || e.TraceMisses() != 1 {
+		t.Errorf("trace hits %d, live executions %d; want 2, 1", e.TraceHits(), e.TraceMisses())
 	}
 	if e.Misses() != 5 || e.Hits() != 0 {
 		t.Errorf("misses %d, hits %d; want 5, 0", e.Misses(), e.Hits())
@@ -142,14 +140,11 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 	}
 	sameStats(t, got, reference(t, sim.Default(), later))
 
-	if n := reg.Counter(engine.MetricTraceHits).Value(); n != 1 {
-		t.Errorf("%s = %d, want 1", engine.MetricTraceHits, n)
+	if n := reg.Counter(engine.MetricTraceHits).Value(); n != 2 {
+		t.Errorf("%s = %d, want 2", engine.MetricTraceHits, n)
 	}
 	if n := reg.Counter(engine.MetricTraceMisses).Value(); n != 1 {
 		t.Errorf("%s = %d, want 1", engine.MetricTraceMisses, n)
-	}
-	if n := reg.Counter(engine.MetricTraceRelocations).Value(); n != 1 {
-		t.Errorf("%s = %d, want 1", engine.MetricTraceRelocations, n)
 	}
 	if v := reg.Gauge(engine.MetricTraceBytes).Value(); v <= 0 {
 		t.Errorf("%s = %v, want > 0", engine.MetricTraceBytes, v)
@@ -160,10 +155,11 @@ func TestTraceReplayOnLaterBatch(t *testing.T) {
 }
 
 // A batch with both streams of a workload executes the program once:
-// the placed group runs after the original group and relocates its
-// recording, and the relocation is recorded as the placed stream's own
-// trace, which a later batch replays. Results match the coupled oracle
-// on the placed binary throughout.
+// the workload's groups run in first-appearance order, so the placed
+// group, first here, records the workload and the original group
+// replays that recording relocated onto the original binary. Later
+// batches of either layout replay it too. Results match the coupled
+// oracle throughout.
 func TestPlacedStreamRelocatesOriginal(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := engine.New(traceProvider(t), engine.WithObserver(reg), engine.WithWorkers(4))
@@ -175,31 +171,70 @@ func TestPlacedStreamRelocatesOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameStats(t, got, reference(t, sim.Default(), batch))
-	if e.TraceMisses() != 1 || e.Relocations() != 1 || e.TraceHits() != 0 {
-		t.Errorf("live executions %d, relocations %d, trace hits %d; want 1, 1, 0",
-			e.TraceMisses(), e.Relocations(), e.TraceHits())
+	if e.TraceMisses() != 1 || e.TraceHits() != 1 {
+		t.Errorf("live executions %d, trace hits %d; want 1, 1", e.TraceMisses(), e.TraceHits())
 	}
-	if got[0].GroupID != "tiny2/placed" {
-		t.Errorf("placed cell ran in group %q", got[0].GroupID)
+	if got[0].GroupID != "tiny2/placed" || got[1].GroupID != "tiny2/original" {
+		t.Errorf("cells ran in groups %q and %q", got[0].GroupID, got[1].GroupID)
 	}
 
-	later := []engine.RunSpec{{Workload: "tiny2", ICache: geo16, Scheme: energy.WayPlacement, WPSize: 4 << 10}}
+	later := []engine.RunSpec{
+		{Workload: "tiny2", ICache: geo16, Scheme: energy.WayPlacement, WPSize: 4 << 10},
+		{Workload: "tiny2", ICache: geo16, Scheme: energy.WayMemoization},
+	}
 	got, err = e.Run(ctx, later)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameStats(t, got, reference(t, sim.Default(), later))
-	if e.TraceMisses() != 1 || e.Relocations() != 1 || e.TraceHits() != 1 {
-		t.Errorf("later batch: live executions %d, relocations %d, trace hits %d; want 1, 1, 1",
-			e.TraceMisses(), e.Relocations(), e.TraceHits())
+	if e.TraceMisses() != 1 || e.TraceHits() != 3 {
+		t.Errorf("later batch: live executions %d, trace hits %d; want 1, 3", e.TraceMisses(), e.TraceHits())
 	}
-	if n := reg.Counter(engine.MetricTraceRelocations).Value(); n != 1 {
-		t.Errorf("%s = %d, want 1", engine.MetricTraceRelocations, n)
+	if n := reg.Counter(engine.MetricTraceHits).Value(); n != 3 {
+		t.Errorf("%s = %d, want 3", engine.MetricTraceHits, n)
 	}
 }
 
-// A placed stream with no original recording to relocate, here the
-// only stream of its batch, executes live.
+// Whichever layout's batch reaches the engine first is the workload's
+// one execution: a placed-only batch followed by an original-only
+// batch, and the reverse, each execute the program once, and the
+// second batch replays the first one's recording relocated. Results
+// match the coupled oracle either way.
+func TestOneExecutionEitherArrivalOrder(t *testing.T) {
+	placed := []engine.RunSpec{
+		{Workload: "tiny1", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10},
+		{Workload: "tiny1", ICache: geo16, Scheme: energy.WayPlacement, WPSize: 4 << 10},
+	}
+	original := []engine.RunSpec{
+		{Workload: "tiny1", ICache: geo8, Scheme: energy.Baseline},
+		{Workload: "tiny1", ICache: geo16, Scheme: energy.WayMemoization},
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second []engine.RunSpec
+	}{
+		{"placed first", placed, original},
+		{"original first", original, placed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := engine.New(traceProvider(t))
+			ctx := context.Background()
+			for i, batch := range [][]engine.RunSpec{tc.first, tc.second} {
+				got, err := e.Run(ctx, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameStats(t, got, reference(t, sim.Default(), batch))
+				if e.TraceMisses() != 1 || e.TraceHits() != uint64(i) {
+					t.Errorf("batch %d: live executions %d, trace hits %d; want 1, %d", i, e.TraceMisses(), e.TraceHits(), i)
+				}
+			}
+		})
+	}
+}
+
+// A placed stream with no recording of its workload, here the only
+// stream of its batch, executes live.
 func TestPlacedStreamAloneExecutes(t *testing.T) {
 	e := engine.New(traceProvider(t))
 	spec := []engine.RunSpec{{Workload: "tiny1", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10}}
@@ -208,43 +243,45 @@ func TestPlacedStreamAloneExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameStats(t, got, reference(t, sim.Default(), spec))
-	if e.TraceMisses() != 1 || e.Relocations() != 0 {
-		t.Errorf("live executions %d, relocations %d; want 1, 0", e.TraceMisses(), e.Relocations())
+	if e.TraceMisses() != 1 || e.TraceHits() != 0 {
+		t.Errorf("live executions %d, trace hits %d; want 1, 0", e.TraceMisses(), e.TraceHits())
 	}
 }
 
-// A placed binary that is not a layout of the original's unit fails
-// its group with the relocation's refusal; the engine does not fall
-// back to executing it, and the original-layout cell is unaffected.
+// A binary that is not a layout of the recorded one's unit fails its
+// group with the relocation's refusal, whichever layout recorded the
+// workload; the engine does not fall back to executing it, and the
+// recording group's cell is unaffected.
 func TestRelocationRefusalFailsGroup(t *testing.T) {
-	e := engine.New(traceProvider(t), engine.WithWorkers(1))
-	batch := []engine.RunSpec{
-		{Workload: "mismatch", ICache: geo8, Scheme: energy.Baseline},
-		{Workload: "mismatch", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10},
-	}
-	got, err := e.Run(context.Background(), batch)
-	var merr *engine.MultiError
-	if !errors.As(err, &merr) || len(merr.Errors) != 1 || !strings.Contains(merr.Error(), "different units") {
-		t.Fatalf("err %v, want the placed cell's relocation refusal", err)
-	}
-	if got[0] == nil || got[1] != nil {
-		t.Errorf("results %v, want the baseline cell only", got)
-	}
-	if e.TraceMisses() != 1 || e.Relocations() != 1 {
-		t.Errorf("live executions %d, relocations %d; want 1, 1", e.TraceMisses(), e.Relocations())
+	baseline := engine.RunSpec{Workload: "mismatch", ICache: geo8, Scheme: energy.Baseline}
+	wp := engine.RunSpec{Workload: "mismatch", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10}
+	for _, batch := range [][]engine.RunSpec{{baseline, wp}, {wp, baseline}} {
+		e := engine.New(traceProvider(t), engine.WithWorkers(1))
+		got, err := e.Run(context.Background(), batch)
+		var merr *engine.MultiError
+		if !errors.As(err, &merr) || len(merr.Errors) != 1 || !strings.Contains(merr.Error(), "different units") {
+			t.Fatalf("%v first: err %v, want the second cell's relocation refusal", batch[0].Scheme, err)
+		}
+		if got[0] == nil || got[1] != nil {
+			t.Errorf("%v first: results %v, want the first cell only", batch[0].Scheme, got)
+		}
+		if e.TraceMisses() != 1 || e.TraceHits() != 1 {
+			t.Errorf("%v first: live executions %d, trace hits %d; want 1, 1", batch[0].Scheme, e.TraceMisses(), e.TraceHits())
+		}
 	}
 }
 
-// OriginalTrace records a workload's original stream once, counting a
-// live execution, and a batch afterwards replays it.
-func TestOriginalTrace(t *testing.T) {
+// Trace records a workload once, counting a live execution, and a
+// batch afterwards replays it. When a batch recorded the workload
+// first, Trace returns that recording, whichever layout made it.
+func TestEngineTrace(t *testing.T) {
 	e := engine.New(traceProvider(t))
 	ctx := context.Background()
-	tr, err := e.OriginalTrace(ctx, "tiny1")
+	tr, err := e.Trace(ctx, "tiny1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.OriginalTrace(ctx, "tiny1")
+	again, err := e.Trace(ctx, "tiny1")
 	if err != nil || again != tr {
 		t.Fatalf("second call: trace %p (first %p), err %v", again, tr, err)
 	}
@@ -258,8 +295,22 @@ func TestOriginalTrace(t *testing.T) {
 		t.Errorf("trace hits %d, live executions %d, simulated cells %d; want 1, 1, 1",
 			e.TraceHits(), e.TraceMisses(), e.Misses())
 	}
-	if _, err := e.OriginalTrace(ctx, "nosuch"); err == nil {
-		t.Error("OriginalTrace of an unknown workload succeeded")
+	if _, err := e.Trace(ctx, "nosuch"); err == nil {
+		t.Error("Trace of an unknown workload succeeded")
+	}
+
+	if _, err := e.Run(ctx, []engine.RunSpec{{Workload: "tiny2", ICache: geo8, Scheme: energy.WayPlacement, WPSize: 2 << 10}}); err != nil {
+		t.Fatal(err)
+	}
+	placed, err := e.Trace(ctx, "tiny2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.TraceMisses() != 2 {
+		t.Errorf("live executions %d, want 2: Trace recorded a workload the engine held", e.TraceMisses())
+	}
+	if placed.Instrs() == 0 {
+		t.Error("the placed layout's recording is empty")
 	}
 }
 

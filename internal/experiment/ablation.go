@@ -27,10 +27,10 @@ import (
 // fetch passes, and runnable against a remote engine. Only the layout
 // ablation's custom binaries (original, random, Pettis-Hansen) fall
 // outside the engine's cell grid. None of them executes: each replays
-// the engine's recording of the workload's original layout
-// (engine.Engine.OriginalTrace), as recorded on the original binary
-// and relocated onto the others. Its profile-guided leg and every
-// baseline still come from the engine's memoised run cache.
+// the engine's one recording of the workload (engine.Engine.Trace),
+// relocated onto its binary unless that binary made it. Its
+// profile-guided leg and every baseline still come from the engine's
+// memoised run cache.
 
 // AblationRow is one variant's result.
 type AblationRow struct {
@@ -72,10 +72,10 @@ func (s *Suite) runVariant(ctx context.Context, w *Workload, cell engine.RunSpec
 
 // runOn evaluates one cell on prog, a layout of w's unit, on the
 // machine the engine resolves the cell to, without executing prog: it
-// replays the engine's recording of w's original layout, as recorded
-// when prog is the original binary and relocated onto prog otherwise.
+// replays the engine's recording of w, relocated onto prog unless prog
+// made it.
 func (s *Suite) runOn(ctx context.Context, w *Workload, cell engine.RunSpec, prog *obj.Program) (*sim.RunStats, error) {
-	tr, err := s.eng.OriginalTrace(ctx, w.Name)
+	tr, err := s.eng.Trace(ctx, w.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"wayplace/internal/energy"
 	"wayplace/internal/engine"
 	"wayplace/internal/layout"
-	"wayplace/internal/profile"
 	"wayplace/internal/sim"
 )
 
@@ -204,17 +203,17 @@ func (s *Suite) ExtensionProfileTransfer(ctx context.Context) ([]TransferRow, er
 			return err
 		}
 		base := baseRes.Stats
-		// Oracle: profile the large input itself, off the recording of
-		// its original layout, then relink.
-		tr, err := s.eng.OriginalTrace(ctx, w.Name)
+		// Oracle: profile the large input itself, off the workload's
+		// recording, then relink.
+		tr, err := s.eng.Trace(ctx, w.Name)
 		if err != nil {
 			return err
 		}
-		counts, err := tr.InstrCounts()
+		prof, err := tr.Profile()
 		if err != nil {
 			return err
 		}
-		oracleProg, err := layout.Link(w.Unit, profile.FromInstrCounts(w.Original, counts), TextBase)
+		oracleProg, err := layout.Link(w.Unit, prof, TextBase)
 		if err != nil {
 			return err
 		}

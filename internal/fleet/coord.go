@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"strings"
 	"sync"
@@ -37,6 +36,10 @@ const (
 	// MetricFailovers: sub-batches rerouted to a successor ring node
 	// after their owner failed.
 	MetricFailovers = "fleet_failovers_total"
+	// MetricWriteErrors: coordinator answers whose body failed
+	// mid-write after the status line; the client saw a truncated
+	// answer.
+	MetricWriteErrors = "fleet_write_errors_total"
 	// MetricBackendRequests / MetricBackendErrors / MetricBackendNS:
 	// per-backend request counts, hard failures and round-trip latency.
 	MetricBackendRequests = "fleet_backend_requests_total"
@@ -127,7 +130,7 @@ type Coordinator struct {
 	ring     *Ring
 	backends []*backend
 	jobs     *api.JobTable[*fleetJob]
-	out      api.Responder
+	out      *api.Responder
 	// sched admits every batch: QueueDepth slots, TenantSlots per
 	// tenant, no parking. It owns the draining flag, and wg counts
 	// the batches it has admitted and not yet released.
@@ -170,12 +173,10 @@ func New(opt Options) (*Coordinator, error) {
 		httpc = &http.Client{Transport: serve.NewTransport(opt.QueueDepth * 2)}
 	}
 	c := &Coordinator{
-		opt:  opt,
-		ring: ring,
-		jobs: api.NewJobTable[*fleetJob](opt.JobTTL),
-		out: api.Responder{OnWriteError: func(err error) {
-			log.Printf("fleet: response body write failed after headers: %v", err)
-		}},
+		opt:        opt,
+		ring:       ring,
+		jobs:       api.NewJobTable[*fleetJob](opt.JobTTL),
+		out:        api.NewResponder("fleet", opt.Registry.Counter(MetricWriteErrors)),
 		batches:    opt.Registry.Counter(MetricBatches),
 		rejected:   opt.Registry.Counter(MetricRejected),
 		overQuota:  opt.Registry.Counter(MetricOverQuota),

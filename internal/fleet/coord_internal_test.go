@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"testing"
 
+	"wayplace/internal/api"
+	"wayplace/internal/obs"
 	"wayplace/internal/serve"
 )
 
@@ -51,5 +55,34 @@ func TestTenantQuotaVerdicts(t *testing.T) {
 	}
 	if v := admit(c2, "x"); v != serve.AdmitQueueFull {
 		t.Fatalf("quota == pool: verdict %v, want the global queue_full", v)
+	}
+}
+
+// brokenWriter fails every body write, as a connection the client
+// closed mid-answer does.
+type brokenWriter struct{ header http.Header }
+
+func (b *brokenWriter) Header() http.Header {
+	if b.header == nil {
+		b.header = make(http.Header)
+	}
+	return b.header
+}
+func (b *brokenWriter) WriteHeader(int)           {}
+func (b *brokenWriter) Write([]byte) (int, error) { return 0, errors.New("write: broken pipe") }
+
+// TestTruncatedWritesCounted: an answer whose body fails after the
+// status line counts on fleet_write_errors_total, like the backend's
+// serve_write_errors_total.
+func TestTruncatedWritesCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := New(Options{Backends: []string{"http://127.0.0.1:1"}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.out.JSON(&brokenWriter{}, http.StatusOK, map[string]string{"k": "v"})
+	c.out.Batch(&brokenWriter{}, http.StatusOK, &api.BatchResponse{APIVersion: api.Version, Status: api.StatusDone})
+	if got := reg.Dump().Counters[MetricWriteErrors]; got != 2 {
+		t.Errorf("%s = %d, want 2", MetricWriteErrors, got)
 	}
 }

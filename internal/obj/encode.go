@@ -163,18 +163,19 @@ func ReadImage(r io.Reader) (*Program, error) {
 	if nWords > 1<<26 {
 		return nil, fmt.Errorf("obj: implausible code size %d words", nWords)
 	}
-	p.Words = make([]uint32, nWords)
-	p.Code = make([]isa.Instr, nWords)
-	for i := range p.Words {
-		p.Words[i] = ir.u32()
+	// The count is untrusted: the slices grow as words arrive, so a
+	// short image cannot make the reader allocate what it claims.
+	for i := uint32(0); i < nWords; i++ {
+		word := ir.u32()
 		if ir.err != nil {
 			return nil, ir.err
 		}
-		in, err := isa.Decode(p.Words[i])
+		in, err := isa.Decode(word)
 		if err != nil {
 			return nil, fmt.Errorf("obj: word %d: %w", i, err)
 		}
-		p.Code[i] = in
+		p.Words = append(p.Words, word)
+		p.Code = append(p.Code, in)
 	}
 
 	nSyms := ir.u32()
@@ -196,8 +197,12 @@ func ReadImage(r io.Reader) (*Program, error) {
 		if ir.err != nil {
 			break
 		}
-		if codeIdx+int(n) > len(p.Code) {
+		if uint64(codeIdx)+uint64(n) > uint64(len(p.Code)) {
 			return nil, fmt.Errorf("obj: block %s overruns the code section", sym)
+		}
+		if addr != p.Base+uint32(codeIdx)*isa.InstrBytes {
+			return nil, fmt.Errorf("obj: block %s at %#x, want %#x: blocks must tile the code section from its base",
+				sym, addr, p.Base+uint32(codeIdx)*isa.InstrBytes)
 		}
 		blk := &Block{
 			Sym: sym, Func: fn, Index: int(i),
@@ -221,9 +226,13 @@ func ReadImage(r io.Reader) (*Program, error) {
 	if nData > 1<<28 {
 		return nil, fmt.Errorf("obj: implausible data size %d", nData)
 	}
-	p.Data = make([]byte, nData)
-	if _, err := io.ReadFull(ir.r, p.Data); err != nil {
+	data, err := io.ReadAll(io.LimitReader(ir.r, int64(nData)))
+	if err == nil && len(data) < int(nData) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("obj: reading data: %w", err)
 	}
+	p.Data = data
 	return p, nil
 }

@@ -88,16 +88,17 @@ func (d *deadWriter) Write(p []byte) (int, error) {
 func TestWriteErrorsCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newBareServer(t, reg)
+	writeErrs := reg.Counter(MetricWriteErrors)
 
 	s.out.JSON(&deadWriter{}, http.StatusOK, map[string]string{"k": "v"})
-	if got := s.writeErrs.Value(); got != 1 {
+	if got := writeErrs.Value(); got != 1 {
 		t.Fatalf("out.JSON: write error counter = %d, want 1", got)
 	}
 
 	s.out.Batch(&deadWriter{}, http.StatusOK, &api.BatchResponse{
 		APIVersion: api.Version, JobID: "job-x", Status: api.StatusDone,
 	})
-	if got := s.writeErrs.Value(); got != 2 {
+	if got := writeErrs.Value(); got != 2 {
 		t.Fatalf("out.Batch: write error counter = %d, want 2", got)
 	}
 	if got := reg.Dump().Counters[MetricWriteErrors]; got != 2 {

@@ -139,13 +139,12 @@ type Options struct {
 type Server struct {
 	opt   Options
 	jobs  *api.JobTable[*job]
-	out   api.Responder
+	out   *api.Responder
 	wg    sync.WaitGroup
 	sched *Scheduler // tenant-aware slot pool; owns the draining flag
 
 	batches   *obs.Counter
 	rejected  *obs.Counter
-	writeErrs *obs.Counter
 	replaying *obs.Gauge
 	replayed  *obs.Counter
 	admitWait *obs.Histogram
@@ -198,7 +197,6 @@ func New(opt Options) (*Server, error) {
 		jobs:            api.NewJobTable[*job](opt.JobTTL),
 		batches:         opt.Registry.Counter(MetricBatches),
 		rejected:        opt.Registry.Counter(MetricRejected),
-		writeErrs:       opt.Registry.Counter(MetricWriteErrors),
 		replaying:       opt.Registry.Gauge(MetricReplayJobs),
 		replayed:        opt.Registry.Counter(MetricReplayedJobs),
 		admitWait:       opt.Registry.Histogram(MetricAdmitWait),
@@ -207,7 +205,7 @@ func New(opt Options) (*Server, error) {
 		tenantOverQuota: opt.Registry.CounterVec(MetricTenantOverQuota, "tenant", keyCardinalityCap),
 		tenantRejected:  opt.Registry.CounterVec(MetricTenantRejected, "tenant", keyCardinalityCap),
 	}
-	s.out = api.Responder{OnWriteError: s.countWriteError}
+	s.out = api.NewResponder("serve", opt.Registry.Counter(MetricWriteErrors))
 	s.sched = NewScheduler(opt.QueueDepth, opt.AsyncSlots, opt.Tenancy,
 		opt.Registry.Gauge(MetricTenants), opt.Registry.Gauge(MetricInflight), &s.wg)
 	if opt.Journal != nil {
@@ -548,11 +546,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_hits":   s.opt.Engine.Hits(),
 		"cache_misses": s.opt.Engine.Misses(),
 	})
-}
-
-func (s *Server) countWriteError(err error) {
-	s.writeErrs.Inc()
-	log.Printf("serve: response body write failed after headers (client sees a truncated 200): %v", err)
 }
 
 func (j *job) setStatus(st string) {

@@ -496,7 +496,7 @@ func (s *FetchSource) outcome() producerOutcome {
 // streamSource is the seam between runMulti and where its analysed
 // fetch stream comes from: a live FetchSource, a recording wrapped
 // around one, or the replay of a recorded trace (TraceSource), as
-// recorded or relocated, itself possibly wrapped in a recording. Every
+// recorded or relocated. Every
 // chunk comes with its Runs and Reps filled in. outcome is read once,
 // after NextChunk has reported the end of the stream.
 type streamSource interface {

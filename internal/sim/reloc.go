@@ -6,12 +6,11 @@ package sim
 // the same data-side traffic, and only their addresses differ. A fetch
 // trace recorded on one layout therefore yields the stream of any other
 // by mapping each event's address through the two layouts' block
-// placements. ReplayMulti and RelocateMulti evaluate models against
-// that mapped stream without executing the program again, the latter
-// recording it as the target layout's own trace: the relocating source
-// cuts its own runs, finds its own repeats and drives a fresh reference
-// I-TLB, so the analysis is the target layout's own, and finalize gets
-// the recorded producer outcome with the new I-TLB stats in it.
+// placements. ReplayMulti evaluates models against that mapped stream
+// without executing the program again: the relocating source cuts its
+// own runs, finds its own repeats and drives a fresh reference I-TLB,
+// so the analysis is the target layout's own, and finalize gets the
+// recorded producer outcome with the new I-TLB stats in it.
 //
 // The mapping is exact only between layouts of one unit whose program
 // never reads its own code addresses as data. The first is checked
@@ -21,7 +20,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"errors"
 
 	"wayplace/internal/isa"
@@ -119,31 +117,4 @@ func newRelocSource(t *FetchTrace, rel *relocation, blockBytes int) (*TraceSourc
 		src.find = new(repeatFinder)
 	}
 	return src, nil
-}
-
-// RelocateMulti is ReplayMulti of trace relocated onto prog that also
-// records the relocated stream: results are bit-identical to
-// RecordMulti's on prog for the same base configuration and models,
-// and so is the returned trace, prog's own recording, which
-// ReplayMulti accepts like any other. prog and the trace's program
-// must have been linked from the same obj.Unit, and the trace recorded
-// under base's producer-side fields; anything else is an error before
-// any model runs.
-func RelocateMulti(ctx context.Context, trace *FetchTrace, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, *FetchTrace, error) {
-	rel, err := relocationFor(trace, prog, base)
-	if err != nil {
-		return nil, nil, err
-	}
-	return recordMulti(ctx, prog, base, models, traceMaxBytes, func(block int) (streamSource, error) {
-		return newRelocSource(trace, rel, block)
-	})
-}
-
-// relocationFor checks that trace may be relocated onto prog under
-// base and builds the address map.
-func relocationFor(trace *FetchTrace, prog *obj.Program, base Config) (*relocation, error) {
-	if trace.stream != StreamConfigOf(base) {
-		return nil, errors.New("sim: fetch trace was recorded under another producer configuration")
-	}
-	return newRelocation(trace.prog, prog)
 }

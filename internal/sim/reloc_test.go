@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"wayplace/internal/asm"
-	"wayplace/internal/cpu"
 	"wayplace/internal/isa"
 	"wayplace/internal/layout"
-	"wayplace/internal/mem"
 	"wayplace/internal/obj"
 	"wayplace/internal/tlb"
 )
@@ -128,12 +126,16 @@ func TestRelocationSplitsAtBranchToNextBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, permTr, err := RelocateMulti(ctx, tr, prog, cfg, models)
+		got, err := ReplayMulti(ctx, tr, prog, cfg, models)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: relocation differs from the live pass", seed)
+		}
+		_, permTr, err := RecordMulti(ctx, prog, cfg, models)
+		if err != nil || permTr == nil {
+			t.Fatalf("seed %d: record: trace %v, err %v", seed, permTr, err)
 		}
 		live, err := NewFetchSource(original, cfg, 32)
 		if err != nil {
@@ -164,32 +166,26 @@ func TestRelocationSplitsAtBranchToNextBlock(t *testing.T) {
 }
 
 // Relocations of one trace from several goroutines at once (run under
-// -race), recording (RelocateMulti) or not (ReplayMulti onto another
-// layout), each match the live pass over their target, and so do
-// replays of the traces they record.
+// -race), onto other layouts and onto the recorded one, each match the
+// live pass over their target.
 func TestConcurrentRelocations(t *testing.T) {
 	original, permuted := linkLayouts(t, 60)
 	cfg := Default()
 	ctx := context.Background()
 	models := traceModels(cfg)
-	_, tr, err := RecordMulti(ctx, original, cfg, models)
+	_, tr, err := RecordMulti(ctx, permuted[0], cfg, models)
 	if err != nil || tr == nil {
 		t.Fatalf("record: trace %v, err %v", tr, err)
 	}
-	targets := []*obj.Program{permuted[0], permuted[0], permuted[1], permuted[1]}
+	targets := []*obj.Program{original, original, permuted[1], permuted[0]}
 	got := make([][]*ModelResult, len(targets))
-	derived := make([]*FetchTrace, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, prog := range targets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if i%2 == 0 {
-				got[i], derived[i], errs[i] = RelocateMulti(ctx, tr, prog, cfg, models)
-			} else {
-				got[i], errs[i] = ReplayMulti(ctx, tr, prog, cfg, models)
-			}
+			got[i], errs[i] = ReplayMulti(ctx, tr, prog, cfg, models)
 		}()
 	}
 	wg.Wait()
@@ -204,41 +200,34 @@ func TestConcurrentRelocations(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("relocation %d differs from the live pass", i)
 		}
-		if derived[i] == nil {
-			continue
-		}
-		replayed, err := ReplayMulti(ctx, derived[i], prog, cfg, models)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(replayed, want) {
-			t.Errorf("replay of relocation %d's trace differs from the live pass", i)
-		}
 	}
 }
 
-// A recording's instruction counts are a profiling run's.
-func TestTraceInstrCounts(t *testing.T) {
-	original, _ := linkLayouts(t, 20)
+// A recording's profile is a profiling run's, whichever layout of the
+// unit it was recorded on.
+func TestTraceProfile(t *testing.T) {
+	original, permuted := linkLayouts(t, 20)
 	cfg := Default()
-	_, tr, err := RecordMulti(context.Background(), original, cfg, []ModelSpec{ModelSpecOf(cfg)})
-	if err != nil || tr == nil {
-		t.Fatalf("record: trace %v, err %v", tr, err)
-	}
-	got, err := tr.InstrCounts()
+	want, _, err := ProfileRun(original, cfg.MaxInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cpu.New(original, mem.New(mem.DefaultConfig())).Run(cfg.MaxInstrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, res.InstrCounts) {
-		t.Error("the recording's instruction counts differ from a profiling run's")
-	}
-	bad := *tr
-	bad.events++ // one event more than the segments hold
-	if _, err := bad.InstrCounts(); err == nil {
-		t.Error("counting a corrupt trace succeeded")
+	for i, prog := range append([]*obj.Program{original}, permuted...) {
+		_, tr, err := RecordMulti(context.Background(), prog, cfg, []ModelSpec{ModelSpecOf(cfg)})
+		if err != nil || tr == nil {
+			t.Fatalf("record: trace %v, err %v", tr, err)
+		}
+		got, err := tr.Profile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Counts, want.Counts) {
+			t.Errorf("layout %d: the recording's profile differs from a profiling run's", i)
+		}
+		bad := *tr
+		bad.events++ // one event more than the segments hold
+		if _, err := bad.Profile(); err == nil {
+			t.Error("profiling a corrupt trace succeeded")
+		}
 	}
 }

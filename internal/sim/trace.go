@@ -7,10 +7,9 @@ package sim
 // evaluate further models against the recording instead of
 // re-executing the CPU, D-cache, D-TLB, I-TLB and memory image or
 // re-analysing the stream. RecordMulti and ReplayMulti are RunMulti
-// with a recording and a replaying stream source, and RelocateMulti
-// (reloc.go) replays a recording relocated onto another layout of the
-// same program; all of them share runMulti's consume, alias and
-// finalize code.
+// with a recording and a replaying stream source; ReplayMulti also
+// replays a recording relocated onto another layout of the same unit
+// (reloc.go). Both share runMulti's consume, alias and finalize code.
 //
 // A recording holds the events, as segments, each chunk's repeats at
 // the recording pass's run-segmentation granule, and the producer
@@ -49,6 +48,7 @@ import (
 	"wayplace/internal/cpu"
 	"wayplace/internal/mem"
 	"wayplace/internal/obj"
+	"wayplace/internal/profile"
 	"wayplace/internal/tlb"
 )
 
@@ -102,11 +102,13 @@ func (t *FetchTrace) Bytes() int { return len(t.segs) + len(t.reps) }
 // Instrs is the number of events (retired instructions) recorded.
 func (t *FetchTrace) Instrs() uint64 { return t.events }
 
-// InstrCounts returns how many times the recorded pass executed each
-// instruction of its program, indexed like the program's Code: the
-// counts a profiling run collects (cpu.Result.InstrCounts), read off
-// the recording instead of executing the program again.
-func (t *FetchTrace) InstrCounts() ([]uint64, error) {
+// Profile returns the block-symbol execution counts of the recorded
+// pass: the profile a profiling run of the program collects
+// (profile.FromInstrCounts over cpu.Result.InstrCounts), read off the
+// recording instead of executing the program again. Block symbols name
+// the same blocks in every layout of a unit, so the profile does not
+// depend on which layout the trace was recorded on.
+func (t *FetchTrace) Profile() (*profile.Profile, error) {
 	r := &TraceSource{t: t}
 	r.segs.open(t.segs, traceReplayWindow)
 	// Each segment adds one to a range of instructions: mark where the
@@ -131,7 +133,7 @@ func (t *FetchTrace) InstrCounts() ([]uint64, error) {
 		sum += marks[i]
 		counts[i] = uint64(sum)
 	}
-	return counts, nil
+	return profile.FromInstrCounts(t.prog, counts), nil
 }
 
 // matches reports whether t was recorded from prog under base's
@@ -184,18 +186,18 @@ func recordMulti(ctx context.Context, prog *obj.Program, base Config, models []M
 // (NewRelocSource); any other trace is rejected. Cancellation is
 // checked once per chunk.
 func ReplayMulti(ctx context.Context, trace *FetchTrace, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, error) {
-	if trace.matches(prog, base) {
-		return runMulti(ctx, prog, base, models, func(block int) (streamSource, error) {
-			return NewTraceSource(trace, block)
-		})
+	open := func(block int) (streamSource, error) { return NewTraceSource(trace, block) }
+	if !trace.matches(prog, base) {
+		if trace.stream != StreamConfigOf(base) {
+			return nil, errors.New("sim: fetch trace was recorded under another producer configuration")
+		}
+		rel, err := newRelocation(trace.prog, prog)
+		if err != nil {
+			return nil, err
+		}
+		open = func(block int) (streamSource, error) { return newRelocSource(trace, rel, block) }
 	}
-	rel, err := relocationFor(trace, prog, base)
-	if err != nil {
-		return nil, err
-	}
-	return runMulti(ctx, prog, base, models, func(block int) (streamSource, error) {
-		return newRelocSource(trace, rel, block)
-	})
+	return runMulti(ctx, prog, base, models, open)
 }
 
 // traceBlockBytes is the raw bytes a recording buffers, per stream,
