@@ -3,15 +3,16 @@
 // versioned JSON run API (internal/api) on its front side. Clients
 // point serve.Client (or curl) at the coordinator exactly as they
 // would at a single wpserved — zero client changes — and every batch
-// is split into per-backend sub-batches by each cell's fetch stream
-// (RunSpec.Stream), fanned out concurrently, and merged back in
+// is split into per-backend sub-batches by each cell's workload
+// (RunSpec.Workload), fanned out concurrently, and merged back in
 // original cell order.
 //
-// Sharding by stream turns the N backends into one logical cache:
-// every cell of a stream, and so every repeat of a cell, routes to the
-// same backend, so the fleet executes each stream's program once,
-// simulates a cold cell exactly once and answers all later requests
-// from that backend's warm run cache or persistent store.
+// Sharding by workload turns the N backends into one logical cache:
+// every cell of a workload, of either layout, and so every repeat of a
+// cell, routes to the same backend, so the fleet executes each
+// workload's program once, simulates a cold cell exactly once and
+// answers all later requests from that backend's warm run cache or
+// persistent store.
 //
 // Endpoints (identical surface to wpserved):
 //
@@ -48,10 +49,10 @@
 // async — and demands the merged wire results be identical to a
 // direct single-engine run of the same cells, that the batch spread
 // over at least two backends, that the fleet simulated each cell
-// exactly once, and that each backend executed each workload it
-// served once and replayed that recording for its other streams: the
-// summed engine_trace_misses_total equals, over the workloads, the
-// number of backends the ring routes the workload's streams to.
+// exactly once, and that the fleet executed each workload exactly once
+// (the ring routes all of a workload's cells to one backend, which
+// replays that recording for the rest): the summed
+// engine_trace_misses_total equals the number of workloads.
 // Exits non-zero on any mismatch.
 package main
 
@@ -192,10 +193,6 @@ func runOneshot() int {
 	// against.
 	reqs := load.Pool(load.SyntheticNames(workloads), load.SyntheticGeometry(),
 		[]uint32{1 << 10, 4 << 10, 8 << 10, 16 << 10})
-	specs, err := api.ToSpecs(reqs)
-	if err != nil {
-		fail(err)
-	}
 
 	// Ground truth: the same cells on one fresh local engine.
 	ref := engine.New(load.SyntheticProvider(workloads), engine.WithBaseConfig(sim.Default()))
@@ -234,26 +231,15 @@ func runOneshot() int {
 			fleetMisses, len(reqs))
 		code = 1
 	}
-	// ...and, routing by stream, executed each workload once on every
-	// backend that owns one of its streams: a backend's later streams
-	// of the workload replay that recording.
-	owners := make(map[string]map[int]bool) // workload -> backends
-	for _, s := range specs {
-		if owners[s.Workload] == nil {
-			owners[s.Workload] = make(map[int]bool)
-		}
-		owners[s.Workload][coord.Ring().Owner(s.Stream())] = true
-	}
-	var wantExecs, execs uint64
-	for _, on := range owners {
-		wantExecs += uint64(len(on))
-	}
+	// ...and, routing by workload, executed each workload exactly once:
+	// its backend replays that recording for the workload's other cells.
+	var execs uint64
 	for _, reg := range regs {
 		execs += reg.Counter(engine.MetricTraceMisses).Value()
 	}
-	if execs != wantExecs {
-		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot: fleet executed programs %d times, want %d (one per workload per owning backend)\n",
-			execs, wantExecs)
+	if execs != workloads {
+		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot: fleet executed programs %d times, want %d (one per workload)\n",
+			execs, workloads)
 		code = 1
 	}
 
@@ -272,8 +258,8 @@ func runOneshot() int {
 	}
 
 	if code == 0 {
-		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot ok (%d cells over %d backends, sync+async merged results identical to a direct engine run, each cell simulated once and %d program executions for %d workloads, one per owning backend)\n",
-			len(reqs), spread, execs, len(owners))
+		fmt.Fprintf(os.Stderr, "wpcoordd: oneshot ok (%d cells over %d backends, sync+async merged results identical to a direct engine run, each cell simulated once and %d program executions for %d workloads)\n",
+			len(reqs), spread, execs, workloads)
 	}
 	return code
 }

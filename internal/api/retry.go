@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -22,15 +23,20 @@ import (
 // 429s that means a permanent rejection, not an invitation to retry).
 // A date in the past parses to 0, retry immediately, per the RFC's
 // "delay-seconds = 0" equivalence. Negative delta-seconds are not
-// valid delay-seconds and report ok=false.
+// valid delay-seconds and report ok=false. Delta-seconds beyond what a
+// time.Duration holds (about 292 years) saturate at its maximum.
 func ParseRetryAfter(value string, now time.Time) (wait time.Duration, ok bool) {
 	value = strings.TrimSpace(value)
 	if value == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(value); err == nil {
-		if secs < 0 {
+	// Out of int range, Atoi returns the nearest int with ErrRange.
+	if secs, err := strconv.Atoi(value); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs < 0:
 			return 0, false
+		case int64(secs) > math.MaxInt64/int64(time.Second):
+			return math.MaxInt64, true
 		}
 		return time.Duration(secs) * time.Second, true
 	}

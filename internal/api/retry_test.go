@@ -3,8 +3,10 @@ package api
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -32,6 +34,11 @@ func TestParseRetryAfter(t *testing.T) {
 		{"asctime date", "Sat Aug  8 12:00:10 2026", 10 * time.Second, true},
 		{"truncated date", "Sat, 08 Aug", 0, false},
 		{"leading space delta", " 42", 42 * time.Second, true},
+		{"largest delta a duration holds", "9223372036", 9223372036 * time.Second, true},
+		{"delta past a duration saturates", "9223372037", math.MaxInt64, true},
+		{"delta past uint64 nanoseconds saturates", "18446744074", math.MaxInt64, true},
+		{"delta past int64 saturates", "99999999999999999999", math.MaxInt64, true},
+		{"delta below int64 is not valid delay-seconds", "-99999999999999999999", 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +49,30 @@ func TestParseRetryAfter(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseRetryAfter: a well-formed hint is never a negative wait, and
+// the wait never decreases as the delta-seconds grow, however large they
+// get.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, v := range []string{"", "0", "120", "-5", "1.5", " 42", "9223372037", "18446744074",
+		"Sat, 08 Aug 2026 12:00:30 GMT", "Saturday, 08-Aug-26 12:01:00 GMT", "Sat Aug  8 12:00:10 2026"} {
+		f.Add(v, uint64(1), uint64(9223372037))
+	}
+	f.Fuzz(func(t *testing.T, value string, a, b uint64) {
+		if wait, ok := ParseRetryAfter(value, now); ok && wait < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v, ok", value, wait)
+		}
+		if a > b {
+			a, b = b, a
+		}
+		wa, oka := ParseRetryAfter(strconv.FormatUint(a, 10), now)
+		wb, okb := ParseRetryAfter(strconv.FormatUint(b, 10), now)
+		if !oka || !okb || wa > wb {
+			t.Fatalf("delta %d waits (%v, %v), delta %d waits (%v, %v)", a, wa, oka, b, wb, okb)
+		}
+	})
 }
 
 // TestRetryPolicy walks the policy through each verdict. lo and hi

@@ -1,13 +1,14 @@
 // Package cpu implements the XScale-like embedded core: a single-
 // issue, in-order machine executing the repository's ARM-like ISA,
 // with an instruction-fetch path that exercises one of the cache
-// package's fetch engines, I/D TLBs and a data cache.
+// package's fetch engines, I/D TLBs and a data cache. One interpreter
+// loop (RunPieces) runs every entry point, and can hand the fetch
+// stream on as sequential pieces instead of driving the fetch path.
 //
 // The timing model is event-based: every instruction costs one base
 // cycle plus stalls for cache misses, TLB walks, multiplies, taken
-// branches and way-hint mispredictions. This captures exactly the
-// effects the paper's evaluation depends on — the schemes differ only
-// in tag-check energy and the (rare) hint-mispredict cycle, so, as in
+// branches and way-hint mispredictions. The schemes differ only in
+// tag-check energy and the (rare) hint-mispredict cycle, so, as in
 // the paper, performance is essentially identical across them.
 package cpu
 
@@ -128,23 +129,25 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("cpu: fault at pc=%#x (%v): %s", f.PC, f.Instr, f.Reason)
 }
 
-func (c *CPU) fault(i isa.Instr, format string, args ...any) error {
-	return &Fault{PC: c.PC, Instr: i, Reason: fmt.Sprintf(format, args...)}
+func faultAt(pc uint32, i isa.Instr, format string, args ...any) error {
+	return &Fault{PC: pc, Instr: i, Reason: fmt.Sprintf(format, args...)}
 }
+
+// EventIndirect is the indirect-transfer flag of a fetch event: an
+// instruction's fetch address, with bit 0 set when control arrived
+// through a register (RET). Instruction addresses are 4-byte aligned,
+// so the low two bits of an event word are free; EventAddr recovers
+// the address.
+const EventIndirect uint32 = 1
+
+// EventAddr returns the fetch address of an event word.
+func EventAddr(ev uint32) uint32 { return ev &^ 3 }
 
 // Run executes until HALT or until maxInstrs instructions have
 // retired, whichever comes first. Exceeding the budget is an error:
 // benchmark programs are expected to terminate.
 func (c *CPU) Run(maxInstrs uint64) (*Result, error) {
-	for !c.Halted {
-		if c.Instrs >= maxInstrs {
-			return nil, fmt.Errorf("cpu: instruction budget %d exhausted at pc=%#x", maxInstrs, c.PC)
-		}
-		if err := c.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Instrs: c.Instrs, Cycles: c.Cycles, InstrCounts: c.counts}, nil
+	return c.RunContext(context.Background(), maxInstrs)
 }
 
 // ctxCheckInstrs is how many instructions RunContext executes between
@@ -165,14 +168,7 @@ func (c *CPU) RunContext(ctx context.Context, maxInstrs uint64) (*Result, error)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if c.Instrs >= maxInstrs {
-			return nil, fmt.Errorf("cpu: instruction budget %d exhausted at pc=%#x", maxInstrs, c.PC)
-		}
-		budget := uint64(ctxCheckInstrs)
-		if rem := maxInstrs - c.Instrs; rem < budget {
-			budget = rem
-		}
-		if _, err := c.RunInstrs(budget); err != nil {
+		if _, err := c.RunPieces(ctxCheckInstrs, maxInstrs, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -180,22 +176,16 @@ func (c *CPU) RunContext(ctx context.Context, maxInstrs uint64) (*Result, error)
 }
 
 // RunInstrs executes at most budget further instructions, stopping
-// early at HALT. It returns the number executed. Callers use it to
-// interleave simulation with environment changes (e.g. the OS
-// resizing the way-placement area mid-run).
+// early at HALT, and returns the number executed.
 func (c *CPU) RunInstrs(budget uint64) (uint64, error) {
-	start := c.Instrs
-	for !c.Halted && c.Instrs-start < budget {
-		if err := c.Step(); err != nil {
-			return c.Instrs - start, err
-		}
-	}
-	return c.Instrs - start, nil
+	return c.RunPieces(budget, ^uint64(0), nil)
 }
 
-// InstrCounts exposes the per-instruction execution counters
-// accumulated so far.
-func (c *CPU) InstrCounts() []uint64 { return c.counts }
+// Step executes a single instruction, unless the CPU has halted.
+func (c *CPU) Step() error {
+	_, err := c.RunInstrs(1)
+	return err
+}
 
 // DisableInstrCounts drops the per-instruction execution counters for
 // runs that never build a profile (fetch-event production), removing a
@@ -203,165 +193,244 @@ func (c *CPU) InstrCounts() []uint64 { return c.counts }
 // them.
 func (c *CPU) DisableInstrCounts() { c.counts = nil }
 
-// Step executes a single instruction.
-func (c *CPU) Step() error {
-	idx, ok := c.Prog.IndexOf(c.PC)
+// RunPieces is the interpreter loop behind every other entry point. It
+// executes at most budget further instructions, stopping early at HALT,
+// and returns the number executed; exceeding maxInstrs with the program
+// still running is an error. A non-nil piece receives the executed
+// instructions' fetch events, in order, as maximal sequential pieces:
+// piece(w, n) is the event word w (the address, EventIndirect set when
+// control arrived through a register) followed by n-1 unflagged fetches
+// of the next word each. A faulting instruction is no event. A fetch
+// producer (sim.FetchSource) detaches the instruction side (IFetch,
+// ITLB) and models it from the pieces, so Cycles then counts only the
+// base and data-side cycles. Inside a sequential run the loop steps the
+// Code index: it looks an address up only after a control transfer,
+// where a piece ends. Detached hooks cost one test each.
+func (c *CPU) RunPieces(budget, maxInstrs uint64, piece func(w, n uint32)) (uint64, error) {
+	if c.Halted {
+		return 0, nil
+	}
+	if c.Instrs >= maxInstrs {
+		return 0, c.exhausted(maxInstrs)
+	}
+	code, counts, r := c.Prog.Code, c.counts, &c.Regs
+	hooks := c.ITLB != nil || c.IFetch != nil
+	pc, ind := c.PC, c.lastIndirect
+	idx, ok := c.Prog.IndexOf(pc)
 	if !ok {
-		return c.fault(isa.Instr{}, "instruction fetch outside image")
+		idx = len(code) // the fetch faults, if it happens
 	}
-	in := c.Prog.Code[idx]
-	if c.counts != nil {
-		c.counts[idx]++
+	w := pc // the open piece's first event word
+	if ind {
+		w |= EventIndirect
 	}
-	c.Instrs++
+	start, cycles := c.Instrs, c.Cycles
+	instrs, end := start, start+min(budget, maxInstrs-start)
+	pstart := start // instrs before the open piece's first event
+	var err error
 
+loop:
+	for instrs < end {
+		if uint(idx) >= uint(len(code)) {
+			err = &Fault{PC: pc, Reason: "instruction fetch outside image"}
+			break
+		}
+		in := &code[idx]
+		if counts != nil {
+			counts[idx]++
+		}
+
+		stall := 0
+		if hooks {
+			stall = c.fetchStall(pc, ind)
+		}
+		jump := false
+		var next uint32
+
+		switch in.Op {
+		case isa.ADD:
+			r[in.Rd] = r[in.Rn] + r[in.Rm]
+		case isa.SUB:
+			r[in.Rd] = r[in.Rn] - r[in.Rm]
+		case isa.RSB:
+			r[in.Rd] = r[in.Rm] - r[in.Rn]
+		case isa.MUL:
+			r[in.Rd] = r[in.Rn] * r[in.Rm]
+			stall += c.Timing.MulExtraCycles
+		case isa.MLA:
+			r[in.Rd] = r[in.Rn]*r[in.Rm] + r[in.Rd]
+			stall += c.Timing.MulExtraCycles
+		case isa.AND:
+			r[in.Rd] = r[in.Rn] & r[in.Rm]
+		case isa.ORR:
+			r[in.Rd] = r[in.Rn] | r[in.Rm]
+		case isa.EOR:
+			r[in.Rd] = r[in.Rn] ^ r[in.Rm]
+		case isa.BIC:
+			r[in.Rd] = r[in.Rn] &^ r[in.Rm]
+		case isa.LSL:
+			r[in.Rd] = r[in.Rn] << (r[in.Rm] & 31)
+		case isa.LSR:
+			r[in.Rd] = r[in.Rn] >> (r[in.Rm] & 31)
+		case isa.ASR:
+			r[in.Rd] = uint32(int32(r[in.Rn]) >> (r[in.Rm] & 31))
+		case isa.ROR:
+			s := r[in.Rm] & 31
+			r[in.Rd] = r[in.Rn]>>s | r[in.Rn]<<(32-s)
+
+		case isa.ADDI:
+			r[in.Rd] = r[in.Rn] + uint32(in.Imm)
+		case isa.SUBI:
+			r[in.Rd] = r[in.Rn] - uint32(in.Imm)
+		case isa.ANDI:
+			r[in.Rd] = r[in.Rn] & uint32(in.Imm)
+		case isa.ORRI:
+			r[in.Rd] = r[in.Rn] | uint32(in.Imm)
+		case isa.EORI:
+			r[in.Rd] = r[in.Rn] ^ uint32(in.Imm)
+		case isa.LSLI:
+			r[in.Rd] = r[in.Rn] << (uint32(in.Imm) & 31)
+		case isa.LSRI:
+			r[in.Rd] = r[in.Rn] >> (uint32(in.Imm) & 31)
+		case isa.ASRI:
+			r[in.Rd] = uint32(int32(r[in.Rn]) >> (uint32(in.Imm) & 31))
+
+		case isa.MOV:
+			r[in.Rd] = r[in.Rm]
+		case isa.MVN:
+			r[in.Rd] = ^r[in.Rm]
+		case isa.MOVW:
+			r[in.Rd] = uint32(in.Imm) & 0xffff
+		case isa.MOVT:
+			r[in.Rd] = r[in.Rd]&0xffff | uint32(in.Imm)<<16
+
+		case isa.CMP:
+			c.Flags = subFlags(r[in.Rn], r[in.Rm])
+		case isa.CMPI:
+			c.Flags = subFlags(r[in.Rn], uint32(in.Imm))
+		case isa.TST:
+			v := r[in.Rn] & r[in.Rm]
+			c.Flags = isa.Flags{N: int32(v) < 0, Z: v == 0}
+
+		case isa.LDR, isa.LDRB, isa.LDRX:
+			addr := r[in.Rn]
+			if in.Op == isa.LDRX {
+				addr += r[in.Rm]
+			} else {
+				addr += uint32(in.Imm)
+			}
+			if in.Op != isa.LDRB && addr%4 != 0 {
+				err = faultAt(pc, *in, "misaligned load at %#x", addr)
+				break loop
+			}
+			stall += c.dataAccess(addr, false)
+			if in.Op == isa.LDRB {
+				r[in.Rd] = uint32(c.Mem.Read8(addr))
+			} else {
+				r[in.Rd] = c.Mem.Read32(addr)
+			}
+
+		case isa.STR, isa.STRB, isa.STRX:
+			addr := r[in.Rn]
+			if in.Op == isa.STRX {
+				addr += r[in.Rm]
+			} else {
+				addr += uint32(in.Imm)
+			}
+			if in.Op != isa.STRB && addr%4 != 0 {
+				err = faultAt(pc, *in, "misaligned store at %#x", addr)
+				break loop
+			}
+			stall += c.dataAccess(addr, true)
+			if in.Op == isa.STRB {
+				c.Mem.Write8(addr, byte(r[in.Rd]))
+			} else {
+				c.Mem.Write32(addr, r[in.Rd])
+			}
+
+		case isa.B:
+			if in.Cond.Eval(c.Flags) {
+				next, jump = uint32(int64(pc)+isa.InstrBytes+int64(in.Imm)*isa.InstrBytes), true
+				stall += c.Timing.BranchTakenPenalty
+			}
+		case isa.BL:
+			r[isa.LR] = pc + isa.InstrBytes
+			next, jump = uint32(int64(pc)+isa.InstrBytes+int64(in.Imm)*isa.InstrBytes), true
+			stall += c.Timing.BranchTakenPenalty
+		case isa.RET:
+			next, jump = r[isa.LR], true
+			stall += c.Timing.BranchTakenPenalty
+
+		case isa.NOP:
+		case isa.HALT:
+			c.Halted = true
+			end = instrs + 1
+
+		default:
+			err = faultAt(pc, *in, "unimplemented operation")
+			break loop
+		}
+		instrs++
+		cycles += uint64(1 + stall)
+
+		if !jump {
+			pc += isa.InstrBytes
+			idx++
+			ind = false
+			continue
+		}
+		ind = in.Op == isa.RET
+		if next != pc+isa.InstrBytes || ind { // a control transfer ends the piece
+			if piece != nil {
+				piece(w, uint32(instrs-pstart))
+			}
+			pstart, w = instrs, next
+			if ind {
+				w |= EventIndirect
+			}
+		}
+		pc = next
+		if idx, ok = c.Prog.IndexOf(pc); !ok {
+			idx = len(code)
+		}
+	}
+
+	if piece != nil && instrs > pstart {
+		piece(w, uint32(instrs-pstart))
+	}
+	if err != nil && idx < len(code) {
+		instrs++ // an instruction that faults retires, but is no event
+	}
+	c.PC, c.lastIndirect, c.Instrs, c.Cycles = pc, ind, instrs, cycles
+	if err == nil && !c.Halted && instrs-start < budget {
+		err = c.exhausted(maxInstrs)
+	}
+	return instrs - start, err
+}
+
+func (c *CPU) exhausted(maxInstrs uint64) error {
+	return fmt.Errorf("cpu: instruction budget %d exhausted at pc=%#x", maxInstrs, c.PC)
+}
+
+// fetchStall drives the attached instruction-side hooks for the fetch
+// of pc and returns their stall cycles.
+func (c *CPU) fetchStall(pc uint32, indirect bool) int {
 	stall := 0
-
-	// Instruction-side memory system.
 	if c.ITLB != nil {
-		if miss, _ := c.ITLB.Lookup(c.PC); miss {
+		if miss, _ := c.ITLB.Lookup(pc); miss {
 			stall += c.Timing.TLBWalkPenalty
 		}
 	}
 	if c.IFetch != nil {
-		fr := c.IFetch.Fetch(c.PC, c.lastIndirect)
+		fr := c.IFetch.Fetch(pc, indirect)
 		if fr.Filled {
-			stall += c.Mem.ReadLine(c.PC, c.IFetch.Cache().Cfg.LineBytes)
+			stall += c.Mem.ReadLine(pc, c.IFetch.Cache().Cfg.LineBytes)
 		}
 		if fr.ExtraAccess {
 			stall += c.Timing.HintExtraPenalty
 		}
 	}
-
-	nextPC := c.PC + isa.InstrBytes
-	indirect := false
-	r := &c.Regs
-
-	switch in.Op {
-	case isa.ADD:
-		r[in.Rd] = r[in.Rn] + r[in.Rm]
-	case isa.SUB:
-		r[in.Rd] = r[in.Rn] - r[in.Rm]
-	case isa.RSB:
-		r[in.Rd] = r[in.Rm] - r[in.Rn]
-	case isa.MUL:
-		r[in.Rd] = r[in.Rn] * r[in.Rm]
-		stall += c.Timing.MulExtraCycles
-	case isa.MLA:
-		r[in.Rd] = r[in.Rn]*r[in.Rm] + r[in.Rd]
-		stall += c.Timing.MulExtraCycles
-	case isa.AND:
-		r[in.Rd] = r[in.Rn] & r[in.Rm]
-	case isa.ORR:
-		r[in.Rd] = r[in.Rn] | r[in.Rm]
-	case isa.EOR:
-		r[in.Rd] = r[in.Rn] ^ r[in.Rm]
-	case isa.BIC:
-		r[in.Rd] = r[in.Rn] &^ r[in.Rm]
-	case isa.LSL:
-		r[in.Rd] = r[in.Rn] << (r[in.Rm] & 31)
-	case isa.LSR:
-		r[in.Rd] = r[in.Rn] >> (r[in.Rm] & 31)
-	case isa.ASR:
-		r[in.Rd] = uint32(int32(r[in.Rn]) >> (r[in.Rm] & 31))
-	case isa.ROR:
-		s := r[in.Rm] & 31
-		r[in.Rd] = r[in.Rn]>>s | r[in.Rn]<<(32-s)
-
-	case isa.ADDI:
-		r[in.Rd] = r[in.Rn] + uint32(in.Imm)
-	case isa.SUBI:
-		r[in.Rd] = r[in.Rn] - uint32(in.Imm)
-	case isa.ANDI:
-		r[in.Rd] = r[in.Rn] & uint32(in.Imm)
-	case isa.ORRI:
-		r[in.Rd] = r[in.Rn] | uint32(in.Imm)
-	case isa.EORI:
-		r[in.Rd] = r[in.Rn] ^ uint32(in.Imm)
-	case isa.LSLI:
-		r[in.Rd] = r[in.Rn] << (uint32(in.Imm) & 31)
-	case isa.LSRI:
-		r[in.Rd] = r[in.Rn] >> (uint32(in.Imm) & 31)
-	case isa.ASRI:
-		r[in.Rd] = uint32(int32(r[in.Rn]) >> (uint32(in.Imm) & 31))
-
-	case isa.MOV:
-		r[in.Rd] = r[in.Rm]
-	case isa.MVN:
-		r[in.Rd] = ^r[in.Rm]
-	case isa.MOVW:
-		r[in.Rd] = uint32(in.Imm) & 0xffff
-	case isa.MOVT:
-		r[in.Rd] = r[in.Rd]&0xffff | uint32(in.Imm)<<16
-
-	case isa.CMP:
-		c.Flags = subFlags(r[in.Rn], r[in.Rm])
-	case isa.CMPI:
-		c.Flags = subFlags(r[in.Rn], uint32(in.Imm))
-	case isa.TST:
-		v := r[in.Rn] & r[in.Rm]
-		c.Flags = isa.Flags{N: int32(v) < 0, Z: v == 0}
-
-	case isa.LDR, isa.LDRB, isa.LDRX:
-		addr := r[in.Rn]
-		if in.Op == isa.LDRX {
-			addr += r[in.Rm]
-		} else {
-			addr += uint32(in.Imm)
-		}
-		if in.Op != isa.LDRB && addr%4 != 0 {
-			return c.fault(in, "misaligned load at %#x", addr)
-		}
-		stall += c.dataAccess(addr, false)
-		if in.Op == isa.LDRB {
-			r[in.Rd] = uint32(c.Mem.Read8(addr))
-		} else {
-			r[in.Rd] = c.Mem.Read32(addr)
-		}
-
-	case isa.STR, isa.STRB, isa.STRX:
-		addr := r[in.Rn]
-		if in.Op == isa.STRX {
-			addr += r[in.Rm]
-		} else {
-			addr += uint32(in.Imm)
-		}
-		if in.Op != isa.STRB && addr%4 != 0 {
-			return c.fault(in, "misaligned store at %#x", addr)
-		}
-		stall += c.dataAccess(addr, true)
-		if in.Op == isa.STRB {
-			c.Mem.Write8(addr, byte(r[in.Rd]))
-		} else {
-			c.Mem.Write32(addr, r[in.Rd])
-		}
-
-	case isa.B:
-		if in.Cond.Eval(c.Flags) {
-			nextPC = uint32(int64(c.PC) + isa.InstrBytes + int64(in.Imm)*isa.InstrBytes)
-			stall += c.Timing.BranchTakenPenalty
-		}
-	case isa.BL:
-		r[isa.LR] = c.PC + isa.InstrBytes
-		nextPC = uint32(int64(c.PC) + isa.InstrBytes + int64(in.Imm)*isa.InstrBytes)
-		stall += c.Timing.BranchTakenPenalty
-	case isa.RET:
-		nextPC = r[isa.LR]
-		stall += c.Timing.BranchTakenPenalty
-		indirect = true
-
-	case isa.NOP:
-	case isa.HALT:
-		c.Halted = true
-
-	default:
-		return c.fault(in, "unimplemented operation")
-	}
-
-	c.PC = nextPC
-	c.lastIndirect = indirect
-	c.Cycles += uint64(1 + stall)
-	return nil
+	return stall
 }
 
 // dataAccess drives the D-TLB and D-cache for a load or store and

@@ -190,8 +190,8 @@ func UsesPlaced(spec RunSpec) bool {
 // the binary it fetches from, "<workload>/original" or
 // "<workload>/placed". Cells with equal streams see the same
 // instruction fetches, so they coalesce into one single-pass group (the
-// name is that group's GroupID) and replay one recorded trace; the
-// fleet routes on it so each stream executes on one backend.
+// name is that group's GroupID). It is not a routing key: the fleet
+// routes by Workload, whose one recording serves both streams.
 func (s RunSpec) Stream() string {
 	if UsesPlaced(s) {
 		return s.Workload + "/placed"

@@ -48,7 +48,7 @@ const (
 	// MetricBackendHits / MetricBackendMisses: cells a backend answered
 	// from its warm cache vs cells it had to simulate — summed across
 	// the ring they are the fleet-wide hit ratio, and per backend they
-	// show whether sharding is keeping each stream's cells, and so
+	// show whether sharding is keeping each workload's cells, and so
 	// each cell's repeats, on one node.
 	MetricBackendHits   = "fleet_backend_cell_hits_total"
 	MetricBackendMisses = "fleet_backend_cell_misses_total"
@@ -83,7 +83,7 @@ type Options struct {
 	// after its owner hard-fails (connection refused, 5xx). 429s are
 	// NOT failed over — they are retried against the owner with its
 	// Retry-After hint and then propagated, preserving the
-	// one-stream-one-backend cache and trace affinity. Default 1;
+	// one-workload-one-backend cache and trace affinity. Default 1;
 	// negative disables failover.
 	Failover int
 	// BackendRetries bounds per-attempt 429 retries against one
@@ -238,7 +238,7 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if rej == nil {
 		// Validate centrally — a batch either shards cleanly or fails
 		// with the same answer a single backend would give. Validation
-		// also yields the specs whose streams the ring routes by.
+		// also yields the specs whose workloads the ring routes by.
 		breq, specs, rej = api.DecodeBatch(w, r, c.opt.MaxBatchCells, "coordinator")
 	}
 	if rej != nil {
@@ -248,14 +248,14 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 		c.out.JSON(w, rej.Status, rej.Body)
 		return
 	}
-	// Route on the fetch stream, not the cell: every cell of a stream
-	// lands on one backend, which executes the program once and
-	// replays its recorded trace for the stream's later cells.
-	streams := make([]string, len(specs))
+	// Route on the workload, not the cell: every cell of a workload, of
+	// either layout, lands on one backend, which executes the program
+	// once and replays its recording for the workload's later cells.
+	keys := make([]string, len(specs))
 	for i, s := range specs {
-		streams[i] = s.Stream()
+		keys[i] = s.Workload
 	}
-	subs := api.SplitBatch(breq.Requests, c.ring.Len(), func(i int) int { return c.ring.Owner(streams[i]) })
+	subs := api.SplitBatch(breq.Requests, c.ring.Len(), func(i int) int { return c.ring.Owner(keys[i]) })
 
 	// Every batch is admitted as sync: the coordinator holds its slot
 	// only while it scatters, also for an async batch.
@@ -275,11 +275,11 @@ func (c *Coordinator) handleRuns(w http.ResponseWriter, r *http.Request) {
 	c.batches.Inc()
 
 	if breq.Async {
-		c.startAsync(w, r.Context(), tenant, echo, breq, subs, streams)
+		c.startAsync(w, r.Context(), tenant, echo, breq, subs, keys)
 		return
 	}
 
-	outs := c.scatter(r.Context(), tenant, subs, streams, false)
+	outs := c.scatter(r.Context(), tenant, subs, keys, false)
 	if c.propagateBusy(w, outs) {
 		return
 	}
@@ -302,14 +302,14 @@ type subOutcome struct {
 // quota and weighted-fair scheduler sees the originating client, not
 // the coordinator's address. async selects the backend-side execution
 // mode (the 202 responses then carry each backend's sub job id).
-func (c *Coordinator) scatter(ctx context.Context, tenant api.Tenant, subs []api.SubBatch, streams []string, async bool) []subOutcome {
+func (c *Coordinator) scatter(ctx context.Context, tenant api.Tenant, subs []api.SubBatch, keys []string, async bool) []subOutcome {
 	outs := make([]subOutcome, len(subs))
 	var wg sync.WaitGroup
 	for si := range subs {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			outs[si] = c.runSub(ctx, tenant, subs[si], streams, async)
+			outs[si] = c.runSub(ctx, tenant, subs[si], keys, async)
 		}(si)
 	}
 	wg.Wait()
@@ -320,11 +320,11 @@ func (c *Coordinator) scatter(ctx context.Context, tenant api.Tenant, subs []api
 // same backend with its Retry-After hint, and failing over to up to
 // Options.Failover successor ring nodes only on hard errors
 // (connection failures, 5xx). Busy owners are NOT failed over: moving
-// a saturated shard's streams to its neighbour would simulate them a
+// a saturated shard's workloads to its neighbour would simulate them a
 // second time and melt the neighbour too — backpressure propagates to
 // the client instead. The failover order is the ring sequence of the
-// sub-batch's first stream.
-func (c *Coordinator) runSub(ctx context.Context, tenant api.Tenant, sub api.SubBatch, streams []string, async bool) subOutcome {
+// sub-batch's first routing key (its first cell's workload).
+func (c *Coordinator) runSub(ctx context.Context, tenant api.Tenant, sub api.SubBatch, keys []string, async bool) subOutcome {
 	body, err := json.Marshal(api.BatchRequest{
 		APIVersion: api.Version,
 		Requests:   sub.Requests,
@@ -333,7 +333,7 @@ func (c *Coordinator) runSub(ctx context.Context, tenant api.Tenant, sub api.Sub
 	if err != nil {
 		return subOutcome{err: err}
 	}
-	seq := c.ring.Sequence(streams[sub.Indices[0]], 1+max(0, c.opt.Failover))
+	seq := c.ring.Sequence(keys[sub.Indices[0]], 1+max(0, c.opt.Failover))
 	var last subOutcome
 	for ai, bi := range seq {
 		if ai > 0 {

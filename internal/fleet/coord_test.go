@@ -101,7 +101,8 @@ func sumMisses(backs []*load.Loopback) uint64 {
 
 func TestCoordinatorSyncIdenticalToDirectRun(t *testing.T) {
 	const workloads = 12
-	backs := startBackends(t, 3, workloads)
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()}
+	backs := startObserved(t, regs, workloads)
 	_, srv := startCoordinator(t, backs, fleet.Options{})
 	reqs := testPool(workloads)
 	direct := directEngine(workloads)
@@ -152,25 +153,21 @@ func TestCoordinatorOncePerFleetAcrossRepeats(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRunsEachStreamOnce: the ring routes on the fetch
-// stream, so however a stream's cells arrive — here each cell of the
-// pool as its own batch — one backend simulates all of them. A backend
-// executes each workload once, for whichever of its streams arrives
-// first, and replays that recording, relocated where needed, for the
-// rest.
-func TestCoordinatorRunsEachStreamOnce(t *testing.T) {
+// TestCoordinatorRunsEachWorkloadOnce: the ring routes on the
+// workload, so however a workload's cells arrive — here each cell of
+// the pool as its own batch — one backend simulates all of them, of
+// both layouts. It executes the workload once, for whichever of its
+// cells arrives first, and replays that recording, relocated where
+// needed, for the rest: the fleet executes each workload exactly once.
+func TestCoordinatorRunsEachWorkloadOnce(t *testing.T) {
 	const workloads = 12
 	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()}
 	backs := startObserved(t, regs, workloads)
-	coord, srv := startCoordinator(t, backs, fleet.Options{})
+	_, srv := startCoordinator(t, backs, fleet.Options{})
 	reqs := testPool(workloads)
-	specs, err := api.ToSpecs(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	client := serve.NewClient(srv.URL)
-	simulatedOn := make(map[string]map[int]bool) // stream -> backends
+	simulatedOn := make(map[string]map[int]bool) // workload -> backends
 	for i, req := range reqs {
 		before := make([]uint64, len(backs))
 		for b, lb := range backs {
@@ -183,40 +180,29 @@ func TestCoordinatorRunsEachStreamOnce(t *testing.T) {
 		if resp.Status != api.StatusDone {
 			t.Fatalf("cell %d: status %q errors %v", i, resp.Status, resp.Errors)
 		}
-		stream := specs[i].Stream()
-		if simulatedOn[stream] == nil {
-			simulatedOn[stream] = make(map[int]bool)
+		if simulatedOn[req.Workload] == nil {
+			simulatedOn[req.Workload] = make(map[int]bool)
 		}
 		for b, lb := range backs {
 			if lb.Engine.Misses() > before[b] {
-				simulatedOn[stream][b] = true
+				simulatedOn[req.Workload][b] = true
 			}
 		}
 	}
-	for stream, on := range simulatedOn {
+	for wl, on := range simulatedOn {
 		if len(on) != 1 {
-			t.Errorf("stream %s simulated on %d backends, want 1", stream, len(on))
+			t.Errorf("workload %s simulated on %d backends, want 1", wl, len(on))
 		}
 	}
 	if got, want := sumMisses(backs), uint64(len(reqs)); got != want {
 		t.Errorf("fleet simulated %d cells for %d unique cells", got, want)
 	}
-	owners := make(map[string]map[int]bool) // workload -> backends
-	for _, s := range specs {
-		if owners[s.Workload] == nil {
-			owners[s.Workload] = make(map[int]bool)
-		}
-		owners[s.Workload][coord.Ring().Owner(s.Stream())] = true
-	}
-	var execs, want uint64
-	for _, on := range owners {
-		want += uint64(len(on))
-	}
+	var execs uint64
 	for _, reg := range regs {
 		execs += reg.Counter(engine.MetricTraceMisses).Value()
 	}
-	if execs != want {
-		t.Errorf("fleet executed programs %d times, want %d: once per workload on each backend owning one of its streams", execs, want)
+	if execs != workloads {
+		t.Errorf("fleet executed programs %d times, want %d: once per workload", execs, workloads)
 	}
 }
 

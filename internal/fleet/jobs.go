@@ -46,7 +46,7 @@ type fleetJob struct {
 // submissions attach to the existing job; their backend-side
 // sub-submissions deduplicate the same way, since sub job ids are
 // BatchKeys too.
-func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, tenant api.Tenant, echo string, breq *api.BatchRequest, subs []api.SubBatch, streams []string) {
+func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, tenant api.Tenant, echo string, breq *api.BatchRequest, subs []api.SubBatch, keys []string) {
 	id := api.BatchKey(breq.Requests)
 	// A live identical job is reported as-is; a failed one is displaced
 	// by Attach and rescattered below. The backends apply the same rule
@@ -61,7 +61,7 @@ func (c *Coordinator) startAsync(w http.ResponseWriter, ctx context.Context, ten
 	// permanently-failed job under this batch's deterministic id the
 	// moment a submitter disconnects mid-scatter — every later
 	// submission of the same batch would then attach to the corpse.
-	outs := c.scatter(context.WithoutCancel(ctx), tenant, subs, streams, true)
+	outs := c.scatter(context.WithoutCancel(ctx), tenant, subs, keys, true)
 	if c.propagateBusy(w, outs) {
 		return
 	}

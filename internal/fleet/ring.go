@@ -1,19 +1,18 @@
 // Package fleet is the sharded-serving layer over wpserved: a
 // coordinator that owns a consistent-hash ring of backends, splits
 // every incoming batch into per-backend sub-batches keyed by each
-// cell's fetch stream (engine.RunSpec.Stream: its workload and the
-// binary it fetches from), fans the sub-batches out concurrently and
-// merges the answers back into original cell order.
+// cell's workload, fans the sub-batches out concurrently and merges
+// the answers back into original cell order.
 //
-// Sharding by stream is what turns N independent daemons into one
-// logical cache: every cell of a stream — and so every repeat of a
-// cell, from any client, ever — routes to the same backend. The fleet
-// therefore simulates a cold cell exactly once, executes each stream's
-// program once (the owner replays its recorded fetch trace for the
-// stream's later cells), and serves every repeat from that backend's
-// warm run cache or persistent store. The ring moves only ~1/(N+1) of
-// the key space when a backend joins or leaves, so scaling the fleet
-// re-shards the minimum possible slice of the warm set.
+// Sharding by workload is what turns N independent daemons into one
+// logical cache: every cell of a workload, of either layout, routes to
+// the same backend. The fleet therefore simulates a cold cell exactly
+// once, executes each workload's program once (the owner replays its
+// recording, relocated where needed, for the workload's later cells),
+// and serves every repeat from that backend's warm run cache or
+// persistent store. The ring moves only ~1/(N+1) of the key space when
+// a backend joins or leaves, so scaling the fleet re-shards the
+// minimum possible slice of the warm set.
 package fleet
 
 import (

@@ -48,11 +48,13 @@ type Memory struct {
 	Stats  Stats
 	pages  map[uint32]*[pageSize]byte
 
-	// Last page served, short-circuiting the map lookup: accesses
-	// cluster heavily (stack frames, sequential buffers), and the
-	// simulator's data path goes through here on every load and store.
-	lastKey  uint32
-	lastPage *[pageSize]byte
+	// Recently served pages, direct-mapped by page number: accesses
+	// cluster on a few pages (stack frames, sequential buffers), and
+	// the data path comes here on every load and store.
+	recent [16]struct {
+		key  uint32
+		page *[pageSize]byte
+	}
 }
 
 // New returns an empty memory with the given timing.
@@ -62,8 +64,9 @@ func New(cfg Config) *Memory {
 
 func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 	key := addr >> pageShift
-	if m.lastPage != nil && m.lastKey == key {
-		return m.lastPage
+	r := &m.recent[key%uint32(len(m.recent))]
+	if r.page != nil && r.key == key {
+		return r.page
 	}
 	p := m.pages[key]
 	if p == nil && create {
@@ -71,7 +74,7 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 		m.pages[key] = p
 	}
 	if p != nil {
-		m.lastKey, m.lastPage = key, p
+		r.key, r.page = key, p
 	}
 	return p
 }

@@ -127,17 +127,11 @@ func RunAdaptive(ctx context.Context, prog *obj.Program, cfg Config, pol Adaptiv
 
 	changes := []AreaChange{{AtInstr: 0, Size: size}}
 	var prev cache.Stats
-	maxInstrs := cfg.MaxInstrs
-
-	for !c.Halted && c.Instrs < maxInstrs {
+	for !c.Halted {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		budget := pol.IntervalInstrs
-		if rem := maxInstrs - c.Instrs; rem < budget {
-			budget = rem
-		}
-		if _, err := c.RunInstrs(budget); err != nil {
+		if _, err := c.RunPieces(pol.IntervalInstrs, cfg.MaxInstrs, nil); err != nil {
 			return nil, nil, err
 		}
 		if c.Halted {
@@ -180,9 +174,6 @@ func RunAdaptive(ctx context.Context, prog *obj.Program, cfg Config, pol Adaptiv
 		if pol.Inspect != nil {
 			pol.Inspect(itlb, engine.Cache())
 		}
-	}
-	if !c.Halted {
-		return nil, nil, fmt.Errorf("sim: instruction budget %d exhausted", maxInstrs)
 	}
 
 	rs := &RunStats{

@@ -119,8 +119,8 @@ type FetchRun struct {
 // for bulk replay, and Reps lists the chunk's exact repeats in those
 // runs. Every source fills in all three, and all three alias buffers
 // reused by its next NextChunk call. Events, one word per retired
-// instruction, is set only on a live FetchSource's chunks, where it is
-// the CPU's own output buffer; no model reads it.
+// instruction, is set only on a live FetchSource's chunks: their
+// segments expanded, for readers outside the engine. No model reads it.
 type FetchChunk struct {
 	Segs   []FetchSeg
 	Runs   []FetchRun
@@ -268,7 +268,7 @@ const fetchChunkEvents = 64 << 10
 // data-side hierarchy live; instruction side detached — and emits the
 // fetch-event stream in analysed chunks: cut into segments and runs,
 // with their repeats found and the reference I-TLB driven over them.
-// Its chunks alone also carry the CPU's event words (Events).
+// Its chunks alone also carry their event words (Events).
 type FetchSource struct {
 	cpu    *cpu.CPU
 	mem    *mem.Memory
@@ -347,7 +347,8 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n, err := s.cpu.RunEvents(s.events, s.maxInstrs)
+	s.cut.reset()
+	n, err := s.cpu.RunPieces(fetchChunkEvents, s.maxInstrs, s.cut.piece)
 	if err != nil {
 		return nil, err
 	}
@@ -355,11 +356,14 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	ev := s.events[:n]
-	s.cut.reset()
-	s.cut.events(ev)
-	ch := &FetchChunk{Events: ev}
+	ch := &FetchChunk{Events: s.events[:n]}
 	ch.Segs, ch.Runs = s.cut.chunk()
+	ev := ch.Events[:0]
+	for _, sg := range ch.Segs {
+		for w, j := sg.Word, uint32(0); j < sg.N; w, j = cpu.EventAddr(w)+4, j+1 {
+			ev = append(ev, w)
+		}
+	}
 	ch.Reps = s.reps.find(ch)
 	s.itlb.translate(ch)
 	return ch, nil
@@ -465,18 +469,6 @@ func (c *chunkCutter) piece(w, n uint32) {
 
 // chunk returns the cut chunk's segments and runs.
 func (c *chunkCutter) chunk() ([]FetchSeg, []FetchRun) { return c.segs[:c.nSegs], c.runs[:c.nRuns] }
-
-// events appends a chunk's events, piece by sequential piece.
-func (c *chunkCutter) events(ev []uint32) {
-	for i := 0; i < len(ev); {
-		j, next := i+1, cpu.EventAddr(ev[i])+4
-		for j < len(ev) && ev[j] == next {
-			j, next = j+1, next+4
-		}
-		c.piece(ev[i], uint32(j-i))
-		i = j
-	}
-}
 
 // outcome is the producer's share of every RunStats; valid once
 // NextChunk has reported the end of the stream.

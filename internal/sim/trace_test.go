@@ -398,7 +398,9 @@ func FuzzTraceSourceRuns(f *testing.F) {
 				}
 				live := chunkCutter{blockNeg: uint32(replay - 1)}
 				live.reset()
-				live.events(got)
+				for _, e := range got {
+					live.piece(e, 1)
+				}
 				if liveSegs, liveRuns := live.chunk(); !slices.Equal(liveSegs, segs) || !slices.Equal(liveRuns, runs) {
 					t.Fatalf("block %d: a live source cuts chunk %d otherwise than cutEvents", replay, n)
 				}
